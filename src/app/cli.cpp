@@ -2,8 +2,8 @@
 // projection / detail / timeline views headlessly.
 //
 //   dragonviz sim --p 3 --job amg:0:contiguous --routing adaptive
-//       ... --out run.json [--sample-dt 1000] [--scale 0.5]
-//   dragonviz render  --run run.json --spec spec.json --out view.svg
+//       ... --out run.dvr [--sample-dt 1000] [--scale 0.5]
+//   dragonviz render  --run run.dvr --spec spec.json --out view.svg
 //   dragonviz session --run run.json --spec spec.json --out ui.svg
 //       ... [--t0 ns --t1 ns] [--brush axis:lo:hi]
 //   dragonviz compare --run a.json --run b.json --spec spec.json --out c.svg
@@ -127,15 +127,31 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-/// Writes the observability profile when --profile was given. An empty
-/// value (bare --profile) derives the path from `out_path` by replacing a
-/// trailing ".json"/".svg" with ".profile.json".
-void maybe_write_profile(const Args& args, const std::string& out_path) {
+/// What a bare --profile names its file after: the command's output
+/// (--out, else --report), else its input (--run, else --in), else
+/// "<dir>/<cmd>" inside its --store/--dir directory.
+std::string profile_base(const std::string& cmd, const Args& args) {
+  for (const char* key : {"out", "report", "run", "in"}) {
+    const auto it = args.opts.find(key);
+    if (it != args.opts.end()) return it->second.front();
+  }
+  for (const char* key : {"store", "dir"}) {
+    const auto it = args.opts.find(key);
+    if (it != args.opts.end()) return it->second.front() + "/" + cmd;
+  }
+  return cmd;
+}
+
+/// Writes the observability profile when --profile was given — every
+/// subcommand honours it. An empty value (bare --profile) derives the path
+/// from profile_base() by replacing a trailing extension with
+/// ".profile.json".
+void maybe_write_profile(const std::string& cmd, const Args& args) {
   const auto it = args.opts.find("profile");
   if (it == args.opts.end()) return;
   std::string path = it->second.back();
   if (path.empty()) {
-    std::string base = out_path;
+    std::string base = profile_base(cmd, args);
     const auto dot = base.find_last_of('.');
     if (dot != std::string::npos && base.find('/', dot) == std::string::npos) {
       base = base.substr(0, dot);
@@ -212,7 +228,6 @@ void maybe_print_cache_stats(const Args& args, const core::QueryStats& s) {
 }
 
 int cmd_sim(const Args& args) {
-  obs::reset();  // profile this invocation only
   ExperimentConfig cfg;
   cfg.dragonfly_p = static_cast<std::uint32_t>(args.num_or("p", 3));
   cfg.routing = routing::algo_from_string(args.one_or("routing", "adaptive"));
@@ -250,10 +265,12 @@ int cmd_sim(const Args& args) {
     obs::ScopedPhase phase("write");
     result.run.save(out);
   }
+  // The flow backend steps in epochs; result.events holds that count.
   std::printf(
-      "simulated %s on %s: %llu events, %.2fs wall, end=%.0f ns (%u %s)\n",
+      "simulated %s on %s: %llu %s, %.2fs wall, end=%.0f ns (%u %s)\n",
       result.run.workload.c_str(), result.topo.describe().c_str(),
-      static_cast<unsigned long long>(result.events), result.wall_seconds,
+      static_cast<unsigned long long>(result.events),
+      cfg.backend == Backend::kFlow ? "epochs" : "events", result.wall_seconds,
       result.run.end_time, result.partitions,
       result.partitions > 1 ? "partitions" : "partition, sequential");
   if (!cfg.faults.empty()) {
@@ -266,7 +283,6 @@ int cmd_sim(const Args& args) {
                 static_cast<unsigned long long>(drops));
   }
   std::printf("wrote %s\n", out.c_str());
-  maybe_write_profile(args, out);
   return 0;
 }
 
@@ -285,7 +301,6 @@ std::vector<std::string> axis_values(const Args& args,
 }
 
 int cmd_sweep(const Args& args) {
-  obs::reset();
   SweepConfig cfg;
   cfg.base.dragonfly_p = static_cast<std::uint32_t>(args.num_or("p", 3));
   cfg.base.window = args.num_or("window", 2.0e6);
@@ -329,13 +344,10 @@ int cmd_sweep(const Args& args) {
   if (!res.report_path.empty()) {
     std::printf("wrote %s\n", res.report_path.c_str());
   }
-  maybe_write_profile(args, res.report_path.empty() ? cfg.store_dir + "/sweep"
-                                                    : res.report_path);
   return 0;
 }
 
 int cmd_render(const Args& args) {
-  obs::reset();
   const core::DataSet data = load_run_dataset(args.one("run"));
   auto spec = load_spec(args);
   maybe_apply_window(args, spec);
@@ -361,7 +373,6 @@ int cmd_render(const Args& args) {
   std::printf("wrote %s (%zu rings, %zu ribbons)\n", out.c_str(),
               view.rings().size(), view.ribbons().size());
   maybe_print_cache_stats(args, engine.stats());
-  maybe_write_profile(args, out);
   return 0;
 }
 
@@ -370,8 +381,11 @@ int cmd_store(const Args& args) {
   const std::string action = args.one_or("action", "list");
   if (action == "add") {
     const auto fmt =
-        metrics::store_format_from_string(args.one_or("format", "text"));
+        metrics::store_format_from_string(args.one_or("format", "dvr"));
+    auto load_phase = std::make_unique<obs::ScopedPhase>("load");
     const auto run = metrics::RunMetrics::load(args.one("run"));
+    load_phase.reset();
+    obs::ScopedPhase phase("write");
     const auto name = store.add(run, args.one_or("name", ""), fmt);
     std::printf("stored as '%s' (%s)\n", name.c_str(),
                 metrics::to_string(fmt).c_str());
@@ -408,18 +422,20 @@ int cmd_store(const Args& args) {
 int cmd_pack(const Args& args) {
   const std::string in = args.one("in");
   const std::string out = args.one("out");
-  // Output format: --format wins, else the output extension decides.
-  std::string fmt_name = args.one_or("format", "");
-  if (fmt_name.empty()) {
-    fmt_name = out.size() > 4 && out.compare(out.size() - 4, 4, ".dvr") == 0
-                   ? "dvr"
-                   : "text";
-  }
-  const auto fmt = metrics::store_format_from_string(fmt_name);
+  // The output path decides the format (metrics::format_for_path); an
+  // explicit --format must agree with it.
+  const auto fmt = metrics::format_for_path(out);
+  const std::string fmt_name = args.one_or("format", "");
+  DV_REQUIRE(fmt_name.empty() ||
+                 metrics::store_format_from_string(fmt_name) == fmt,
+             "pack: --format " + fmt_name + " contradicts --out " + out +
+                 " (a .json path is written as text, any other path as "
+                 "dvr)");
+  auto load_phase = std::make_unique<obs::ScopedPhase>("load");
   const auto run = metrics::RunMetrics::load(in);
-  if (fmt == metrics::StoreFormat::kPacked) {
-    metrics::save_dvr(run, out);
-  } else {
+  load_phase.reset();
+  {
+    obs::ScopedPhase phase("write");
     run.save(out);
   }
   const auto size_of = [](const std::string& p) {
@@ -616,7 +632,6 @@ int cmd_trace_info(const Args& args) {
 }
 
 int cmd_trace_replay(const Args& args) {
-  obs::reset();
   const auto t = trace::load_binary(args.one("trace"));
   const auto p = static_cast<std::uint32_t>(args.num_or("p", 3));
   const auto topo = topo::Dragonfly::canonical(p);
@@ -640,13 +655,15 @@ int cmd_trace_replay(const Args& args) {
   net.set_parallel(static_cast<std::uint32_t>(args.num_or("parallel", 1)));
   const auto run = net.run();
   const std::string out = args.one("out");
-  run.save(out);
+  {
+    obs::ScopedPhase phase("write");
+    run.save(out);
+  }
   std::printf("replayed %s (%u ranks) on %s: %llu packets, end=%.0f ns\n",
               t.app.c_str(), t.ranks, topo.describe().c_str(),
               static_cast<unsigned long long>(run.total_packets_finished()),
               run.end_time);
   std::printf("wrote %s\n", out.c_str());
-  maybe_write_profile(args, out);
   return 0;
 }
 
@@ -855,14 +872,17 @@ int cmd_client(const Args& args) {
 void print_help() {
   std::printf(
       "dragonviz — visual analytics for large-scale dragonfly networks\n\n"
+      "every subcommand takes [--profile[=prof.json]]  (counters + phase\n"
+      "breakdown of the invocation; bare --profile names it after --out)\n\n"
       "subcommands:\n"
-      "  sim      --p N --job workload[:ranks[:policy]] ... --out run.json\n"
+      "  sim      --p N --job workload[:ranks[:policy]] ... --out run.dvr\n"
+      "           (--out *.json writes the text export; any other path\n"
+      "           the packed .dvr format)\n"
       "           [--routing minimal|nonminimal|adaptive|par]\n"
       "           [--scale F] [--window NS] [--sample-dt NS] [--seed N]\n"
       "           [--parallel N]  (N>1: conservative parallel engine with\n"
       "           N group-partitions; same seed => identical metrics for\n"
       "           minimal/nonminimal routing; env DV_PARALLEL as default)\n"
-      "           [--profile[=prof.json]]  (counters + phase breakdown)\n"
       "           [--faults plan.txt] [--fault SPEC ...]  (fault injection;\n"
       "           SPEC: link:g0.r1->g2.r0@T0[:T1] | link:g0->g2@T0[:T1] |\n"
       "           router:g1.r2@T0[:T1], times in ns, no T1 = permanent)\n"
@@ -889,12 +909,15 @@ void print_help() {
       "  render   --run run.json --spec spec.json --out view.svg [--size PX]\n"
       "           [--focus ring:item]   (click-to-focus drill-down)\n"
       "           [--window T0:T1]      (time-window the aggregation, ns)\n"
-      "           [--cache-stats] [--profile[=prof.json]]\n"
+      "           [--cache-stats]\n"
       "  store    --dir runs/ [--action list|add|remove|repack]\n"
-      "           [--run run.json] [--name NAME] [--format text|dvr]\n"
+      "           [--run run.dvr] [--name NAME] [--format dvr|text]\n"
+      "           (add and repack default to dvr; text stores NAME.json)\n"
       "  pack     --in run.json --out run.dvr [--format text|dvr]\n"
       "           (lossless conversion between text and packed columnar\n"
-      "           runs; every reader accepts both, bit-identically)\n"
+      "           runs; every reader accepts both, bit-identically; --out\n"
+      "           *.json is text, any other path dvr, and --format must\n"
+      "           agree)\n"
       "  inspect  --run run.dvr   (header, chunk directory, zone maps —\n"
       "           reads no column payload; see docs/RUN_FORMAT.md)\n"
       "  session  --run run.json --spec spec.json --out ui.svg\n"
@@ -923,7 +946,8 @@ void print_help() {
       "           [--list] [--stats] [--shutdown]\n"
       "  trace-record --workload amg --ranks N --bytes B --out t.dvtr\n"
       "  trace-info   --trace t.dvtr\n"
-      "  trace-replay --trace t.dvtr --p N --out run.json\n"
+      "  trace-replay --trace t.dvtr --p N --out run.dvr\n"
+      "           (--out *.json writes the text export)\n"
       "           [--placement P] [--routing R] [--sample-dt NS]"
       " [--parallel N]\n"
       "           [--faults plan.txt] [--fault SPEC ...]\n\n"
@@ -932,16 +956,7 @@ void print_help() {
       "policies:  contiguous random_group random_router random_node\n");
 }
 
-}  // namespace
-
-int run_cli(int argc, char** argv) {
-  if (argc < 2 || std::string(argv[1]) == "--help" ||
-      std::string(argv[1]) == "help") {
-    print_help();
-    return argc < 2 ? 1 : 0;
-  }
-  const std::string cmd = argv[1];
-  const Args args = Args::parse(argc, argv, 2);
+int dispatch(const std::string& cmd, const Args& args) {
   if (cmd == "sim") return cmd_sim(args);
   if (cmd == "sweep") return cmd_sweep(args);
   if (cmd == "render") return cmd_render(args);
@@ -959,6 +974,22 @@ int run_cli(int argc, char** argv) {
   if (cmd == "serve") return cmd_serve(args);
   if (cmd == "client") return cmd_client(args);
   throw Error("unknown subcommand: " + cmd + " (try --help)");
+}
+
+}  // namespace
+
+int run_cli(int argc, char** argv) {
+  if (argc < 2 || std::string(argv[1]) == "--help" ||
+      std::string(argv[1]) == "help") {
+    print_help();
+    return argc < 2 ? 1 : 0;
+  }
+  const std::string cmd = argv[1];
+  const Args args = Args::parse(argc, argv, 2);
+  obs::reset();  // profile this invocation only
+  const int rc = dispatch(cmd, args);
+  maybe_write_profile(cmd, args);
+  return rc;
 }
 
 }  // namespace dv::app

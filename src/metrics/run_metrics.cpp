@@ -93,6 +93,22 @@ std::pair<std::size_t, std::size_t> PrefixSeries::frame_range(
   return {std::min(f0, f1), f1};
 }
 
+// ------------------------------------------------------------ formats
+
+std::string to_string(StoreFormat f) {
+  return f == StoreFormat::kPacked ? "dvr" : "text";
+}
+
+StoreFormat store_format_from_string(const std::string& s) {
+  if (s == "text" || s == "json") return StoreFormat::kText;
+  if (s == "dvr" || s == "packed") return StoreFormat::kPacked;
+  throw Error("unknown store format '" + s + "' (want text|dvr)");
+}
+
+StoreFormat format_for_path(const std::string& path) {
+  return path.ends_with(".json") ? StoreFormat::kText : StoreFormat::kPacked;
+}
+
 // ------------------------------------------------------------ RunMetrics
 
 std::vector<RouterMetrics> RunMetrics::derive_routers() const {
@@ -359,6 +375,10 @@ RunMetrics RunMetrics::from_json(const json::Value& v) {
 }
 
 void RunMetrics::save(const std::string& path) const {
+  if (format_for_path(path) == StoreFormat::kPacked) {
+    save_dvr(*this, path);
+    return;
+  }
   std::ofstream os(path, std::ios::binary);
   DV_REQUIRE(os.good(), "cannot open for writing: " + path);
   os << json::dump(to_json());

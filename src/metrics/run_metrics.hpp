@@ -158,6 +158,17 @@ class PrefixSeries {
   std::vector<double> prefix_;  // (frames+1) x entities, frame-major
 };
 
+/// On-disk representation of a run: the text (JSON) export or the packed
+/// columnar .dvr format of dvr.hpp. Both load() identically.
+enum class StoreFormat { kText, kPacked };
+
+std::string to_string(StoreFormat f);
+StoreFormat store_format_from_string(const std::string& s);  // throws
+
+/// The one rule every run writer follows: a path ending in ".json" is the
+/// text export, every other path is written packed.
+StoreFormat format_for_path(const std::string& path);
+
 /// Everything one simulation run produces.
 struct RunMetrics {
   // Configuration echo (enough to rebuild entity relations in the VA layer).
@@ -199,12 +210,14 @@ struct RunMetrics {
   double total_injected() const;
   std::uint64_t total_packets_finished() const;
 
-  // Serialization. save() writes the text (JSON) format; dvr.hpp owns the
-  // packed columnar format. load() sniffs the on-disk magic and accepts
-  // either, so every consumer (CLI, store, serve catalog) reads both. Text
-  // parse errors are rethrown with the file path and the offending line
-  // number; a UTF-8 BOM, CRLF line endings and trailing whitespace are
-  // tolerated.
+  // Serialization. save() picks the format from the path through
+  // format_for_path: a ".json" path gets the text export, any other path
+  // the packed .dvr format of dvr.hpp (save_dvr). load() sniffs the
+  // on-disk magic, not the extension, and accepts either, so every
+  // consumer (CLI, store, serve catalog) reads both and old text runs
+  // still open. Text parse errors are rethrown with the file path and the
+  // offending line number; a UTF-8 BOM, CRLF line endings and trailing
+  // whitespace are tolerated.
   json::Value to_json() const;
   static RunMetrics from_json(const json::Value& v);
   void save(const std::string& path) const;

@@ -12,16 +12,6 @@ namespace dv::metrics {
 
 namespace fs = std::filesystem;
 
-std::string to_string(StoreFormat f) {
-  return f == StoreFormat::kPacked ? "dvr" : "text";
-}
-
-StoreFormat store_format_from_string(const std::string& s) {
-  if (s == "text" || s == "json") return StoreFormat::kText;
-  if (s == "dvr" || s == "packed") return StoreFormat::kPacked;
-  throw Error("unknown store format '" + s + "' (want text|dvr)");
-}
-
 RunStore::RunStore(std::string dir) : dir_(std::move(dir)) {
   DV_REQUIRE(!dir_.empty(), "run store needs a directory");
   fs::create_directories(dir_);
@@ -68,11 +58,7 @@ std::string RunStore::add(const RunMetrics& run, std::string name,
   for (int suffix = 2; contains(final_name); ++suffix) {
     final_name = name + "_" + std::to_string(suffix);
   }
-  if (format == StoreFormat::kPacked) {
-    save_dvr(run, path_of(final_name, format));
-  } else {
-    run.save(path_of(final_name, format));
-  }
+  run.save(path_of(final_name, format));
   RunInfo info;
   info.name = final_name;
   info.workload = run.workload;
@@ -110,11 +96,7 @@ void RunStore::repack(const std::string& name, StoreFormat format) {
   const RunMetrics run = RunMetrics::load(path_of(it->name, it->format));
   // Write the new file before dropping the old one: a failure mid-repack
   // leaves the run readable in its original format.
-  if (format == StoreFormat::kPacked) {
-    save_dvr(run, path_of(it->name, format));
-  } else {
-    run.save(path_of(it->name, format));
-  }
+  run.save(path_of(it->name, format));
   fs::remove(path_of(it->name, it->format));
   it->format = format;
   if (it->uid == 0) it->uid = run_content_uid(run);

@@ -15,13 +15,6 @@
 
 namespace dv::metrics {
 
-/// On-disk representation of a stored run: the text (JSON) format or the
-/// packed columnar .dvr format of dvr.hpp. Both load() identically.
-enum class StoreFormat { kText, kPacked };
-
-std::string to_string(StoreFormat f);
-StoreFormat store_format_from_string(const std::string& s);  // throws
-
 /// Index entry for one stored run.
 struct RunInfo {
   std::string name;
@@ -54,7 +47,7 @@ class RunStore {
   /// suffixed when taken) in the given on-disk format. Returns the final
   /// name.
   std::string add(const RunMetrics& run, std::string name = "",
-                  StoreFormat format = StoreFormat::kText);
+                  StoreFormat format = StoreFormat::kPacked);
 
   RunMetrics load(const std::string& name) const;  // throws if missing
   void remove(const std::string& name);            // throws if missing

@@ -2,14 +2,18 @@
 // declarative config (or argv) through simulation to files on disk.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "app/cli.hpp"
 #include "app/runner.hpp"
 #include "core/projection.hpp"
 #include "fault/fault.hpp"
+#include "metrics/dvr.hpp"
+#include "obs/profile.hpp"
 
 namespace dv::app {
 namespace {
@@ -168,6 +172,95 @@ TEST(Cli, SimRenderExportInfoPipeline) {
   }
 }
 
+TEST(Cli, SimOutputFormatFollowsExtension) {
+  const std::string dvr = tmp("dv_cli_fmt.dvr"), text = tmp("dv_cli_fmt.json");
+  const std::string dvr_svg = tmp("dv_cli_fmt_dvr.svg");
+  const std::string text_svg = tmp("dv_cli_fmt_text.svg");
+  for (const auto& out : {dvr, text}) {
+    EXPECT_EQ(cli({"sim", "--p", "2", "--job", "uniform_random", "--window",
+                   "20000", "--sample-dt", "2000", "--out", out}),
+              0);
+  }
+  EXPECT_TRUE(metrics::is_dvr_file(dvr));
+  EXPECT_FALSE(metrics::is_dvr_file(text));
+  EXPECT_EQ(cli({"render", "--run", dvr, "--spec", "preset:fig4", "--out",
+                 dvr_svg}),
+            0);
+  EXPECT_EQ(cli({"render", "--run", text, "--spec", "preset:fig4", "--out",
+                 text_svg}),
+            0);
+  const auto slurp = [](const std::string& p) {
+    std::ifstream is(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(is), {});
+  };
+  const std::string svg = slurp(dvr_svg);
+  EXPECT_FALSE(svg.empty());
+  EXPECT_EQ(svg, slurp(text_svg));
+  for (const auto& p : {dvr, text, dvr_svg, text_svg}) std::remove(p.c_str());
+}
+
+TEST(Cli, FlowSimReportsEpochs) {
+  const std::string out = tmp("dv_cli_flow_epochs.dvr");
+  ::testing::internal::CaptureStdout();
+  const int rc = cli({"sim", "--p", "2", "--job", "uniform_random", "--window",
+                      "20000", "--backend", "flow", "--out", out});
+  const std::string printed = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(rc, 0);
+  EXPECT_NE(printed.find(" epochs, "), std::string::npos) << printed;
+  EXPECT_EQ(printed.find(" events, "), std::string::npos) << printed;
+  std::remove(out.c_str());
+}
+
+TEST(Cli, PackInspectStoreHonourProfile) {
+  const std::string text = tmp("dv_cli_prof_run.json");
+  const std::string packed = tmp("dv_cli_prof_run.dvr");
+  const std::string store_dir = tmp("dv_cli_prof_store");
+  const std::string pack_prof = tmp("dv_cli_prof_pack.profile.json");
+  const std::string inspect_prof = tmp("dv_cli_prof_inspect.profile.json");
+  const std::string store_prof = tmp("dv_cli_prof_store.profile.json");
+  fs::remove_all(store_dir);
+  EXPECT_EQ(cli({"sim", "--p", "2", "--job", "uniform_random", "--window",
+                 "20000", "--out", text}),
+            0);
+  EXPECT_EQ(cli({"pack", "--in", text, "--out", packed,
+                 "--profile=" + pack_prof}),
+            0);
+  EXPECT_TRUE(metrics::is_dvr_file(packed));
+  const auto phases = [](const std::string& path) {
+    std::vector<std::string> names;
+    for (const auto& p : obs::RunProfile::load(path).phases) {
+      names.push_back(p.path);
+    }
+    return names;
+  };
+  if (obs::kEnabled) {
+    const auto pack_phases = phases(pack_prof);
+    EXPECT_NE(std::find(pack_phases.begin(), pack_phases.end(), "load"),
+              pack_phases.end());
+    EXPECT_NE(std::find(pack_phases.begin(), pack_phases.end(), "write"),
+              pack_phases.end());
+  }
+  EXPECT_EQ(cli({"inspect", "--run", packed, "--profile=" + inspect_prof}),
+            0);
+  EXPECT_TRUE(fs::exists(inspect_prof));
+  EXPECT_EQ(cli({"store", "--dir", store_dir, "--action", "add", "--run",
+                 packed, "--name", "p", "--profile=" + store_prof}),
+            0);
+  EXPECT_TRUE(fs::exists(store_prof));
+  // A bare --profile is named after the command inside its directory.
+  EXPECT_EQ(cli({"store", "--dir", store_dir, "--profile"}), 0);
+  EXPECT_TRUE(fs::exists(fs::path(store_dir) / "store.profile.json"));
+  // --format must agree with the output path's format.
+  EXPECT_THROW(cli({"pack", "--in", text, "--out", packed, "--format",
+                    "text"}),
+               Error);
+  fs::remove_all(store_dir);
+  for (const auto& p :
+       {text, packed, pack_prof, inspect_prof, store_prof}) {
+    std::remove(p.c_str());
+  }
+}
+
 TEST(Cli, CompareProducesSharedScaleSvg) {
   const std::string a = tmp("dv_cli_a.json"), b = tmp("dv_cli_b.json");
   const std::string spec_path = tmp("dv_cli_cmp_spec.json");
@@ -272,7 +365,10 @@ TEST(Cli, StoreAndFocusWorkflow) {
                  run_path, "--name", "probe"}),
             0);
   EXPECT_EQ(cli({"store", "--dir", store_dir}), 0);  // list
-  ASSERT_TRUE(fs::exists(fs::path(store_dir) / "probe.json"));
+  // add stores packed unless --format text asks for the text export.
+  const auto stored = (fs::path(store_dir) / "probe.dvr").string();
+  ASSERT_TRUE(fs::exists(stored));
+  EXPECT_TRUE(metrics::is_dvr_file(stored));
 
   {
     std::ofstream os(spec_path);

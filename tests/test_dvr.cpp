@@ -169,6 +169,49 @@ TEST(DvrFormat, ContentUidStableAcrossFormatsAndSensitiveToContent) {
   EXPECT_NE(metrics::run_content_uid(tweaked), uid);
 }
 
+// ------------------------------------------------------------ writer rule
+
+TEST(DvrWriters, FormatFollowsThePath) {
+  using metrics::StoreFormat;
+  EXPECT_EQ(metrics::format_for_path("run.json"), StoreFormat::kText);
+  EXPECT_EQ(metrics::format_for_path("/tmp/a.b/run.json"),
+            StoreFormat::kText);
+  EXPECT_EQ(metrics::format_for_path("run.dvr"), StoreFormat::kPacked);
+  EXPECT_EQ(metrics::format_for_path("run"), StoreFormat::kPacked);
+  EXPECT_EQ(metrics::format_for_path("run.json.bak"), StoreFormat::kPacked);
+}
+
+TEST(DvrWriters, SaveToDvrPathWritesPacked) {
+  const auto run = dvr_sample_run(true);
+  const auto path = temp_path("dv_dvr_save_rule.dvr");
+  run.save(path);
+  EXPECT_TRUE(metrics::is_dvr_file(path));  // the DVR1 magic
+  const auto back = metrics::RunMetrics::load(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(metrics::run_content_uid(back), metrics::run_content_uid(run));
+}
+
+TEST(DvrWriters, SaveToJsonPathWritesTextThatReloadsBitExactly) {
+  const auto run = dvr_sample_run(true);
+  const auto path = temp_path("dv_dvr_save_rule.json");
+  run.save(path);
+  EXPECT_FALSE(metrics::is_dvr_file(path));
+  std::string text;
+  {
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    text = buf.str();
+  }
+  const auto back = metrics::RunMetrics::load(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(text.front(), '{');
+  // The content uid hashes every field's bits; the re-dump pins the text.
+  EXPECT_EQ(metrics::run_content_uid(back), metrics::run_content_uid(run));
+  EXPECT_EQ(json::dump(back.to_json()), text);
+}
+
 TEST(DvrFormat, HeaderOnlyOpenReadsNoChunks) {
   const auto run = dvr_sample_run(true);
   const auto path = temp_path("dv_dvr_header.dvr");
@@ -407,6 +450,13 @@ TEST(DvrStore, PackedAddRepackAndAtomicIndex) {
     store.repack("packed_run", metrics::StoreFormat::kText);
     EXPECT_FALSE(metrics::is_dvr_file(store.path("packed_run")));
     EXPECT_EQ(metrics::run_content_uid(store.load("packed_run")), uid);
+    store.repack("packed_run", metrics::StoreFormat::kPacked);
+    EXPECT_TRUE(metrics::is_dvr_file(store.path("packed_run")));
+    EXPECT_EQ(metrics::run_content_uid(store.load("packed_run")), uid);
+    // add() writes packed unless asked for text.
+    const auto dflt = store.add(run, "default_run");
+    EXPECT_TRUE(metrics::is_dvr_file(store.path(dflt)));
+    EXPECT_EQ(store.info(dflt).format, metrics::StoreFormat::kPacked);
   }
   // The atomic index publish never leaves a temp file behind.
   EXPECT_FALSE(
