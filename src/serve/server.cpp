@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <malloc.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -24,6 +25,23 @@ namespace dv::serve {
 namespace {
 
 constexpr std::size_t kLatencyRingCap = 2048;
+
+/// Render and report responses are whole SVG/HTML documents, hundreds of
+/// KiB each, built on a worker thread and copied and freed on connection
+/// threads. glibc raises its mmap threshold past that size after the first
+/// large free, after which such buffers come from per-thread arenas that
+/// keep the freed pages: the resident set then depends on how the threads
+/// interleaved, not on what the daemon holds. Fixed thresholds (which also
+/// turn the adaptive ones off) map each large buffer on its own and return
+/// it on free, and trim arena tops beyond 1 MiB. The trim hands back what
+/// the process freed before the daemon started (a simulation, a parse).
+void tune_allocator_for_serving() {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 256 << 10);
+  mallopt(M_TRIM_THRESHOLD, 1 << 20);
+  malloc_trim(0);
+#endif
+}
 
 /// Nearest-rank percentile (p in [0, 1]) over a sample copy.
 double percentile(std::vector<double> v, double p) {
@@ -89,6 +107,7 @@ Server::Server(ServeOptions opts)
       catalog_(opts_.cache_capacity, opts_.cache_shards),
       started_(std::chrono::steady_clock::now()) {
   DV_REQUIRE(::pipe(stop_pipe_) == 0, "cannot create stop pipe");
+  tune_allocator_for_serving();
   workers_.reserve(opts_.workers);
   for (std::size_t i = 0; i < opts_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

@@ -66,6 +66,9 @@ const std::vector<VerbInfo>& protocol_verbs();
 
 class Server {
  public:
+  /// Starts the worker pool. On glibc this also fixes the process's malloc
+  /// mmap/trim thresholds and trims its heap, so the daemon's resident set
+  /// follows the memory it holds rather than its threads' timing.
   explicit Server(ServeOptions opts = {});
   ~Server();
 
