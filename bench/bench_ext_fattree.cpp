@@ -2,14 +2,15 @@
 //
 // The paper's future work: "extend our system to support analysis and
 // exploration of other network topologies, such as Fat Tree and Slim Fly".
-// This bench runs uniform-random and incast workloads on a k=8 fat tree
-// (128 hosts), maps the results into the standard entity tables
-// (pods = groups, edge/agg switches = routers, cores = pseudo-pods), and
-// renders the same radial projection views used for the Dragonfly.
+// This bench runs uniform-random and bisection workloads on a k=8 fat tree
+// (128 hosts) on the same credit/VC packet model as the Dragonfly, laid
+// out as the standard entity tables (pods = groups, edge/agg switches =
+// routers, cores = pseudo-pods), and renders the same radial projection
+// views used for the Dragonfly.
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "netsim/fattree_network.hpp"
+#include "netsim/network.hpp"
 #include "util/stats.hpp"
 #include "workload/workload.hpp"
 
@@ -17,9 +18,16 @@ namespace {
 
 dv::metrics::RunMetrics run_ft(const char* pattern, std::uint64_t seed) {
   const dv::topo::FatTree topo(8);
-  dv::netsim::FatTreeNetwork net(topo, {}, seed);
+  // Fat-tree links: 100 ns and full host bandwidth on every switch link.
+  dv::netsim::Params params;
+  params.local_latency = 100.0;
+  params.global_latency = 100.0;
+  params.global_bandwidth = params.local_bandwidth;
+  dv::netsim::Network net(topo, params, seed);
   net.set_labels(pattern, "contiguous", {pattern});
-  net.set_jobs(std::vector<std::int32_t>(topo.num_hosts(), 0));
+  dv::placement::Placement placement;
+  placement.job_of.assign(topo.num_hosts(), 0);
+  net.set_jobs(placement);
   dv::workload::Config cfg;
   cfg.ranks = topo.num_hosts();
   cfg.total_bytes = 64ull << 20;

@@ -43,6 +43,7 @@ namespace {
 /// Minimal option parser: --key value or --key=value (repeatable keys
 /// collect). Keys in kOptionalValue may appear bare; they collect "".
 struct Args {
+  std::string cmd;  ///< the subcommand, for error messages
   std::map<std::string, std::vector<std::string>> opts;
 
   static bool optional_value(const std::string& key) {
@@ -53,8 +54,9 @@ struct Args {
            key == "report" || key == "shutdown";
   }
 
-  static Args parse(int argc, char** argv, int start) {
+  static Args parse(std::string cmd, int argc, char** argv, int start) {
     Args a;
+    a.cmd = std::move(cmd);
     for (int i = start; i < argc; ++i) {
       std::string key = argv[i];
       DV_REQUIRE(starts_with(key, "--"), "expected --option, got: " + key);
@@ -87,9 +89,21 @@ struct Args {
     DV_REQUIRE(it->second.size() == 1, "--" + key + " given multiple times");
     return it->second[0];
   }
+  /// A numeric option; the whole value must parse as a number.
   double num_or(const std::string& key, double dflt) const {
-    const auto it = opts.find(key);
-    return it == opts.end() ? dflt : std::stod(it->second[0]);
+    if (opts.find(key) == opts.end()) return dflt;
+    const std::string v = one_or(key, "");
+    std::size_t used = 0;
+    double x = 0.0;
+    try {
+      x = std::stod(v, &used);
+    } catch (const std::exception&) {
+      used = 0;
+    }
+    DV_REQUIRE(used > 0 && used == v.size(),
+               cmd + ": bad --" + key + " value: " + v +
+                   " (expected a number)");
+    return x;
   }
   std::vector<std::string> many(const std::string& key) const {
     const auto it = opts.find(key);
@@ -99,23 +113,23 @@ struct Args {
 
 /// Explicit --epoch-dt values must be positive; omitting the flag keeps
 /// the flow backend's automatic epoch sizing.
-double parse_epoch_dt(const Args& args, const char* cmd) {
+double parse_epoch_dt(const Args& args) {
   const double dt = args.num_or("epoch-dt", 0.0);
   DV_REQUIRE(args.opts.find("epoch-dt") == args.opts.end() || dt > 0.0,
-             std::string(cmd) +
+             args.cmd +
                  ": --epoch-dt must be > 0 ns (omit the flag for automatic "
                  "epoch sizing)");
   return dt;
 }
 
 /// Boolean flag: bare `--key`, `--key=1/true/on`, or explicit off values.
-bool flag_on(const Args& args, const std::string& key, const char* cmd) {
+bool flag_on(const Args& args, const std::string& key) {
   const auto it = args.opts.find(key);
   if (it == args.opts.end()) return false;
   const std::string v = to_lower(trim(it->second.back()));
   if (v.empty() || v == "1" || v == "true" || v == "on") return true;
   if (v == "0" || v == "false" || v == "off") return false;
-  throw Error(std::string(cmd) + ": bad --" + key + " value: " + v +
+  throw Error(args.cmd + ": bad --" + key + " value: " + v +
               " (expected on|off)");
 }
 
@@ -227,21 +241,31 @@ void maybe_print_cache_stats(const Args& args, const core::QueryStats& s) {
               static_cast<unsigned long long>(s.slab_reduces));
 }
 
-int cmd_sim(const Args& args) {
+/// The experiment flags `sim` and `sweep` share: network size, injection
+/// window, sampling, seed, engine, backend and its flow knobs, and the
+/// fault plan with its retry tuning. Each command names its own backend
+/// default.
+ExperimentConfig parse_experiment(const Args& args, Backend default_backend) {
   ExperimentConfig cfg;
   cfg.dragonfly_p = static_cast<std::uint32_t>(args.num_or("p", 3));
-  cfg.routing = routing::algo_from_string(args.one_or("routing", "adaptive"));
-  cfg.traffic_scale = args.num_or("scale", 1.0);
   cfg.window = args.num_or("window", 2.0e6);
   cfg.sample_dt = args.num_or("sample-dt", 0.0);
   cfg.seed = static_cast<std::uint64_t>(args.num_or("seed", 1));
   cfg.parallel = static_cast<std::uint32_t>(args.num_or("parallel", 0));
-  cfg.backend = backend_from_string(args.one_or("backend", "packet"));
-  cfg.flow_epoch_dt = parse_epoch_dt(args, "sim");
-  cfg.flow_coarsen = flag_on(args, "flow-coarsen", "sim");
+  cfg.backend = backend_from_string(
+      args.one_or("backend", to_string(default_backend)));
+  cfg.flow_epoch_dt = parse_epoch_dt(args);
+  cfg.flow_coarsen = flag_on(args, "flow-coarsen");
   cfg.flow_stepping = args.one_or("flow-stepping", "event");
   cfg.faults = parse_fault_args(args);
   apply_fault_params(args, cfg.params);
+  return cfg;
+}
+
+int cmd_sim(const Args& args) {
+  ExperimentConfig cfg = parse_experiment(args, Backend::kPacket);
+  cfg.routing = routing::algo_from_string(args.one_or("routing", "adaptive"));
+  cfg.traffic_scale = args.num_or("scale", 1.0);
   const auto jobs = args.many("job");
   DV_REQUIRE(!jobs.empty(),
              "at least one --job workload[:ranks[:policy]] required");
@@ -302,16 +326,7 @@ std::vector<std::string> axis_values(const Args& args,
 
 int cmd_sweep(const Args& args) {
   SweepConfig cfg;
-  cfg.base.dragonfly_p = static_cast<std::uint32_t>(args.num_or("p", 3));
-  cfg.base.window = args.num_or("window", 2.0e6);
-  cfg.base.sample_dt = args.num_or("sample-dt", 0.0);
-  cfg.base.seed = static_cast<std::uint64_t>(args.num_or("seed", 1));
-  cfg.base.backend = backend_from_string(args.one_or("backend", "flow"));
-  cfg.base.flow_epoch_dt = parse_epoch_dt(args, "sweep");
-  cfg.base.flow_coarsen = flag_on(args, "flow-coarsen", "sweep");
-  cfg.base.flow_stepping = args.one_or("flow-stepping", "event");
-  cfg.base.parallel =
-      static_cast<std::uint32_t>(args.num_or("parallel", 0));
+  cfg.base = parse_experiment(args, Backend::kFlow);
   cfg.base.synthetic_bytes_per_rank = static_cast<std::uint64_t>(
       args.num_or("bytes-per-rank",
                   static_cast<double>(cfg.base.synthetic_bytes_per_rank)));
@@ -902,6 +917,9 @@ void print_help() {
       "           [--window NS] [--seed N] [--sample-dt NS]"
       " [--bytes-per-rank B]\n"
       "           [--epoch-dt NS] [--flow-stepping S] [--flow-coarsen]\n"
+      "           [--parallel N] [--faults plan.txt] [--fault SPEC ...]\n"
+      "           [--fault-retry-base NS] [--fault-retry-budget N]"
+      "  (packet only)\n"
       "           [--format text|dvr] [--report out.html]"
       " [--spec S] [--title T]\n"
       "           (fans the grid, one packed run per point, deterministic\n"
@@ -985,7 +1003,7 @@ int run_cli(int argc, char** argv) {
     return argc < 2 ? 1 : 0;
   }
   const std::string cmd = argv[1];
-  const Args args = Args::parse(argc, argv, 2);
+  const Args args = Args::parse(cmd, argc, argv, 2);
   obs::reset();  // profile this invocation only
   const int rc = dispatch(cmd, args);
   maybe_write_profile(cmd, args);

@@ -106,7 +106,7 @@ std::uint64_t Network::encode_link(LinkClass c, std::uint32_t id,
          (static_cast<std::uint64_t>(vc) << 40) | id;
 }
 
-Network::LinkClass Network::link_class(std::uint64_t enc) {
+LinkClass Network::link_class(std::uint64_t enc) {
   return static_cast<LinkClass>(enc >> 48);
 }
 
@@ -122,52 +122,58 @@ std::uint32_t Network::link_vc(std::uint64_t enc) {
 
 Network::Network(const topo::Dragonfly& topo, routing::Algo algo,
                  Params params, std::uint64_t seed)
-    : topo_(topo), params_(params),
-      planner_(topo_, algo, params.adaptive, seed), seed_(seed) {
+    : Network(Fabric::dragonfly(topo, params),
+              std::make_unique<routing::RoutePlanner>(topo, algo,
+                                                      params.adaptive, seed),
+              params, seed) {}
+
+Network::Network(const topo::FatTree& topo, Params params, std::uint64_t seed)
+    : Network(Fabric::fat_tree(topo, params), make_updown_ecmp(topo, seed),
+              params, seed) {}
+
+Network::Network(Fabric fabric, std::unique_ptr<routing::Policy> policy,
+                 Params params, std::uint64_t seed)
+    : fabric_(std::move(fabric)), policy_(std::move(policy)),
+      planner_(dynamic_cast<routing::RoutePlanner*>(policy_.get())),
+      params_(params), seed_(seed) {
   params_.validate();
-  ports_per_router_ = topo_.ports_per_router();
-  ports_.resize(static_cast<std::size_t>(topo_.num_routers()) *
-                ports_per_router_);
-  terminals_.resize(topo_.num_terminals());
-  term_finished_.assign(topo_.num_terminals(), 0);
-  term_sum_latency_.assign(topo_.num_terminals(), 0.0);
-  term_sum_hops_.assign(topo_.num_terminals(), 0.0);
-  term_rerouted_.assign(topo_.num_terminals(), 0);
-  term_dropped_.assign(topo_.num_terminals(), 0);
-  term_job_.assign(topo_.num_terminals(), -1);
+  const std::uint32_t routers = fabric_.num_routers();
+  const std::uint32_t terms = fabric_.num_terminals();
+  ports_per_router_ = fabric_.ports_per_router();
+  ports_.resize(static_cast<std::size_t>(routers) * ports_per_router_);
+  terminals_.resize(terms);
+  term_finished_.assign(terms, 0);
+  term_sum_latency_.assign(terms, 0.0);
+  term_sum_hops_.assign(terms, 0.0);
+  term_rerouted_.assign(terms, 0);
+  term_dropped_.assign(terms, 0);
+  term_job_.assign(terms, -1);
 
-  hop_cache_.reserve(ports_.size());
-  for (std::uint32_t r = 0; r < topo_.num_routers(); ++r) {
-    for (std::uint32_t p = 0; p < ports_per_router_; ++p) {
-      hop_cache_.push_back(compute_hop(r, p));
-    }
-  }
-
-  num_vcs_ = planner_.max_link_hops();
+  num_vcs_ = policy_->max_link_hops();
   const auto buf = static_cast<std::int32_t>(params_.vc_buffer_packets);
-  local_links_.init(topo_.num_local_links(), num_vcs_, buf);
-  global_links_.init(topo_.num_global_links(), num_vcs_, buf);
-  injection_.init(topo_.num_terminals(), 1, buf);
-  ejection_.init(topo_.num_terminals(), 1, buf);
+  local_links_.init(fabric_.num_local_links(), num_vcs_, buf);
+  global_links_.init(fabric_.num_global_links(), num_vcs_, buf);
+  injection_.init(terms, 1, buf);
+  ejection_.init(terms, 1, buf);
 
   // Entity random streams: Valiant/UGAL draws happen at injection from the
   // terminal's stream, PAR diverts from the router's stream — so route
   // randomness is a function of (seed, entity, per-entity order), never of
   // engine interleaving.
-  term_rng_.reserve(topo_.num_terminals());
-  for (std::uint32_t t = 0; t < topo_.num_terminals(); ++t) {
+  term_rng_.reserve(terms);
+  for (std::uint32_t t = 0; t < terms; ++t) {
     term_rng_.emplace_back(seed, (1ULL << 32) + t);
   }
-  router_rng_.reserve(topo_.num_routers());
-  for (std::uint32_t r = 0; r < topo_.num_routers(); ++r) {
+  router_rng_.reserve(routers);
+  for (std::uint32_t r = 0; r < routers; ++r) {
     router_rng_.emplace_back(seed, (2ULL << 32) + r);
   }
-  term_pkt_seq_.assign(topo_.num_terminals(), 0);
-  router_partition_.assign(topo_.num_routers(), 0);
+  term_pkt_seq_.assign(terms, 0);
+  router_partition_.assign(routers, 0);
 
   // One LP per router on the sequential engine too, so event streams carry
   // the same LP ids as the parallel decomposition.
-  for (std::uint32_t r = 0; r < topo_.num_routers(); ++r) {
+  for (std::uint32_t r = 0; r < routers; ++r) {
     sim_.add_lp(this);
   }
   if (params_.event_budget) sim_.set_event_budget(params_.event_budget);
@@ -193,8 +199,8 @@ Network::Network(const topo::Dragonfly& topo, routing::Algo algo,
 
 void Network::add_message(const Message& m) {
   DV_REQUIRE(!ran_, "add_message after run()");
-  DV_REQUIRE(m.src_terminal < topo_.num_terminals() &&
-                 m.dst_terminal < topo_.num_terminals(),
+  DV_REQUIRE(m.src_terminal < fabric_.num_terminals() &&
+                 m.dst_terminal < fabric_.num_terminals(),
              "message terminal out of range");
   DV_REQUIRE(m.src_terminal != m.dst_terminal,
              "self-messages never enter the network");
@@ -224,37 +230,44 @@ void Network::enable_sampling(double dt) {
   DV_REQUIRE(!ran_, "enable_sampling after run()");
   DV_REQUIRE(dt > 0.0, "sampling interval must be positive");
   sample_dt_ = dt;
-  local_traffic_ts_ = metrics::SampledSeries(topo_.num_local_links(), dt);
-  local_sat_ts_ = metrics::SampledSeries(topo_.num_local_links(), dt);
-  global_traffic_ts_ = metrics::SampledSeries(topo_.num_global_links(), dt);
-  global_sat_ts_ = metrics::SampledSeries(topo_.num_global_links(), dt);
-  term_traffic_ts_ = metrics::SampledSeries(topo_.num_terminals(), dt);
-  term_sat_ts_ = metrics::SampledSeries(topo_.num_terminals(), dt);
-  prev_local_traffic_.assign(topo_.num_local_links(), 0.0);
-  prev_local_sat_.assign(topo_.num_local_links(), 0.0);
-  prev_global_traffic_.assign(topo_.num_global_links(), 0.0);
-  prev_global_sat_.assign(topo_.num_global_links(), 0.0);
-  prev_term_traffic_.assign(topo_.num_terminals(), 0.0);
-  prev_term_sat_.assign(topo_.num_terminals(), 0.0);
+  const std::uint32_t nlocal = fabric_.num_local_links();
+  const std::uint32_t nglobal = fabric_.num_global_links();
+  const std::uint32_t nterm = fabric_.num_terminals();
+  local_traffic_ts_ = metrics::SampledSeries(nlocal, dt);
+  local_sat_ts_ = metrics::SampledSeries(nlocal, dt);
+  global_traffic_ts_ = metrics::SampledSeries(nglobal, dt);
+  global_sat_ts_ = metrics::SampledSeries(nglobal, dt);
+  // One column per RunMetrics terminal row; padding rows stay zero.
+  term_traffic_ts_ = metrics::SampledSeries(terminal_rows(), dt);
+  term_sat_ts_ = metrics::SampledSeries(terminal_rows(), dt);
+  prev_local_traffic_.assign(nlocal, 0.0);
+  prev_local_sat_.assign(nlocal, 0.0);
+  prev_global_traffic_.assign(nglobal, 0.0);
+  prev_global_sat_.assign(nglobal, 0.0);
+  prev_term_traffic_.assign(nterm, 0.0);
+  prev_term_sat_.assign(nterm, 0.0);
 }
 
 void Network::set_fault_plan(const fault::FaultPlan& plan) {
   DV_REQUIRE(!ran_, "set_fault_plan after run()");
   if (plan.empty()) return;  // bit-identical to never calling this
-  fault_ = fault::FaultTimeline(topo_, plan);
+  DV_REQUIRE(planner_ != nullptr,
+             "fault plans need a dragonfly network; " + policy_->label() +
+                 " routing has no fault model");
+  fault_ = fault::FaultTimeline(planner_->topology(), plan);
   has_faults_ = true;
-  planner_.set_fault_aware(true);
+  planner_->set_fault_aware(true);
   // A detoured minimal packet takes a Valiant-length path, so the planner's
   // hop bound (== VC count) may grow. No credits have been handed out yet
   // (run() hasn't started), so re-initializing the pools is safe.
-  if (planner_.max_link_hops() != num_vcs_) {
-    num_vcs_ = planner_.max_link_hops();
+  if (planner_->max_link_hops() != num_vcs_) {
+    num_vcs_ = planner_->max_link_hops();
     const auto buf = static_cast<std::int32_t>(params_.vc_buffer_packets);
-    local_links_.init(topo_.num_local_links(), num_vcs_, buf);
-    global_links_.init(topo_.num_global_links(), num_vcs_, buf);
+    local_links_.init(fabric_.num_local_links(), num_vcs_, buf);
+    global_links_.init(fabric_.num_global_links(), num_vcs_, buf);
   }
-  router_retries_.assign(topo_.num_routers(), 0);
-  router_drops_.assign(topo_.num_routers(), 0);
+  router_retries_.assign(fabric_.num_routers(), 0);
+  router_drops_.assign(fabric_.num_routers(), 0);
 }
 
 void Network::set_parallel(std::uint32_t workers) {
@@ -270,7 +283,7 @@ double Network::lookahead() const {
 std::uint32_t Network::resolve_partitions() const {
   // One partition must own whole groups (the LP map is group-contiguous)
   // and the packet-id encoding carries 6 shard bits.
-  return std::min({parallel_, topo_.groups(), 64u});
+  return std::min({parallel_, fabric_.shape().groups, 64u});
 }
 
 // ----------------------------------------------------------------- arena
@@ -361,7 +374,7 @@ bool Network::port_blocked(std::uint32_t router, std::uint32_t p,
                            double now) const {
   if (!has_faults_) return false;
   if (fault_.router_down(router, now)) return true;
-  const Hop& hop = hop_for_port(router, p);
+  const Port& hop = fabric_.port(router, p);
   switch (hop.cls) {
     case LinkClass::kEjection:
       return false;  // terminal NICs don't fail in this model
@@ -376,52 +389,12 @@ bool Network::port_blocked(std::uint32_t router, std::uint32_t p,
   }
 }
 
-// ----------------------------------------------------------------- hops
-
-Network::Hop Network::compute_hop(std::uint32_t router,
-                                  std::uint32_t p) const {
-  Hop hop;
-  const std::uint32_t nterm = topo_.terminals_per_router();
-  const std::uint32_t nlocal = topo_.routers_per_group() - 1;
-  if (p < nterm) {
-    hop.cls = LinkClass::kEjection;
-    hop.dst_terminal = topo_.terminal_id(router, p);
-    hop.id = hop.dst_terminal;
-    hop.bandwidth = params_.terminal_bandwidth;
-    hop.latency = params_.terminal_latency;
-    return hop;
-  }
-  if (p < nterm + nlocal) {
-    const std::uint32_t lport = p - nterm;
-    const std::uint32_t nrank =
-        topo_.local_neighbor(topo_.router_rank(router), lport);
-    hop.cls = LinkClass::kLocal;
-    hop.dst_router = topo_.router_id(topo_.router_group(router), nrank);
-    hop.dst_port =
-        nterm + (topo_.local_port(nrank, topo_.router_rank(router)) - nterm);
-    hop.id = topo_.local_link_id(router, lport);
-    hop.bandwidth = params_.local_bandwidth;
-    hop.latency = params_.local_latency;
-    return hop;
-  }
-  const std::uint32_t channel = p - nterm - nlocal;
-  const topo::GlobalEnd ge = topo_.global_neighbor(router, channel);
-  hop.cls = LinkClass::kGlobal;
-  hop.dst_router = ge.router;
-  hop.dst_port = topo_.global_port(ge.channel);
-  hop.id = topo_.global_link_id(router, channel);
-  hop.bandwidth = params_.global_bandwidth;
-  hop.latency = params_.global_latency;
-  return hop;
-}
-
 // ----------------------------------------------------------------- injection
 
 void Network::try_inject(Ctx& ctx, std::uint32_t term) {
   TerminalState& ts = terminals_[term];
   if (ts.injector_busy || ts.pending.empty()) return;
-  if (has_faults_ &&
-      fault_.router_down(topo_.terminal_router(term), ctx.now)) {
+  if (has_faults_ && fault_.router_down(lp_of_terminal(term), ctx.now)) {
     return;  // re-attempted at the router's revival wake
   }
   if (!injection_.has_credit(term, 0)) return;  // retried on credit return
@@ -447,7 +420,7 @@ void Network::try_inject(Ctx& ctx, std::uint32_t term) {
   // on both engines — it keys every event the packet generates.
   pkt.uid = (static_cast<std::uint64_t>(term) << 32) | term_pkt_seq_[term]++;
   pkt.route.dst_terminal = msg.dst;
-  planner_.on_inject(pkt.route, term, *this, term_rng_[term], sh.route_stats,
+  policy_->on_inject(pkt.route, term, *this, term_rng_[term], sh.route_stats,
                      now);
   pkt.in_link = encode_link(LinkClass::kInjection, term, 0);
 
@@ -469,7 +442,7 @@ void Network::try_inject(Ctx& ctx, std::uint32_t term) {
   ctx.schedule_in(ser, lp, kEvInjectorFree, term, 0,
                   pri_key(kEvInjectorFree, term));
   ctx.schedule_in(ser + params_.terminal_latency + params_.router_delay, lp,
-                  kEvPktAtRouter, pid, topo_.terminal_router(term),
+                  kEvPktAtRouter, pid, lp,
                   pri_key(kEvPktAtRouter, pkt.uid));
 }
 
@@ -486,7 +459,7 @@ Network::LinkArray& Network::link_array_for(LinkClass cls) {
 }
 
 void Network::update_backlog(Ctx& ctx, std::uint32_t router, std::uint32_t p) {
-  const Hop& hop = hop_for_port(router, p);
+  const Port& hop = fabric_.port(router, p);
   LinkArray& la = link_array_for(hop.cls);
   la.set_backlog(hop.id,
                  port(router, p).queue.size() >= params_.vc_buffer_packets,
@@ -500,7 +473,7 @@ void Network::try_transmit(Ctx& ctx, std::uint32_t router, std::uint32_t p) {
     return;  // queued packets bounce into the retry path at the next wake
   }
 
-  const Hop& hop = hop_for_port(router, p);
+  const Port& hop = fabric_.port(router, p);
   LinkArray& la = link_array_for(hop.cls);
 
   // VC arbitration: first queued packet whose VC has a downstream slot.
@@ -559,17 +532,18 @@ void Network::return_credit(Ctx& ctx, std::uint64_t enc_link) {
   // Credits go to the LP owning the link's upstream (source) port; for
   // local/global links that can be another partition, and credit_latency
   // >= lookahead keeps the conservative contract.
+  const std::uint32_t id = link_id(enc_link);
   pdes::LpId lp = 0;
   switch (cls) {
     case LinkClass::kInjection:
     case LinkClass::kEjection:
-      lp = topo_.terminal_router(link_id(enc_link));
+      lp = lp_of_terminal(id);
       break;
     case LinkClass::kLocal:
-      lp = topo_.local_link_ends(link_id(enc_link)).first;
+      lp = fabric_.local_src(id).router;
       break;
     case LinkClass::kGlobal:
-      lp = topo_.global_link_src(link_id(enc_link)).router;
+      lp = fabric_.global_src(id).router;
       break;
     case LinkClass::kNone:
       break;
@@ -589,7 +563,7 @@ void Network::handle_packet_at_router(Ctx& ctx, std::uint32_t pid,
     retry_or_drop(ctx, pid, router);
     return;
   }
-  const routing::Decision d = planner_.route(pkt.route, router, *this,
+  const routing::Decision d = policy_->route(pkt.route, router, *this,
                                              router_rng_[router],
                                              sh.route_stats, ctx.now);
   if (has_faults_ && port_blocked(router, d.port, ctx.now)) {
@@ -610,7 +584,7 @@ void Network::retry_or_drop(Ctx& ctx, std::uint32_t pid, std::uint32_t router,
   LinkArray* la = nullptr;
   std::uint32_t link = 0;
   if (blocked_port != std::numeric_limits<std::uint32_t>::max()) {
-    const Hop& hop = hop_for_port(router, blocked_port);
+    const Port& hop = fabric_.port(router, blocked_port);
     if (hop.cls == LinkClass::kLocal || hop.cls == LinkClass::kGlobal) {
       la = &link_array_for(hop.cls);
       link = hop.id;
@@ -666,8 +640,9 @@ void Network::handle_fault_wake(Ctx& ctx, std::uint32_t router) {
     }
   }
   // A revived router also resumes injection for its terminals.
-  for (std::uint32_t s = 0; s < topo_.terminals_per_router(); ++s) {
-    try_inject(ctx, topo_.terminal_id(router, s));
+  for (std::uint32_t p = 0; p < ports_per_router_; ++p) {
+    const Port& hop = fabric_.port(router, p);
+    if (hop.cls == LinkClass::kEjection) try_inject(ctx, hop.dst_terminal);
   }
 }
 
@@ -725,7 +700,7 @@ void Network::take_sample(SimTime now) {
           global_traffic_ts_, global_sat_ts_);
   // Terminal series: injected bytes and injection+ejection saturation.
   {
-    const std::size_t n = topo_.num_terminals();
+    const std::size_t n = fabric_.num_terminals();
     float* dt = term_traffic_ts_.push_frame_raw();
     float* ds = term_sat_ts_.push_frame_raw();
     for (std::size_t i = 0; i < n; ++i) {
@@ -784,20 +759,20 @@ void Network::dispatch(Ctx& ctx, const pdes::Event& ev) {
           break;
         case LinkClass::kEjection: {
           ejection_.give_credit(id, vc, ctx.now);
-          const std::uint32_t router = topo_.terminal_router(id);
-          try_transmit(ctx, router, topo_.terminal_slot(id));
+          const PortRef& src = fabric_.terminal_port(id);
+          try_transmit(ctx, src.router, src.port);
           break;
         }
         case LinkClass::kLocal: {
           local_links_.give_credit(id, vc, ctx.now);
-          const auto [router, lport] = topo_.local_link_ends(id);
-          try_transmit(ctx, router, topo_.terminals_per_router() + lport);
+          const PortRef& src = fabric_.local_src(id);
+          try_transmit(ctx, src.router, src.port);
           break;
         }
         case LinkClass::kGlobal: {
           global_links_.give_credit(id, vc, ctx.now);
-          const topo::GlobalEnd src = topo_.global_link_src(id);
-          try_transmit(ctx, src.router, topo_.global_port(src.channel));
+          const PortRef& src = fabric_.global_src(id);
+          try_transmit(ctx, src.router, src.port);
           break;
         }
         case LinkClass::kNone:
@@ -844,13 +819,13 @@ metrics::RunMetrics Network::run() {
 
   if (nparts > 1) {
     // Topology-aware placement: groups are the atoms (the LP map is
-    // group-contiguous and local links never leave a group), and the
-    // partitioner minimizes the weight of channels crossing the cut
-    // instead of striping contiguous group blocks.
+    // group-contiguous), and the partitioner minimizes the weight of
+    // channels crossing the cut instead of striping contiguous group
+    // blocks.
     plan_ = std::make_unique<PartitionPlan>(partition_channels(
-        topo_.groups(), nparts, dragonfly_channel_graph(topo_, params_)));
-    for (std::uint32_t r = 0; r < topo_.num_routers(); ++r) {
-      router_partition_[r] = plan_->atom_partition[topo_.router_group(r)];
+        fabric_.shape().groups, nparts, channel_graph(fabric_, params_)));
+    for (std::uint32_t r = 0; r < fabric_.num_routers(); ++r) {
+      router_partition_[r] = plan_->atom_partition[fabric_.router_group(r)];
     }
     par_ = std::make_unique<pdes::ParallelSimulator>(nparts, lookahead());
     // Per-pair lookahead: the tightest delay over channels actually
@@ -867,7 +842,7 @@ metrics::RunMetrics Network::run() {
         par_->set_pair_lookahead(s, d, la);
       }
     }
-    for (std::uint32_t r = 0; r < topo_.num_routers(); ++r) {
+    for (std::uint32_t r = 0; r < fabric_.num_routers(); ++r) {
       par_->add_lp(static_cast<pdes::ParallelLp*>(this), router_partition_[r]);
     }
     if (params_.event_budget) par_->set_event_budget(params_.event_budget);
@@ -1042,62 +1017,57 @@ void Network::publish_run_obs(const metrics::RunMetrics& out) {
 #endif
 }
 
+std::uint32_t Network::terminal_rows() const {
+  return fabric_.num_routers() * fabric_.shape().terminals_per_router;
+}
+
 void Network::flush_and_collect(metrics::RunMetrics& out, SimTime end) {
-  out.groups = topo_.groups();
-  out.routers_per_group = topo_.routers_per_group();
-  out.terminals_per_router = topo_.terminals_per_router();
-  out.global_per_router = topo_.global_per_router();
+  const Fabric::Shape& shape = fabric_.shape();
+  out.groups = shape.groups;
+  out.routers_per_group = shape.routers_per_group;
+  out.terminals_per_router = shape.terminals_per_router;
+  out.global_per_router = shape.global_per_router;
   out.workload = workload_label_;
-  out.routing = routing::to_string(planner_.algo());
+  out.routing = policy_->label();
   out.placement = placement_label_;
   out.job_names = job_names_;
   out.seed = seed_;
   out.end_time = end;
 
-  out.local_links.resize(topo_.num_local_links());
-  for (std::uint32_t lid = 0; lid < topo_.num_local_links(); ++lid) {
-    const auto [router, lport] = topo_.local_link_ends(lid);
-    const Hop& hop =
-        hop_for_port(router, topo_.terminals_per_router() + lport);
-    metrics::LinkMetrics& l = out.local_links[lid];
-    l.src_router = router;
-    l.src_port = topo_.terminals_per_router() + lport;
-    l.dst_router = hop.dst_router;
-    l.dst_port = hop.dst_port;
-    l.traffic = local_links_.traffic[lid];
-    l.sat_time = local_links_.sat_at(lid, end);
-    l.retries = local_links_.retries[lid];
-    l.pkts_dropped = local_links_.drops[lid];
-    if (has_faults_) {
-      l.downtime = fault_.effective_link_downtime(false, lid, router,
-                                                  hop.dst_router, end);
+  auto collect_links = [&](const LinkArray& la, bool global,
+                           std::vector<metrics::LinkMetrics>& rows) {
+    rows.resize(la.traffic.size());
+    for (std::uint32_t id = 0; id < rows.size(); ++id) {
+      const PortRef& src =
+          global ? fabric_.global_src(id) : fabric_.local_src(id);
+      const Port& hop = fabric_.port(src.router, src.port);
+      metrics::LinkMetrics& l = rows[id];
+      l.src_router = src.router;
+      l.src_port = src.port;
+      l.dst_router = hop.dst_router;
+      l.dst_port = hop.dst_port;
+      l.traffic = la.traffic[id];
+      l.sat_time = la.sat_at(id, end);
+      l.retries = la.retries[id];
+      l.pkts_dropped = la.drops[id];
+      if (has_faults_) {
+        l.downtime = fault_.effective_link_downtime(global, id, src.router,
+                                                    hop.dst_router, end);
+      }
     }
-  }
-  out.global_links.resize(topo_.num_global_links());
-  for (std::uint32_t gid = 0; gid < topo_.num_global_links(); ++gid) {
-    const topo::GlobalEnd src = topo_.global_link_src(gid);
-    const Hop& hop = hop_for_port(src.router, topo_.global_port(src.channel));
-    metrics::LinkMetrics& l = out.global_links[gid];
-    l.src_router = src.router;
-    l.src_port = topo_.global_port(src.channel);
-    l.dst_router = hop.dst_router;
-    l.dst_port = hop.dst_port;
-    l.traffic = global_links_.traffic[gid];
-    l.sat_time = global_links_.sat_at(gid, end);
-    l.retries = global_links_.retries[gid];
-    l.pkts_dropped = global_links_.drops[gid];
-    if (has_faults_) {
-      l.downtime = fault_.effective_link_downtime(true, gid, src.router,
-                                                  hop.dst_router, end);
-    }
-  }
+  };
+  collect_links(local_links_, false, out.local_links);
+  collect_links(global_links_, true, out.global_links);
   // Terminal rows assemble here from the columnar accumulators — the only
   // place the 80-byte TerminalMetrics records are materialized.
-  out.terminals.resize(topo_.num_terminals());
-  for (std::uint32_t t = 0; t < topo_.num_terminals(); ++t) {
+  out.terminals.resize(fabric_.num_terminals());
+  std::vector<std::uint32_t> used(fabric_.num_routers(), 0);
+  for (std::uint32_t t = 0; t < fabric_.num_terminals(); ++t) {
     metrics::TerminalMetrics& tm = out.terminals[t];
-    tm.router = topo_.terminal_router(t);
-    tm.port = topo_.terminal_slot(t);
+    const PortRef& at = fabric_.terminal_port(t);
+    ++used[at.router];
+    tm.router = at.router;
+    tm.port = at.port;
     tm.packets_finished = term_finished_[t];
     tm.sum_latency = term_sum_latency_[t];
     tm.sum_hops = term_sum_hops_[t];
@@ -1108,12 +1078,23 @@ void Network::flush_and_collect(metrics::RunMetrics& out, SimTime end) {
     tm.job = term_job_[t];
     if (has_faults_) {
       // A terminal is down exactly when its router is.
-      tm.downtime = fault_.router_downtime(topo_.terminal_router(t), end);
+      tm.downtime = fault_.router_downtime(at.router, end);
+    }
+  }
+  // Routers with fewer terminals than the grid's slots (fat-tree agg and
+  // core switches) get empty rows, so the VA invariant
+  // terminals == groups * routers_per_group * terminals_per_router holds.
+  for (std::uint32_t r = 0; r < fabric_.num_routers(); ++r) {
+    for (std::uint32_t s = used[r]; s < shape.terminals_per_router; ++s) {
+      metrics::TerminalMetrics pad;
+      pad.router = r;
+      pad.port = s;
+      out.terminals.push_back(pad);
     }
   }
   if (has_faults_) {
-    out.router_downtime.resize(topo_.num_routers());
-    for (std::uint32_t r = 0; r < topo_.num_routers(); ++r) {
+    out.router_downtime.resize(fabric_.num_routers());
+    for (std::uint32_t r = 0; r < fabric_.num_routers(); ++r) {
       out.router_downtime[r] = fault_.router_downtime(r, end);
     }
     out.router_retries = router_retries_;

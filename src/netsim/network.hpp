@@ -1,4 +1,6 @@
-// Packet-level Dragonfly network simulator (the CODES stand-in).
+// Packet-level network simulator (the CODES stand-in) for any topology a
+// Fabric describes: the Dragonfly the paper studies, and the fat tree of
+// its future work (Sec. VI).
 //
 // Model: store-and-forward packets, output-queued routers, credit-based
 // virtual-channel flow control. Every directed link (local, global, and
@@ -9,21 +11,27 @@
 // accumulated time any VC buffer of the link is full, which is exactly the
 // back-pressure condition.
 //
+// Topology as data: the constructor turns the topology into a Fabric (the
+// per-router port table, see fabric.hpp) and a routing::Policy; nothing
+// below the constructors reads topology geometry any other way. A dragonfly
+// routes with the RoutePlanner (minimal / Valiant / UGAL / PAR, fault
+// detours), a fat tree with up/down ECMP.
+//
 // Deadlock freedom: the VC used on a router-to-router link equals the
 // packet's link-hop index, which increases monotonically along every path
-// allowed by the RoutePlanner, so the channel dependency graph is acyclic.
+// the routing policy allows, so the channel dependency graph is acyclic.
 //
 // Engines: one model core serves two engines behind a tiny scheduling
 // shim. The sequential dv::pdes::Simulator is the reference; the
 // conservative pdes::ParallelSimulator runs the same model decomposed into
 // one logical process per router (plus its terminals), partitioned by
-// Dragonfly group. Every event carries an engine-independent priority key
+// group. Every event carries an engine-independent priority key
 // (kind + entity id), every terminal/router has its own random stream, and
 // all mutable state is owned by exactly one router's partition — so for
-// execution-order-independent routing (minimal, Valiant) the parallel
-// engine reproduces the sequential RunMetrics bit for bit at any partition
-// count. Lookahead is the minimum physical delay that can cross a
-// partition boundary: min(credit_latency, local_latency, global_latency).
+// execution-order-independent routing (minimal, Valiant, ECMP) the
+// parallel engine reproduces the sequential RunMetrics bit for bit at any
+// partition count. Lookahead is the minimum physical delay that can cross
+// a partition boundary: min(credit_latency, local_latency, global_latency).
 #pragma once
 
 #include <atomic>
@@ -35,12 +43,14 @@
 
 #include "fault/fault.hpp"
 #include "metrics/run_metrics.hpp"
-#include "pdes/engine.hpp"
+#include "netsim/fabric.hpp"
 #include "netsim/partition.hpp"
+#include "pdes/engine.hpp"
 #include "pdes/parallel.hpp"
 #include "placement/placement.hpp"
 #include "routing/routing.hpp"
 #include "topology/dragonfly.hpp"
+#include "topology/fattree.hpp"
 #include "util/ring_queue.hpp"
 #include "util/rng.hpp"
 
@@ -87,11 +97,16 @@ class Network final : public pdes::LogicalProcess,
  public:
   Network(const topo::Dragonfly& topo, routing::Algo algo, Params params = {},
           std::uint64_t seed = 1);
+  /// A 3-level fat tree (Fabric::fat_tree layout) with up/down ECMP
+  /// routing: hosts are terminals, edge-agg links are local and agg-core
+  /// links global, with Params' local/global bandwidths and latencies.
+  Network(const topo::FatTree& topo, Params params = {},
+          std::uint64_t seed = 1);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  const topo::Dragonfly& topology() const { return topo_; }
+  const Fabric& fabric() const { return fabric_; }
 
   /// Queues a message (must be called before run()). src != dst required.
   void add_message(const Message& m);
@@ -113,7 +128,8 @@ class Network final : public pdes::LogicalProcess,
   /// planner into fault-aware routing (which may raise the VC count for
   /// minimal routing — detoured packets take Valiant-length paths), and
   /// schedules one wake event per liveness transition so the reaction is
-  /// an ordinary deterministic PDES event on both engines.
+  /// an ordinary deterministic PDES event on both engines. Fault plans need
+  /// a dragonfly; a non-empty plan on a fat tree is rejected.
   void set_fault_plan(const fault::FaultPlan& plan);
 
   /// Selects the engine: 0 or 1 = sequential reference, N > 1 = the
@@ -160,8 +176,10 @@ class Network final : public pdes::LogicalProcess,
   std::uint64_t packets_delivered() const;
 
  private:
+  Network(Fabric fabric, std::unique_ptr<routing::Policy> policy,
+          Params params, std::uint64_t seed);
+
   // ---- link identity: class + id ------------------------------------
-  enum class LinkClass : std::uint32_t { kNone, kInjection, kEjection, kLocal, kGlobal };
   static std::uint64_t encode_link(LinkClass c, std::uint32_t id, std::uint32_t vc);
   static LinkClass link_class(std::uint64_t enc);
   static std::uint32_t link_id(std::uint64_t enc);
@@ -315,7 +333,7 @@ class Network final : public pdes::LogicalProcess,
   LinkArray& link_array_for(LinkClass cls);
   void update_backlog(Ctx& ctx, std::uint32_t router, std::uint32_t p);
   pdes::LpId lp_of_terminal(std::uint32_t term) const {
-    return topo_.terminal_router(term);
+    return fabric_.terminal_port(term).router;
   }
 
   void dispatch(Ctx& ctx, const pdes::Event& ev);
@@ -339,37 +357,25 @@ class Network final : public pdes::LogicalProcess,
   void return_credit(Ctx& ctx, std::uint64_t enc_link);
   void take_sample(SimTime now);
   void flush_and_collect(metrics::RunMetrics& out, SimTime end);
+  /// RunMetrics terminal rows: one per (router, slot) of the fabric grid.
+  std::uint32_t terminal_rows() const;
   std::uint32_t resolve_partitions() const;
   void init_shards(std::uint32_t count);
   void publish_run_obs(const metrics::RunMetrics& out);
 
-  /// (link class, link id, downstream arrival delay, serialization rate)
-  struct Hop {
-    LinkClass cls = LinkClass::kNone;
-    std::uint32_t id = 0;
-    std::uint32_t dst_router = 0;   // for local/global
-    std::uint32_t dst_port = 0;
-    std::uint32_t dst_terminal = 0; // for ejection
-    double bandwidth = 1.0;
-    double latency = 0.0;
-  };
-  /// Derives the hop record from the topology (ctor-time only; the hot
-  /// path reads the precomputed hop_cache_ through hop_for_port).
-  Hop compute_hop(std::uint32_t router, std::uint32_t p) const;
-  const Hop& hop_for_port(std::uint32_t router, std::uint32_t p) const {
-    return hop_cache_[static_cast<std::size_t>(router) * ports_per_router_ + p];
-  }
-
   // ---- state ---------------------------------------------------------
-  const topo::Dragonfly topo_;
+  const Fabric fabric_;
+  std::unique_ptr<routing::Policy> policy_;
+  // policy_ when it is a dragonfly RoutePlanner (fault plans resolve
+  // against its topology), else null.
+  routing::RoutePlanner* planner_ = nullptr;
   Params params_;
-  routing::RoutePlanner planner_;
   pdes::Simulator sim_;
   std::unique_ptr<pdes::ParallelSimulator> par_;
 
   std::vector<Message> messages_;
   std::vector<TerminalState> terminals_;
-  std::vector<OutPort> ports_;       // router-major
+  std::vector<OutPort> ports_;       // router-major, as in fabric_
   std::uint32_t ports_per_router_ = 0;
   std::uint32_t num_vcs_ = 1;
 
@@ -380,10 +386,6 @@ class Network final : public pdes::LogicalProcess,
   std::vector<Rng> router_rng_;             // in-flight (PAR) routing draws
   std::vector<std::uint32_t> term_pkt_seq_; // per-terminal packet counter
   std::vector<std::uint32_t> router_partition_;
-
-  // Per-port hop records, router-major — topology and physical parameters
-  // are fixed at construction, so the hot path never recomputes them.
-  std::vector<Hop> hop_cache_;
 
   // Terminal delivery stats, columnar: the delivery handler touches three
   // adjacent flat arrays instead of scattering into 80-byte records; the

@@ -188,23 +188,24 @@ PartitionPlan partition_channels(std::uint32_t atoms, std::uint32_t parts,
   return plan;
 }
 
-std::vector<ChannelEdge> dragonfly_channel_graph(
-    const topo::Dragonfly& topo, const Params& params) {
+std::vector<ChannelEdge> channel_graph(const Fabric& fabric,
+                                       const Params& params) {
   std::vector<ChannelEdge> edges;
-  edges.reserve(static_cast<std::size_t>(topo.num_global_links()) * 2);
-  for (std::uint32_t r = 0; r < topo.num_routers(); ++r) {
-    const std::uint32_t src_group = topo.router_group(r);
-    for (std::uint32_t c = 0; c < topo.global_per_router(); ++c) {
-      const std::uint32_t dst_group =
-          topo.router_group(topo.global_neighbor(r, c).router);
+  for (std::uint32_t r = 0; r < fabric.num_routers(); ++r) {
+    const std::uint32_t src_group = fabric.router_group(r);
+    for (std::uint32_t p = 0; p < fabric.ports_per_router(); ++p) {
+      const Port& hop = fabric.port(r, p);
+      if (hop.cls != LinkClass::kLocal && hop.cls != LinkClass::kGlobal) {
+        continue;
+      }
+      const std::uint32_t dst_group = fabric.router_group(hop.dst_router);
       if (dst_group == src_group) continue;
-      // Data: packets traverse the cable with at least the global wire
-      // latency before anything happens at the far router.
-      edges.push_back({src_group, dst_group, params.global_bandwidth,
-                       params.global_latency});
+      // Data: packets traverse the cable with at least its wire latency
+      // before anything happens at the far router.
+      edges.push_back({src_group, dst_group, hop.bandwidth, hop.latency});
       // Credit return for this cable flows the other way.
       edges.push_back({dst_group, src_group,
-                       params.global_bandwidth * kCreditWeightScale,
+                       hop.bandwidth * kCreditWeightScale,
                        params.credit_latency});
     }
   }

@@ -1,8 +1,8 @@
 // Topology-aware partitioning for the parallel netsim engine.
 //
 // The unit of placement is an *atom* — an indivisible block of LPs that
-// must land on one partition (for the dragonfly model an atom is a group:
-// the LP map is group-contiguous and local links never leave a group).
+// must land on one partition (for netsim an atom is a fabric group: a
+// dragonfly group, or a fat-tree pod or core pseudo-pod).
 // The input is the directed channel graph between atoms; each edge carries
 // the traffic-class weight used by the cut objective (how much crossing
 // it is expected to hurt) and the minimum latency any event travelling
@@ -29,11 +29,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "topology/dragonfly.hpp"
 
 namespace dv::netsim {
 
 struct Params;
+class Fabric;
 
 /// One directed channel between atoms. `weight` is the cut-objective
 /// weight (traffic class x bandwidth), `min_delay` the smallest latency
@@ -75,12 +75,12 @@ PartitionPlan stripe_partition(std::uint32_t atoms, std::uint32_t parts,
 PartitionPlan partition_channels(std::uint32_t atoms, std::uint32_t parts,
                                  const std::vector<ChannelEdge>& edges);
 
-/// Dragonfly channel graph at group granularity: one data edge per
-/// directed global link (weight = global bandwidth, min_delay = global
-/// latency) and one credit-return edge in the reverse direction (light
-/// weight, min_delay = credit latency). Local links never leave a group
-/// and so never appear.
-std::vector<ChannelEdge> dragonfly_channel_graph(const topo::Dragonfly& topo,
-                                                 const Params& params);
+/// Channel graph at group granularity: one data edge per router-to-router
+/// link whose ends lie in different groups (weight = link bandwidth,
+/// min_delay = link latency) and one credit-return edge in the reverse
+/// direction (light weight, min_delay = credit latency), in router-major
+/// port order. On a dragonfly these are exactly the global links.
+std::vector<ChannelEdge> channel_graph(const Fabric& fabric,
+                                       const Params& params);
 
 }  // namespace dv::netsim

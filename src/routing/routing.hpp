@@ -5,7 +5,9 @@
 //
 // The planner is pure policy: it owns no network state. Queue occupancies
 // come from a QueueProbe supplied by the simulator, which keeps this module
-// unit-testable with synthetic congestion patterns.
+// unit-testable with synthetic congestion patterns. The simulator calls it
+// through the topology-neutral Policy interface, which the fat tree's
+// up/down ECMP (netsim/fabric.hpp) implements too.
 #pragma once
 
 #include <cstdint>
@@ -30,12 +32,13 @@ std::string to_string(Algo a);
 struct PacketRoute {
   std::uint32_t dst_terminal = 0;
   std::int32_t proxy_group = -1;   ///< Valiant intermediate group, -1 = none
-  bool proxy_reached = false;      ///< set once the packet enters the proxy
   std::int32_t proxy_router = -1;  ///< intra-group Valiant intermediate router
+  std::int32_t src_group = -1;     ///< group of the injecting terminal
+  std::uint32_t flow_hash = 0;     ///< ECMP hash of (src, dst, seed)
+  bool proxy_reached = false;      ///< set once the packet enters the proxy
   bool proxy_router_reached = false;
   bool decided = false;            ///< adaptive choice has been committed
   bool fault_detour = false;       ///< Valiant proxy forced by a dead link
-  std::int32_t src_group = -1;     ///< group of the injecting terminal
 };
 
 /// One forwarding decision: the output port on the current router.
@@ -92,28 +95,53 @@ struct RouteStats {
   std::uint64_t steps = 0;         ///< route() calls (forwarding decisions)
 };
 
-class RoutePlanner {
+/// The routing policy the packet simulator runs: one implementation per
+/// topology family, over that family's router/port numbering. Calls are
+/// const and take the random stream and stats tally from the caller, so
+/// one policy can serve many threads (each supplies its own Rng/stats).
+class Policy {
+ public:
+  virtual ~Policy() = default;
+
+  /// Called when a packet is injected (state.dst_terminal must be set).
+  /// `now` is the injection timestamp, used only for fault-liveness probes.
+  virtual void on_inject(PacketRoute& state, std::uint32_t src_terminal,
+                         const QueueProbe& probe, Rng& rng, RouteStats& stats,
+                         double now = 0.0) const = 0;
+
+  /// Next hop for a packet sitting in `router`; may mutate `state`.
+  virtual Decision route(PacketRoute& state, std::uint32_t router,
+                         const QueueProbe& probe, Rng& rng, RouteStats& stats,
+                         double now = 0.0) const = 0;
+
+  /// Upper bound on router-to-router link hops any packet can take; the
+  /// simulator sizes its VC count from this (VC index = hop index gives an
+  /// acyclic channel dependency graph, hence deadlock freedom).
+  virtual std::uint32_t max_link_hops() const = 0;
+
+  /// Routing label recorded in the run's metrics.
+  virtual std::string label() const = 0;
+};
+
+/// Dragonfly routing: the Algo strategies above.
+class RoutePlanner final : public Policy {
  public:
   RoutePlanner(const topo::Dragonfly& net, Algo algo,
                AdaptiveParams params = {}, std::uint64_t seed = 1);
 
   Algo algo() const { return algo_; }
+  const topo::Dragonfly& topology() const { return net_; }
   const RouteStats& stats() const { return stats_; }
 
-  /// Called when a packet is injected (state.dst_terminal must be set);
-  /// fixes src_group and, for Valiant, the proxy group. This overload is
-  /// const and takes the random stream and stats tally from the caller, so
-  /// one planner can serve many threads (each supplies its own Rng/stats).
-  /// `now` is the injection timestamp, used only for fault-liveness probes.
+  /// Fixes src_group and, for Valiant, the proxy group.
   void on_inject(PacketRoute& state, std::uint32_t src_terminal,
                  const QueueProbe& probe, Rng& rng, RouteStats& stats,
-                 double now = 0.0) const;
+                 double now = 0.0) const override;
 
-  /// Next hop for a packet sitting in `router`. Mutates state (proxy
-  /// progress, adaptive commitment). Const/thread-shareable as above.
+  /// Mutates state (proxy progress, adaptive commitment).
   Decision route(PacketRoute& state, std::uint32_t router,
                  const QueueProbe& probe, Rng& rng, RouteStats& stats,
-                 double now = 0.0) const;
+                 double now = 0.0) const override;
 
   /// Convenience overloads using the planner's own RNG stream and stats
   /// (single-threaded callers and the routing unit tests).
@@ -133,10 +161,9 @@ class RoutePlanner {
   void set_fault_aware(bool aware) { fault_aware_ = aware; }
   bool fault_aware() const { return fault_aware_; }
 
-  /// Upper bound on router-to-router link hops any packet can take; the
-  /// simulator sizes its VC count from this (VC index = hop index gives an
-  /// acyclic channel dependency graph, hence deadlock freedom).
-  std::uint32_t max_link_hops() const;
+  /// Grows for fault-aware minimal routing (see set_fault_aware).
+  std::uint32_t max_link_hops() const override;
+  std::string label() const override { return to_string(algo_); }
 
  private:
   Decision minimal_step(std::uint32_t router, std::uint32_t dst_terminal,
@@ -157,7 +184,7 @@ class RoutePlanner {
                           std::uint32_t target_group, const QueueProbe& probe,
                           Rng& rng, RouteStats& stats, double now) const;
 
-  const topo::Dragonfly& net_;
+  const topo::Dragonfly net_;
   Algo algo_;
   AdaptiveParams params_;
   Rng rng_;

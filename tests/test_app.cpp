@@ -13,6 +13,7 @@
 #include "core/projection.hpp"
 #include "fault/fault.hpp"
 #include "metrics/dvr.hpp"
+#include "metrics/run_store.hpp"
 #include "obs/profile.hpp"
 
 namespace dv::app {
@@ -422,6 +423,78 @@ TEST(Cli, TraceRecordValidation) {
   EXPECT_THROW(cli({"trace-replay", "--trace", "/nonexistent.dvtr", "--out",
                     tmp("z.json")}),
                Error);
+}
+
+/// The message of the Error a CLI call throws ("" when it succeeds).
+std::string cli_error(std::vector<std::string> args) {
+  try {
+    cli(std::move(args));
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, NumericFlagsNameTheFlagAndRejectBadValues) {
+  const std::string out = tmp("dv_cli_numeric.dvr");
+  const std::vector<std::string> base = {"sim", "--job", "uniform_random",
+                                         "--window", "1e4", "--out", out};
+  auto with = [&](std::vector<std::string> extra) {
+    std::vector<std::string> args = base;
+    args.insert(args.end(), extra.begin(), extra.end());
+    return cli_error(args);
+  };
+  EXPECT_NE(with({"--p", "abc"})
+                .find("sim: bad --p value: abc (expected a number)"),
+            std::string::npos);
+  // The whole token must parse: no trailing garbage.
+  EXPECT_NE(with({"--p", "2x"})
+                .find("sim: bad --p value: 2x (expected a number)"),
+            std::string::npos);
+  EXPECT_NE(with({"--p", "2", "--p", "3"}).find("--p given multiple times"),
+            std::string::npos);
+  EXPECT_EQ(with({"--p", "2"}), "");
+  EXPECT_NE(cli_error({"sweep", "--store", tmp("dv_cli_numeric_store"),
+                       "--window", "1e4x"})
+                .find("sweep: bad --window value: 1e4x (expected a number)"),
+            std::string::npos);
+  std::remove(out.c_str());
+}
+
+TEST(Cli, SweepAppliesFaultPlans) {
+  const std::string fault = "link:g0->g1@0:1e4";
+  auto sweep = [&](const std::string& store, const std::string& backend,
+                   bool faulted) {
+    std::vector<std::string> args = {"sweep", "--p", "2", "--window", "1e4",
+                                     "--backend", backend, "--store", store};
+    if (faulted) {
+      args.push_back("--fault");
+      args.push_back(fault);
+    }
+    return cli_error(args);
+  };
+  const std::string healthy = tmp("dv_cli_sweep_healthy");
+  const std::string faulted = tmp("dv_cli_sweep_faulted");
+  fs::remove_all(healthy);
+  fs::remove_all(faulted);
+  ASSERT_EQ(sweep(healthy, "packet", false), "");
+  ASSERT_EQ(sweep(faulted, "packet", true), "");
+  const metrics::RunStore a(healthy), b(faulted);
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  const auto run_a = a.load(a.list()[0].name);
+  const auto run_b = b.load(b.list()[0].name);
+  EXPECT_TRUE(run_a.router_downtime.empty());
+  ASSERT_FALSE(run_b.router_downtime.empty()) << "the sweep dropped --fault";
+  EXPECT_TRUE(std::any_of(run_b.global_links.begin(), run_b.global_links.end(),
+                          [](const auto& l) { return l.downtime > 0.0; }));
+  // The flow backend has no fault model; run_experiment says so.
+  EXPECT_NE(sweep(tmp("dv_cli_sweep_flow"), "flow", true)
+                .find("the flow backend does not model faults"),
+            std::string::npos);
+  fs::remove_all(healthy);
+  fs::remove_all(faulted);
+  fs::remove_all(tmp("dv_cli_sweep_flow"));
 }
 
 TEST(Cli, ErrorsAreReported) {

@@ -1,41 +1,62 @@
-// Fat-tree simulator tests (the paper's future-work topology): flow
-// conservation, hop classes, ECMP spreading, incast congestion, and the
-// RunMetrics mapping that lets the VA layer consume fat-tree runs.
+// Fat tree on the packet simulator (the paper's future-work topology):
+// flow conservation, hop classes, ECMP spreading, incast congestion,
+// sequential == parallel, and the RunMetrics mapping that lets the VA layer
+// consume fat-tree runs.
 #include <gtest/gtest.h>
 
 #include "core/projection.hpp"
-#include "netsim/fattree_network.hpp"
+#include "json/json.hpp"
+#include "netsim/network.hpp"
 
 namespace dv::netsim {
 namespace {
 
 topo::FatTree ft4() { return topo::FatTree(4); }  // 16 hosts, 20 switches
 
-FatTreeParams fast_params() {
-  FatTreeParams p;
+Params fast_params() {
+  Params p;
   p.packet_size = 512;
+  p.local_latency = 100.0;
+  p.global_latency = 100.0;
+  p.global_bandwidth = p.local_bandwidth;
   p.event_budget = 30'000'000;
   return p;
 }
 
-TEST(FatTreeNet, FlowConservationUnderRandomTraffic) {
-  const auto topo = ft4();
-  FatTreeNetwork net(topo, fast_params(), 3);
-  Rng rng(5);
-  std::uint64_t injected = 0;
-  for (int i = 0; i < 200; ++i) {
-    const auto src = static_cast<std::uint32_t>(rng.next_below(topo.num_hosts()));
+/// Adds `count` random messages between distinct hosts; returns their bytes.
+std::uint64_t add_random(Network& net, std::uint64_t seed, int count,
+                         double window, std::uint64_t min_bytes,
+                         std::uint64_t spread) {
+  const std::uint32_t hosts = net.fabric().num_terminals();
+  Rng rng(seed);
+  std::uint64_t total = 0;
+  for (int i = 0; i < count; ++i) {
+    const auto src = static_cast<std::uint32_t>(rng.next_below(hosts));
     auto dst = src;
-    while (dst == src) {
-      dst = static_cast<std::uint32_t>(rng.next_below(topo.num_hosts()));
-    }
-    const std::uint64_t bytes = 100 + rng.next_below(4000);
-    injected += bytes;
-    net.add_message({src, dst, bytes, rng.next_double() * 20000.0, 0});
+    while (dst == src) dst = static_cast<std::uint32_t>(rng.next_below(hosts));
+    const std::uint64_t bytes =
+        min_bytes + (spread ? rng.next_below(spread) : 0);
+    total += bytes;
+    net.add_message({src, dst, bytes, rng.next_double() * window, 0});
   }
-  const auto m = net.run();
-  EXPECT_DOUBLE_EQ(m.total_injected(), static_cast<double>(injected));
-  EXPECT_GT(net.packets_delivered(), 0u);
+  return total;
+}
+
+TEST(FatTreeNet, FlowConservationUnderRandomTraffic) {
+  // k = 2 and 6 leave unconnected router slots in the core pseudo-pod.
+  for (const std::uint32_t k : {2u, 4u, 6u}) {
+    const topo::FatTree topo(k);
+    Network net(topo, fast_params(), 3);
+    const std::uint64_t injected =
+        add_random(net, 5, 200, 20000.0, 100, 4000);
+    const auto m = net.run();
+    EXPECT_DOUBLE_EQ(m.total_injected(), static_cast<double>(injected)) << k;
+    EXPECT_GT(net.packets_delivered(), 0u) << k;
+    EXPECT_EQ(net.packets_delivered(), net.packets_injected()) << k;
+    EXPECT_EQ(m.terminals.size(),
+              m.groups * m.routers_per_group * m.terminals_per_router)
+        << k;
+  }
 }
 
 TEST(FatTreeNet, HopClassesMatchTopology) {
@@ -47,7 +68,7 @@ TEST(FatTreeNet, HopClassesMatchTopology) {
   // Same edge (hosts 0,1): 1 switch; same pod (0, 2): 3; cross pod: 5.
   const Case cases[] = {{0, 1, 1.0}, {0, 2, 3.0}, {0, 15, 5.0}};
   for (const auto& c : cases) {
-    FatTreeNetwork net(topo, fast_params(), 1);
+    Network net(topo, fast_params(), 1);
     net.add_message({c.src, c.dst, 512, 0.0, 0});
     const auto m = net.run();
     EXPECT_DOUBLE_EQ(m.terminals[c.dst].avg_hops(), c.hops)
@@ -59,7 +80,7 @@ TEST(FatTreeNet, HopClassesMatchTopology) {
 
 TEST(FatTreeNet, EcmpSpreadsCrossPodFlows) {
   const auto topo = ft4();
-  FatTreeNetwork net(topo, fast_params(), 7);
+  Network net(topo, fast_params(), 7);
   // Many distinct flows from pod 0 to pod 3.
   for (std::uint32_t s = 0; s < 4; ++s) {
     for (std::uint32_t d = 12; d < 16; ++d) {
@@ -74,9 +95,9 @@ TEST(FatTreeNet, EcmpSpreadsCrossPodFlows) {
 
 TEST(FatTreeNet, IncastSaturatesTheVictimEdgeLink) {
   const auto topo = ft4();
-  FatTreeParams p = fast_params();
-  p.queue_packets = 2;
-  FatTreeNetwork net(topo, p, 1);
+  Params p = fast_params();
+  p.vc_buffer_packets = 2;
+  Network net(topo, p, 1);
   // Everyone floods host 0.
   for (std::uint32_t s = 4; s < 16; ++s) {
     net.add_message({s, 0, 64 * 1024, 0.0, 0});
@@ -88,27 +109,36 @@ TEST(FatTreeNet, IncastSaturatesTheVictimEdgeLink) {
 
 TEST(FatTreeNet, RunMetricsMappingFeedsTheVaLayer) {
   const auto topo = ft4();
-  FatTreeNetwork net(topo, fast_params(), 9);
+  Network net(topo, fast_params(), 9);
   net.set_labels("uniform_random", "contiguous", {"job0"});
-  std::vector<std::int32_t> jobs(topo.num_hosts(), 0);
-  net.set_jobs(jobs);
-  Rng rng(11);
-  for (int i = 0; i < 150; ++i) {
-    const auto src = static_cast<std::uint32_t>(rng.next_below(topo.num_hosts()));
-    auto dst = src;
-    while (dst == src) {
-      dst = static_cast<std::uint32_t>(rng.next_below(topo.num_hosts()));
-    }
-    net.add_message({src, dst, 2048, rng.next_double() * 10000.0, 0});
-  }
+  placement::Placement pl;
+  pl.job_of.assign(topo.num_hosts(), 0);
+  net.set_jobs(pl);
+  net.enable_sampling(2000.0);
+  add_random(net, 11, 150, 10000.0, 2048, 0);
   const auto m = net.run();
   // k=4: 4 pods + 1 pseudo-pod of cores; k routers per group.
   EXPECT_EQ(m.groups, 5u);
   EXPECT_EQ(m.routers_per_group, 4u);
+  EXPECT_EQ(m.routing, "ecmp_up_down");
   EXPECT_EQ(m.terminals.size(),
             m.groups * m.routers_per_group * m.terminals_per_router);
+  EXPECT_EQ(m.term_traffic_ts.entities(), m.terminals.size());
   EXPECT_EQ(m.local_links.size(), 4u * 2u * 2u * 2u);   // pods*edges*aggs*2
   EXPECT_EQ(m.global_links.size(), 8u * 2u * 2u);       // aggs*uplinks*2
+  // Hosts sit on edge switches (rank < k/2 of a pod); every other row is
+  // padding for an agg or core switch.
+  for (std::uint32_t t = 0; t < m.terminals.size(); ++t) {
+    const auto& row = m.terminals[t];
+    if (t < topo.num_hosts()) {
+      EXPECT_LT(row.router % 4, 2u);
+      EXPECT_LT(row.router / 4, 4u);
+      EXPECT_EQ(row.job, 0);
+    } else {
+      EXPECT_EQ(row.data_size, 0.0);
+      EXPECT_EQ(row.job, -1);
+    }
+  }
 
   // The whole VA pipeline consumes the mapped run unchanged.
   const core::DataSet data(m);
@@ -127,17 +157,45 @@ TEST(FatTreeNet, RunMetricsMappingFeedsTheVaLayer) {
   EXPECT_FALSE(view.rings()[0].items.empty());
   const auto svg = view.to_svg(400, "fat tree via the dragonviz VA layer");
   EXPECT_NE(svg.find("<svg"), std::string::npos);
+  EXPECT_GT(data.windowed_table(core::Entity::kTerminal, 0.0, 4000.0).rows(),
+            0u);
+}
+
+TEST(FatTreeNet, SequentialAndParallelRunsAreByteIdentical) {
+  const topo::FatTree topo(8);  // 128 hosts, 6 groups
+  auto run = [&](std::uint32_t workers, std::uint32_t* parts) {
+    Network net(topo, fast_params(), 4);
+    add_random(net, 13, 600, 20000.0, 256, 8192);
+    for (std::uint32_t s = 1; s < 40; s += 3) {
+      net.add_message({s, 0, 8192, 50.0 * s, 0});  // incast: credits cross
+    }
+    net.enable_sampling(5000.0);
+    net.set_parallel(workers);
+    const auto m = net.run();
+    *parts = net.partitions_used();
+    return json::dump(m.to_json());
+  };
+  std::uint32_t seq_parts = 0, par_parts = 0;
+  const std::string seq = run(1, &seq_parts);
+  const std::string par = run(4, &par_parts);
+  EXPECT_EQ(seq_parts, 1u);
+  EXPECT_EQ(par_parts, 4u);
+  EXPECT_TRUE(seq == par) << "parallel fat-tree run diverged";
 }
 
 TEST(FatTreeNet, Validation) {
   const auto topo = ft4();
-  FatTreeNetwork net(topo, fast_params(), 1);
+  Network net(topo, fast_params(), 1);
   EXPECT_THROW(net.add_message({0, 0, 10, 0.0, 0}), Error);
   EXPECT_THROW(net.add_message({0, 999, 10, 0.0, 0}), Error);
   EXPECT_THROW(net.add_message({0, 1, 0, 0.0, 0}), Error);
-  FatTreeParams bad;
+  fault::FaultPlan plan;
+  plan.faults.push_back(fault::parse_fault("link:g0->g1@0:1000"));
+  EXPECT_THROW(net.set_fault_plan(plan), Error);
+  net.set_fault_plan({});  // an empty plan is a no-op on any fabric
+  Params bad = fast_params();
   bad.packet_size = 0;
-  EXPECT_THROW(FatTreeNetwork(topo, bad, 1), Error);
+  EXPECT_THROW(Network(topo, bad, 1), Error);
 }
 
 }  // namespace

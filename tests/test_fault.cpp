@@ -277,14 +277,13 @@ Params fault_test_params() {
 
 /// Uniform-random message soup over the first `window` ns.
 void add_soup(Network& net, std::uint64_t seed, int count, double window) {
-  const auto& topo = net.topology();
+  const std::uint32_t terms = net.fabric().num_terminals();
   Rng rng(seed);
   for (int i = 0; i < count; ++i) {
-    const auto src =
-        static_cast<std::uint32_t>(rng.next_below(topo.num_terminals()));
+    const auto src = static_cast<std::uint32_t>(rng.next_below(terms));
     auto dst = src;
     while (dst == src) {
-      dst = static_cast<std::uint32_t>(rng.next_below(topo.num_terminals()));
+      dst = static_cast<std::uint32_t>(rng.next_below(terms));
     }
     net.add_message({src, dst, 100 + rng.next_below(4000),
                      rng.next_double() * window, 0});

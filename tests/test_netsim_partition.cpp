@@ -14,7 +14,8 @@ namespace dv::netsim {
 namespace {
 
 std::vector<ChannelEdge> df_graph(std::uint32_t p, const Params& params) {
-  return dragonfly_channel_graph(topo::Dragonfly::canonical(p), params);
+  return channel_graph(Fabric::dragonfly(topo::Dragonfly::canonical(p), params),
+                       params);
 }
 
 /// Switch-level fat-tree channel graph: every edge<->agg link within a pod
@@ -173,6 +174,41 @@ TEST(NetsimPartition, DragonflyGraphShape) {
     EXPECT_GE(e.min_delay, floor);
     EXPECT_GT(e.weight, 0.0);
   }
+  // Exactly the global cables, router-major then channel order: a data
+  // edge at global latency, then its credit return.
+  std::size_t i = 0;
+  for (std::uint32_t r = 0; r < topo.num_routers(); ++r) {
+    for (std::uint32_t c = 0; c < topo.global_per_router(); ++c) {
+      const std::uint32_t g = topo.router_group(r);
+      const std::uint32_t h =
+          topo.router_group(topo.global_neighbor(r, c).router);
+      ASSERT_LT(i + 1, edges.size());
+      EXPECT_EQ(edges[i].src, g);
+      EXPECT_EQ(edges[i].dst, h);
+      EXPECT_EQ(edges[i].weight, params.global_bandwidth);
+      EXPECT_EQ(edges[i].min_delay, params.global_latency);
+      EXPECT_EQ(edges[i + 1].src, h);
+      EXPECT_EQ(edges[i + 1].dst, g);
+      EXPECT_EQ(edges[i + 1].weight, params.global_bandwidth * 0.1);
+      EXPECT_EQ(edges[i + 1].min_delay, params.credit_latency);
+      i += 2;
+    }
+  }
+}
+
+TEST(NetsimPartition, FatTreeGraphCrossesOnlyAtTheCore) {
+  Params params;
+  const topo::FatTree ft(4);
+  const Fabric fabric = Fabric::fat_tree(ft, params);
+  const auto edges = channel_graph(fabric, params);
+  // Every agg<->core link, both directions, data + credit: 4 per cable.
+  EXPECT_EQ(edges.size(), 4u * ft.num_agg() * (ft.k() / 2));
+  for (const ChannelEdge& e : edges) {
+    EXPECT_TRUE(e.src >= ft.pods() || e.dst >= ft.pods())
+        << "pods only reach each other through the core pseudo-pod";
+  }
+  const auto plan = partition_channels(fabric.shape().groups, 3, edges);
+  EXPECT_EQ(plan.num_parts, 3u);
 }
 
 }  // namespace

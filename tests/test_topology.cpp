@@ -1,14 +1,12 @@
 // Topology invariants: Dragonfly (parameterized over the canonical family,
-// including the paper's three scales), Fat Tree, and Slim Fly.
+// including the paper's three scales) and Fat Tree.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <queue>
 #include <set>
 
 #include "topology/dragonfly.hpp"
 #include "topology/fattree.hpp"
-#include "topology/slimfly.hpp"
 
 namespace dv::topo {
 namespace {
@@ -177,78 +175,6 @@ INSTANTIATE_TEST_SUITE_P(Arities, FatTreeParam,
                          ::testing::Values(2u, 4u, 6u, 8u));
 
 TEST(FatTree, OddArityThrows) { EXPECT_THROW(FatTree(3), Error); }
-
-// ------------------------------------------------------------- Slim Fly
-
-class SlimFlyParam : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(SlimFlyParam, DegreeIsUniform) {
-  const SlimFly sf(GetParam());
-  for (std::uint32_t r = 0; r < sf.num_routers(); ++r) {
-    const auto nbrs = sf.neighbors(r);
-    EXPECT_EQ(nbrs.size(), sf.network_degree());
-    std::set<std::uint32_t> uniq(nbrs.begin(), nbrs.end());
-    EXPECT_EQ(uniq.size(), nbrs.size());
-    EXPECT_EQ(uniq.count(r), 0u);  // no self loop
-  }
-}
-
-TEST_P(SlimFlyParam, AdjacencyIsSymmetric) {
-  const SlimFly sf(GetParam());
-  for (std::uint32_t r = 0; r < sf.num_routers(); ++r) {
-    for (std::uint32_t nbr : sf.neighbors(r)) {
-      EXPECT_TRUE(sf.connected(r, nbr));
-      EXPECT_TRUE(sf.connected(nbr, r));
-    }
-  }
-}
-
-TEST_P(SlimFlyParam, DiameterIsTwo) {
-  const SlimFly sf(GetParam());
-  const std::uint32_t n = sf.num_routers();
-  // BFS from a handful of sources; every MMS graph has diameter 2.
-  for (std::uint32_t src = 0; src < n; src += std::max(1u, n / 7)) {
-    std::vector<int> dist(n, -1);
-    std::queue<std::uint32_t> q;
-    dist[src] = 0;
-    q.push(src);
-    int max_d = 0;
-    while (!q.empty()) {
-      const std::uint32_t u = q.front();
-      q.pop();
-      for (std::uint32_t v : sf.neighbors(u)) {
-        if (dist[v] < 0) {
-          dist[v] = dist[u] + 1;
-          max_d = std::max(max_d, dist[v]);
-          q.push(v);
-        }
-      }
-    }
-    for (std::uint32_t v = 0; v < n; ++v) EXPECT_GE(dist[v], 0);
-    EXPECT_LE(max_d, 2);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(PrimeFields, SlimFlyParam,
-                         ::testing::Values(5u, 13u, 17u));
-
-TEST(SlimFly, RejectsBadField) {
-  EXPECT_THROW(SlimFly(6), Error);   // not prime
-  EXPECT_THROW(SlimFly(7), Error);   // 3 mod 4
-  EXPECT_THROW(SlimFly(9), Error);   // prime power, not prime
-}
-
-TEST(SlimFly, GeneratorSetsPartitionUnits) {
-  const SlimFly sf(13);
-  EXPECT_EQ(sf.gen_x().size(), 6u);   // (q-1)/2 residues
-  EXPECT_EQ(sf.gen_xp().size(), 6u);
-  for (std::uint32_t v : sf.gen_x()) {
-    // Closed under negation (q = 1 mod 4).
-    const std::uint32_t neg = (13 - v) % 13;
-    EXPECT_NE(std::find(sf.gen_x().begin(), sf.gen_x().end(), neg),
-              sf.gen_x().end());
-  }
-}
 
 }  // namespace
 }  // namespace dv::topo
