@@ -11,6 +11,7 @@
 //   dragonviz info    --run run.json
 #include "app/cli.hpp"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -39,6 +40,22 @@
 namespace dv::app {
 
 namespace {
+
+/// A number from one option token (or one field of a compound token);
+/// the whole field must parse, so "4x" and "abc" are both rejected.
+double parse_num(const std::string& cmd, const std::string& key,
+                 const std::string& v) {
+  std::size_t used = 0;
+  double x = 0.0;
+  try {
+    x = std::stod(v, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  DV_REQUIRE(used > 0 && used == v.size(),
+             cmd + ": bad --" + key + " value: " + v + " (expected a number)");
+  return x;
+}
 
 /// Minimal option parser: --key value or --key=value (repeatable keys
 /// collect). Keys in kOptionalValue may appear bare; they collect "".
@@ -92,18 +109,7 @@ struct Args {
   /// A numeric option; the whole value must parse as a number.
   double num_or(const std::string& key, double dflt) const {
     if (opts.find(key) == opts.end()) return dflt;
-    const std::string v = one_or(key, "");
-    std::size_t used = 0;
-    double x = 0.0;
-    try {
-      x = std::stod(v, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    DV_REQUIRE(used > 0 && used == v.size(),
-               cmd + ": bad --" + key + " value: " + v +
-                   " (expected a number)");
-    return x;
+    return parse_num(cmd, key, one_or(key, ""));
   }
   std::vector<std::string> many(const std::string& key) const {
     const auto it = opts.find(key);
@@ -212,12 +218,13 @@ core::ProjectionSpec load_spec(const Args& args) {
 /// Parses "--window t0:t1" (ns, half-open) into a spec time window. Note
 /// this is the analysis-side window; `sim --window` is the injection
 /// window and is unrelated.
-core::TimeWindow parse_time_window(const std::string& s) {
+core::TimeWindow parse_time_window(const std::string& cmd,
+                                   const std::string& s) {
   const auto parts = split(s, ':');
   DV_REQUIRE(parts.size() == 2, "--window must be t0:t1 (ns)");
   core::TimeWindow w;
-  w.t0 = std::stod(parts[0]);
-  w.t1 = std::stod(parts[1]);
+  w.t0 = parse_num(cmd, "window", parts[0]);
+  w.t1 = parse_num(cmd, "window", parts[1]);
   DV_REQUIRE(w.active(), "--window needs t0 < t1");
   return w;
 }
@@ -225,7 +232,7 @@ core::TimeWindow parse_time_window(const std::string& s) {
 /// Applies --window to the projection spec when given.
 void maybe_apply_window(const Args& args, core::ProjectionSpec& spec) {
   const std::string w = args.one_or("window", "");
-  if (!w.empty()) spec.window = parse_time_window(w);
+  if (!w.empty()) spec.window = parse_time_window(args.cmd, w);
 }
 
 /// Prints the query-engine cache summary when --cache-stats was given.
@@ -256,7 +263,6 @@ ExperimentConfig parse_experiment(const Args& args, Backend default_backend) {
       args.one_or("backend", to_string(default_backend)));
   cfg.flow_epoch_dt = parse_epoch_dt(args);
   cfg.flow_coarsen = flag_on(args, "flow-coarsen");
-  cfg.flow_stepping = args.one_or("flow-stepping", "event");
   cfg.faults = parse_fault_args(args);
   apply_fault_params(args, cfg.params);
   return cfg;
@@ -274,11 +280,13 @@ int cmd_sim(const Args& args) {
     JobSpec job;
     job.workload = parts[0];
     if (parts.size() > 1 && !parts[1].empty() && parts[1] != "0") {
-      job.ranks = static_cast<std::uint32_t>(std::stoul(parts[1]));
+      job.ranks =
+          static_cast<std::uint32_t>(parse_num(args.cmd, "job", parts[1]));
     }
     if (parts.size() > 2) job.policy = placement::policy_from_string(parts[2]);
     if (parts.size() > 3 && !parts[3].empty()) {
-      job.bytes = static_cast<std::uint64_t>(std::stod(parts[3]));
+      job.bytes =
+          static_cast<std::uint64_t>(parse_num(args.cmd, "job", parts[3]));
     }
     DV_REQUIRE(parts.size() <= 4, "bad --job spec: " + spec);
     cfg.jobs.push_back(job);
@@ -333,8 +341,16 @@ int cmd_sweep(const Args& args) {
 
   cfg.workloads = axis_values(args, "workload", "workloads");
   cfg.routings = axis_values(args, "routing", "routings");
-  for (const auto& s : axis_values(args, "scale", "scales")) {
-    cfg.scales.push_back(std::stod(s));
+  // Same collection order as axis_values; errors name the flag used.
+  for (const auto& s : args.many("scale")) {
+    cfg.scales.push_back(parse_num(args.cmd, "scale", s));
+  }
+  for (const auto& lst : args.many("scales")) {
+    for (const auto& v : split(lst, ',')) {
+      if (!trim(v).empty()) {
+        cfg.scales.push_back(parse_num(args.cmd, "scales", trim(v)));
+      }
+    }
   }
   if (cfg.workloads.empty()) cfg.workloads = {"uniform_random"};
   if (cfg.routings.empty()) cfg.routings = {"adaptive"};
@@ -373,7 +389,9 @@ int cmd_render(const Args& args) {
     const auto parts = split(f, ':');
     DV_REQUIRE(parts.size() == 2, "--focus must be ring:item");
     const core::ProjectionView overview(data, spec, nullptr, &engine);
-    spec = overview.drill_down(std::stoul(parts[0]), std::stoul(parts[1]));
+    spec = overview.drill_down(
+        static_cast<std::size_t>(parse_num(args.cmd, "focus", parts[0])),
+        static_cast<std::size_t>(parse_num(args.cmd, "focus", parts[1])));
   }
   auto build_phase = std::make_unique<obs::ScopedPhase>("build");
   const core::ProjectionView view(data, spec, nullptr, &engine);
@@ -523,13 +541,14 @@ int cmd_session(const Args& args) {
   // --window t0:t1 is shorthand for --t0/--t1.
   const std::string w = args.one_or("window", "");
   if (!w.empty()) {
-    const auto win = parse_time_window(w);
+    const auto win = parse_time_window(args.cmd, w);
     session.select_time_range(win.t0, win.t1);
   }
   for (const auto& b : args.many("brush")) {
     const auto parts = split(b, ':');
     DV_REQUIRE(parts.size() == 3, "--brush must be axis:lo:hi");
-    session.brush(parts[0], std::stod(parts[1]), std::stod(parts[2]));
+    session.brush(parts[0], parse_num(args.cmd, "brush", parts[1]),
+                  parse_num(args.cmd, "brush", parts[2]));
   }
   const std::string out = args.one("out");
   session.save_svg(out, args.num_or("width", 1400),
@@ -789,6 +808,23 @@ std::string client_spec_payload(const Args& args) {
 }
 
 int cmd_client(const Args& args) {
+  // The render request's compound values parse before connecting, so a
+  // bad one fails without a daemon round trip.
+  json::Array window;
+  const std::string w = args.one_or("window", "");
+  if (!w.empty()) {
+    const auto win = parse_time_window(args.cmd, w);
+    window = {json::Value(win.t0), json::Value(win.t1)};
+  }
+  json::Array focus;
+  for (const auto& f : args.many("focus")) {
+    const auto parts = split(f, ':');
+    DV_REQUIRE(parts.size() == 2, "--focus must be ring:item");
+    focus.push_back(json::Value(
+        json::Array{json::Value(parse_num(args.cmd, "focus", parts[0])),
+                    json::Value(parse_num(args.cmd, "focus", parts[1]))}));
+  }
+
   auto client = serve::Client::connect(
       args.one_or("connect", "unix:/tmp/dragonviz.sock"));
 
@@ -808,19 +844,7 @@ int cmd_client(const Args& args) {
     const std::string run = args.one_or("run", "");
     if (!run.empty()) p["run"] = json::Value(run);
     p["spec"] = json::Value(client_spec_payload(args));
-    const std::string w = args.one_or("window", "");
-    if (!w.empty()) {
-      const auto win = parse_time_window(w);
-      p["window"] =
-          json::Value(json::Array{json::Value(win.t0), json::Value(win.t1)});
-    }
-    json::Array focus;
-    for (const auto& f : args.many("focus")) {
-      const auto parts = split(f, ':');
-      DV_REQUIRE(parts.size() == 2, "--focus must be ring:item");
-      focus.push_back(json::Value(json::Array{
-          json::Value(std::stod(parts[0])), json::Value(std::stod(parts[1]))}));
-    }
+    if (!window.empty()) p["window"] = json::Value(std::move(window));
     if (!focus.empty()) p["focus"] = json::Value(std::move(focus));
     if (args.opts.count("size") != 0) {
       p["size"] = json::Value(args.num_or("size", 800));
@@ -884,117 +908,167 @@ int cmd_client(const Args& args) {
   return 0;
 }
 
+/// One subcommand: its handler, the option keys it accepts (without the
+/// leading "--"; every command also takes --profile) and its --help
+/// block. run_cli rejects any other key before the handler runs.
+struct Command {
+  const char* name;
+  int (*fn)(const Args&);
+  std::vector<std::string> keys;
+  const char* help;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"sim", cmd_sim,
+       {"p", "job", "out", "routing", "scale", "window", "sample-dt", "seed",
+        "parallel", "faults", "fault", "fault-retry-base",
+        "fault-retry-budget", "backend", "epoch-dt", "flow-coarsen"},
+       "  sim      --p N --job workload[:ranks[:policy]] ... --out run.dvr\n"
+       "           (--out *.json writes the text export; any other path\n"
+       "           the packed .dvr format)\n"
+       "           [--routing minimal|nonminimal|adaptive|par]\n"
+       "           [--scale F] [--window NS] [--sample-dt NS] [--seed N]\n"
+       "           [--parallel N]  (N>1: conservative parallel engine with\n"
+       "           N group-partitions; same seed => identical metrics for\n"
+       "           any routing, with or without faults; env DV_PARALLEL as\n"
+       "           default)\n"
+       "           [--faults plan.txt] [--fault SPEC ...]  (fault injection;\n"
+       "           SPEC: link:g0.r1->g2.r0@T0[:T1] | link:g0->g2@T0[:T1] |\n"
+       "           router:g1.r2@T0[:T1], times in ns, no T1 = permanent)\n"
+       "           [--fault-retry-base NS] [--fault-retry-budget N]\n"
+       "           [--backend packet|flow]  (flow: max-min water-filling\n"
+       "           fluid model — same RunMetrics schema, orders of magnitude\n"
+       "           faster; no faults) [--epoch-dt NS] (> 0; omit for auto)\n"
+       "           [--flow-coarsen]  (flow: one bundle per router pair —\n"
+       "           much faster under uniform-random; terminals of a router\n"
+       "           share latency/saturation attribution)\n"},
+      {"sweep", cmd_sweep,
+       {"store", "backend", "p", "workloads", "workload", "routings",
+        "routing", "scales", "scale", "window", "seed", "sample-dt",
+        "bytes-per-rank", "epoch-dt", "flow-coarsen", "parallel", "faults",
+        "fault", "fault-retry-base", "fault-retry-budget", "format",
+        "report", "spec", "title"},
+       "  sweep    --store DIR [--backend packet|flow] [--p N]\n"
+       "           [--workloads a,b|--workload W ...]\n"
+       "           [--routings a,b|--routing R ...]"
+       " [--scales 0.5,1|--scale F ...]\n"
+       "           [--window NS] [--seed N] [--sample-dt NS]"
+       " [--bytes-per-rank B]\n"
+       "           [--epoch-dt NS] [--flow-coarsen]\n"
+       "           [--parallel N] [--faults plan.txt] [--fault SPEC ...]\n"
+       "           [--fault-retry-base NS] [--fault-retry-budget N]"
+       "  (packet only)\n"
+       "           [--format text|dvr] [--report out.html]"
+       " [--spec S] [--title T]\n"
+       "           (fans the grid, one packed run per point, deterministic\n"
+       "           content uids; report = side-by-side shared-scale panels)\n"},
+      {"render", cmd_render,
+       {"run", "spec", "out", "size", "title", "focus", "window",
+        "cache-stats"},
+       "  render   --run run.json --spec spec.json --out view.svg [--size PX]\n"
+       "           [--title T]\n"
+       "           [--focus ring:item]   (click-to-focus drill-down)\n"
+       "           [--window T0:T1]      (time-window the aggregation, ns)\n"
+       "           [--cache-stats]\n"},
+      {"store", cmd_store,
+       {"dir", "action", "run", "name", "format"},
+       "  store    --dir runs/ [--action list|add|remove|repack]\n"
+       "           [--run run.dvr] [--name NAME] [--format dvr|text]\n"
+       "           (add and repack default to dvr; text stores NAME.json)\n"},
+      {"pack", cmd_pack,
+       {"in", "out", "format"},
+       "  pack     --in run.json --out run.dvr [--format text|dvr]\n"
+       "           (lossless conversion between text and packed columnar\n"
+       "           runs; every reader accepts both, bit-identically; --out\n"
+       "           *.json is text, any other path dvr, and --format must\n"
+       "           agree)\n"},
+      {"inspect", cmd_inspect,
+       {"run"},
+       "  inspect  --run run.dvr   (header, chunk directory, zone maps —\n"
+       "           reads no column payload; see docs/RUN_FORMAT.md)\n"},
+      {"session", cmd_session,
+       {"run", "spec", "out", "width", "height", "t0", "t1", "window",
+        "brush", "cache-stats"},
+       "  session  --run run.json --spec spec.json --out ui.svg\n"
+       "           [--width PX] [--height PX]\n"
+       "           [--t0 NS --t1 NS | --window T0:T1] [--brush axis:lo:hi]\n"
+       "           [--cache-stats]\n"},
+      {"compare", cmd_compare,
+       {"run", "spec", "out", "size"},
+       "  compare  --run a.json --run b.json ... --spec spec.json --out c.svg\n"
+       "           [--size PX]\n"},
+      {"export", cmd_export,
+       {"run", "entity", "out"},
+       "  export   --run run.json --entity terminals|routers|local_links|"
+       "global_links --out t.csv\n"},
+      {"info", cmd_info, {"run"}, "  info     --run run.json\n"},
+      {"report", cmd_report,
+       {"run", "spec", "out", "title", "window", "cache-stats"},
+       "  report   --run run.json [--run more.json ...] --spec spec.json\n"
+       "           --out report.html [--title T] [--window T0:T1]"
+       " [--cache-stats]\n"},
+      {"serve", cmd_serve,
+       {"listen", "run", "lazy", "store", "workers", "max-queue",
+        "max-sessions", "cache-capacity", "cache-shards", "ready-file"},
+       "  serve    [--listen unix:/path|tcp:PORT] [--run [name=]run.json ...]\n"
+       "           [--lazy]  (attach preloads without materializing; runs\n"
+       "           parse on first use — sweep-scale catalogs open instantly)\n"
+       "           [--store DIR ...]  (lazily attach every run of a RunStore,\n"
+       "           e.g. a sweep's output directory)\n"
+       "           [--workers N] [--max-queue N] [--max-sessions N]\n"
+       "           [--cache-capacity N] [--cache-shards N]"
+       " [--ready-file F]\n"
+       "           (multi-tenant query daemon; see docs/SERVE_PROTOCOL.md)\n"},
+      {"client", cmd_client,
+       {"connect", "load", "render", "spec", "out", "run", "size", "title",
+        "window", "focus", "report", "list", "stats", "shutdown"},
+       "  client   [--connect ADDR] [--load [name=]run.json ...]\n"
+       "           [--render --spec S --out view.svg [--run NAME] [--size PX]\n"
+       "            [--title T] [--window T0:T1] [--focus ring:item]]\n"
+       "           [--report --spec S --out report.html [--run NAME ...]]\n"
+       "           [--list] [--stats] [--shutdown]\n"},
+      {"trace-record", cmd_trace_record,
+       {"workload", "ranks", "bytes", "window", "seed", "out"},
+       "  trace-record --workload amg --ranks N --bytes B --out t.dvtr\n"
+       "           [--window NS] [--seed N]\n"},
+      {"trace-info", cmd_trace_info,
+       {"trace"},
+       "  trace-info   --trace t.dvtr\n"},
+      {"trace-replay", cmd_trace_replay,
+       {"trace", "p", "out", "placement", "routing", "seed", "sample-dt",
+        "parallel", "faults", "fault", "fault-retry-base",
+        "fault-retry-budget"},
+       "  trace-replay --trace t.dvtr --p N --out run.dvr\n"
+       "           (--out *.json writes the text export)\n"
+       "           [--placement P] [--routing R] [--seed N] [--sample-dt NS]\n"
+       "           [--parallel N] [--faults plan.txt] [--fault SPEC ...]\n"
+       "           [--fault-retry-base NS] [--fault-retry-budget N]\n"},
+  };
+  return table;
+}
+
 void print_help() {
   std::printf(
       "dragonviz — visual analytics for large-scale dragonfly networks\n\n"
       "every subcommand takes [--profile[=prof.json]]  (counters + phase\n"
       "breakdown of the invocation; bare --profile names it after --out)\n\n"
-      "subcommands:\n"
-      "  sim      --p N --job workload[:ranks[:policy]] ... --out run.dvr\n"
-      "           (--out *.json writes the text export; any other path\n"
-      "           the packed .dvr format)\n"
-      "           [--routing minimal|nonminimal|adaptive|par]\n"
-      "           [--scale F] [--window NS] [--sample-dt NS] [--seed N]\n"
-      "           [--parallel N]  (N>1: conservative parallel engine with\n"
-      "           N group-partitions; same seed => identical metrics for\n"
-      "           minimal/nonminimal routing; env DV_PARALLEL as default)\n"
-      "           [--faults plan.txt] [--fault SPEC ...]  (fault injection;\n"
-      "           SPEC: link:g0.r1->g2.r0@T0[:T1] | link:g0->g2@T0[:T1] |\n"
-      "           router:g1.r2@T0[:T1], times in ns, no T1 = permanent)\n"
-      "           [--fault-retry-base NS] [--fault-retry-budget N]\n"
-      "           [--backend packet|flow]  (flow: max-min water-filling\n"
-      "           fluid model — same RunMetrics schema, orders of magnitude\n"
-      "           faster; no faults) [--epoch-dt NS] (> 0; omit for auto)\n"
-      "           [--flow-stepping event|fixed]  (event = run to the next\n"
-      "           rate change; fixed = PR-8 fixed-epoch loop)\n"
-      "           [--flow-coarsen]  (flow: one bundle per router pair —\n"
-      "           much faster under uniform-random; terminals of a router\n"
-      "           share latency/saturation attribution)\n"
-      "  sweep    --store DIR [--backend packet|flow] [--p N]\n"
-      "           [--workloads a,b|--workload W ...]\n"
-      "           [--routings a,b|--routing R ...]"
-      " [--scales 0.5,1|--scale F ...]\n"
-      "           [--window NS] [--seed N] [--sample-dt NS]"
-      " [--bytes-per-rank B]\n"
-      "           [--epoch-dt NS] [--flow-stepping S] [--flow-coarsen]\n"
-      "           [--parallel N] [--faults plan.txt] [--fault SPEC ...]\n"
-      "           [--fault-retry-base NS] [--fault-retry-budget N]"
-      "  (packet only)\n"
-      "           [--format text|dvr] [--report out.html]"
-      " [--spec S] [--title T]\n"
-      "           (fans the grid, one packed run per point, deterministic\n"
-      "           content uids; report = side-by-side shared-scale panels)\n"
-      "  render   --run run.json --spec spec.json --out view.svg [--size PX]\n"
-      "           [--focus ring:item]   (click-to-focus drill-down)\n"
-      "           [--window T0:T1]      (time-window the aggregation, ns)\n"
-      "           [--cache-stats]\n"
-      "  store    --dir runs/ [--action list|add|remove|repack]\n"
-      "           [--run run.dvr] [--name NAME] [--format dvr|text]\n"
-      "           (add and repack default to dvr; text stores NAME.json)\n"
-      "  pack     --in run.json --out run.dvr [--format text|dvr]\n"
-      "           (lossless conversion between text and packed columnar\n"
-      "           runs; every reader accepts both, bit-identically; --out\n"
-      "           *.json is text, any other path dvr, and --format must\n"
-      "           agree)\n"
-      "  inspect  --run run.dvr   (header, chunk directory, zone maps —\n"
-      "           reads no column payload; see docs/RUN_FORMAT.md)\n"
-      "  session  --run run.json --spec spec.json --out ui.svg\n"
-      "           [--t0 NS --t1 NS | --window T0:T1] [--brush axis:lo:hi]\n"
-      "           [--cache-stats]\n"
-      "  compare  --run a.json --run b.json ... --spec spec.json --out c.svg\n"
-      "  export   --run run.json --entity terminals|routers|local_links|"
-      "global_links --out t.csv\n"
-      "  info     --run run.json\n"
-      "  report   --run run.json [--run more.json ...] --spec spec.json\n"
-      "           --out report.html [--title T] [--window T0:T1]"
-      " [--cache-stats]\n"
-      "  serve    [--listen unix:/path|tcp:PORT] [--run [name=]run.json ...]\n"
-      "           [--lazy]  (attach preloads without materializing; runs\n"
-      "           parse on first use — sweep-scale catalogs open instantly)\n"
-      "           [--store DIR ...]  (lazily attach every run of a RunStore,\n"
-      "           e.g. a sweep's output directory)\n"
-      "           [--workers N] [--max-queue N] [--max-sessions N]\n"
-      "           [--cache-capacity N] [--cache-shards N]"
-      " [--ready-file F]\n"
-      "           (multi-tenant query daemon; see docs/SERVE_PROTOCOL.md)\n"
-      "  client   [--connect ADDR] [--load [name=]run.json ...]\n"
-      "           [--render --spec S --out view.svg [--run NAME] [--size PX]\n"
-      "            [--title T] [--window T0:T1] [--focus ring:item]]\n"
-      "           [--report --spec S --out report.html [--run NAME ...]]\n"
-      "           [--list] [--stats] [--shutdown]\n"
-      "  trace-record --workload amg --ranks N --bytes B --out t.dvtr\n"
-      "  trace-info   --trace t.dvtr\n"
-      "  trace-replay --trace t.dvtr --p N --out run.dvr\n"
-      "           (--out *.json writes the text export)\n"
-      "           [--placement P] [--routing R] [--sample-dt NS]"
-      " [--parallel N]\n"
-      "           [--faults plan.txt] [--fault SPEC ...]\n\n"
+      "subcommands:\n");
+  for (const Command& c : commands()) std::printf("%s", c.help);
+  std::printf(
+      "\n"
       "workloads: uniform_random nearest_neighbor all_to_all permutation\n"
       "           bisection amg amr_boxlib minife\n"
       "policies:  contiguous random_group random_router random_node\n");
 }
 
-int dispatch(const std::string& cmd, const Args& args) {
-  if (cmd == "sim") return cmd_sim(args);
-  if (cmd == "sweep") return cmd_sweep(args);
-  if (cmd == "render") return cmd_render(args);
-  if (cmd == "session") return cmd_session(args);
-  if (cmd == "compare") return cmd_compare(args);
-  if (cmd == "export") return cmd_export(args);
-  if (cmd == "info") return cmd_info(args);
-  if (cmd == "trace-record") return cmd_trace_record(args);
-  if (cmd == "trace-info") return cmd_trace_info(args);
-  if (cmd == "trace-replay") return cmd_trace_replay(args);
-  if (cmd == "report") return cmd_report(args);
-  if (cmd == "store") return cmd_store(args);
-  if (cmd == "pack") return cmd_pack(args);
-  if (cmd == "inspect") return cmd_inspect(args);
-  if (cmd == "serve") return cmd_serve(args);
-  if (cmd == "client") return cmd_client(args);
-  throw Error("unknown subcommand: " + cmd + " (try --help)");
-}
-
 }  // namespace
+
+std::vector<CommandOptions> command_options() {
+  std::vector<CommandOptions> out;
+  for (const Command& c : commands()) out.push_back({c.name, c.keys, c.help});
+  return out;
+}
 
 int run_cli(int argc, char** argv) {
   if (argc < 2 || std::string(argv[1]) == "--help" ||
@@ -1003,9 +1077,21 @@ int run_cli(int argc, char** argv) {
     return argc < 2 ? 1 : 0;
   }
   const std::string cmd = argv[1];
+  const auto& table = commands();
+  const auto c = std::find_if(table.begin(), table.end(),
+                              [&](const Command& e) { return cmd == e.name; });
+  if (c == table.end()) {
+    throw Error("unknown subcommand: " + cmd + " (try --help)");
+  }
   const Args args = Args::parse(cmd, argc, argv, 2);
+  for (const auto& [key, values] : args.opts) {
+    if (key != "profile" &&
+        std::find(c->keys.begin(), c->keys.end(), key) == c->keys.end()) {
+      throw Error(cmd + ": unknown option --" + key);
+    }
+  }
   obs::reset();  // profile this invocation only
-  const int rc = dispatch(cmd, args);
+  const int rc = c->fn(args);
   maybe_write_profile(cmd, args);
   return rc;
 }

@@ -137,15 +137,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     if (cfg.sample_dt > 0) net.enable_sampling(cfg.sample_dt);
     if (cfg.flow_epoch_dt != 0) net.set_epoch_dt(cfg.flow_epoch_dt);
     if (cfg.flow_coarsen) net.enable_coarsening();
-    {
-      const std::string s = to_lower(trim(cfg.flow_stepping));
-      if (s == "fixed") {
-        net.set_stepping(flow::FlowNetwork::Stepping::kFixedEpoch);
-      } else if (s != "event" && !s.empty()) {
-        throw Error("unknown flow stepping: " + cfg.flow_stepping +
-                    " (expected event|fixed)");
-      }
-    }
     setup_phase.reset();
 
     const auto t0 = std::chrono::steady_clock::now();

@@ -64,9 +64,6 @@ struct ExperimentConfig {
   /// per-terminal latency/saturation attribution (terminals of one router
   /// share FIFO order and saturation). Rejected with --backend packet.
   bool flow_coarsen = false;
-  /// Flow backend time stepping: "event" (default — run to the next
-  /// rate-changing event) or "fixed" (the PR-8 fixed-epoch loop).
-  std::string flow_stepping = "event";
 
   /// Human-readable placement label ("contiguous", "random_router",
   /// "hybrid(...)" when jobs differ).

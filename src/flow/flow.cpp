@@ -24,11 +24,11 @@ constexpr std::uint64_t kMaxEpochs = 1u << 22;
 /// (batch of one) below 16 active bundles, so light load keeps
 /// per-completion fidelity while heavy UR pays O(16 ln n) solves total.
 constexpr std::size_t kCompletionBatch = 16;
-/// Event solves apply demand caps (backlog / quantum — the fixed-epoch
-/// semantics that keeps solved utilization an honest congestion signal
-/// for the adaptive comparison) only below this active count. Past it a
-/// backlog dwarfs any fair share, the caps cannot bind, and skipping them
-/// skips the O(n log n) cap sort in every solve.
+/// Event solves apply demand caps (backlog / quantum — what keeps solved
+/// utilization an honest congestion signal for the adaptive comparison)
+/// only below this active count. Past it a backlog dwarfs any fair share,
+/// the caps cannot bind, and skipping them skips the O(n log n) cap sort
+/// in every solve.
 constexpr std::size_t kCapSolveLimit = 4096;
 
 }  // namespace
@@ -408,7 +408,6 @@ FlowNetwork::FlowNetwork(const topo::Dragonfly& topo, routing::Algo algo,
   }
   link_traffic_.assign(nlinks, 0.0);
   link_sat_.assign(nlinks, 0.0);
-  link_saturated_.assign(nlinks, 0);
   link_util_.assign(nlinks, 0.0);
 
   term_rng_.reserve(nterm_);
@@ -470,11 +469,6 @@ void FlowNetwork::set_epoch_dt(double dt) {
   epoch_dt_ = dt;
 }
 
-void FlowNetwork::set_stepping(Stepping s) {
-  DV_REQUIRE(!ran_, "set_stepping after run()");
-  stepping_ = s;
-}
-
 void FlowNetwork::enable_coarsening() {
   DV_REQUIRE(!ran_, "enable_coarsening after run()");
   if (coarsen_) return;
@@ -488,7 +482,6 @@ void FlowNetwork::enable_coarsening() {
                    cap);
   link_traffic_.resize(capacity_.size(), 0.0);
   link_sat_.resize(capacity_.size(), 0.0);
-  link_saturated_.resize(capacity_.size(), 0);
   link_util_.resize(capacity_.size(), 0.0);
   if (sample_dt_ > 0.0) {
     prev_traffic_.resize(capacity_.size(), 0.0);
@@ -634,7 +627,7 @@ void FlowNetwork::decide_route(Bundle& b) {
   }
 }
 
-// -------------------------------------------------------------- epoching
+// -------------------------------------------------------------- bundles
 
 std::uint32_t FlowNetwork::bundle_of(std::uint32_t src, std::uint32_t dst) {
   std::uint32_t bsrc = src;
@@ -658,42 +651,6 @@ std::uint32_t FlowNetwork::bundle_of(std::uint32_t src, std::uint32_t dst) {
   bundles_.push_back(std::move(b));
   bundle_index_.emplace(key, id);
   return id;
-}
-
-void FlowNetwork::solve_epoch(double dt) {
-  // resize + assign (not clear + push_back) keeps each slot's links
-  // capacity across epochs — the solve path allocates nothing steady-state.
-  scratch_flows_.resize(active_.size());
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    const Bundle& b = bundles_[active_[i]];
-    SolverFlow& f = scratch_flows_[i];
-    f.links.assign(b.links.begin(), b.links.end());
-    f.rate_cap = b.backlog / dt;
-  }
-  const SolverResult res = water_fill(capacity_, scratch_flows_);
-  ++solves_;
-  ++full_solves_;
-  solver_rounds_ += res.rounds;
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    bundles_[active_[i]].rate = res.rates[i];
-  }
-  // Utilization + saturation snapshot for routing decisions and sat time.
-  // Links used in the previous solve but idle now decay to zero first.
-  for (const std::uint32_t l : used_links_) link_util_[l] = 0.0;
-  used_links_.clear();
-  sat_links_.clear();
-  for (const std::uint32_t id : active_) {
-    for (const std::uint32_t l : bundles_[id].links) {
-      if (link_saturated_[l]) continue;  // already visited this solve
-      link_saturated_[l] = 1;
-      used_links_.push_back(l);
-      link_util_[l] = res.link_load[l] / capacity_[l];
-      if (res.link_load[l] >= capacity_[l] * kSatFrac) {
-        sat_links_.push_back(l);
-      }
-    }
-  }
-  for (const std::uint32_t l : used_links_) link_saturated_[l] = 0;
 }
 
 bool FlowNetwork::drain_epoch(double t0, double dt) {
@@ -910,12 +867,12 @@ double FlowNetwork::run_event(const std::vector<std::uint32_t>& order,
   std::vector<std::uint32_t> pending;  // activated, not yet solved in
   std::vector<std::uint32_t> removed;  // completed, not yet solved out
   double t = 0.0;
-  double frame_next = dt;  // accumulated like the fixed loop's t += dt
+  double frame_next = dt;  // summed, not k * dt: run uids pin end_time
   double batch_t = kInf;   // completion-batch target from the last solve
 
   // A message activates at the start of the length-dt interval containing
-  // its issue time — the fixed-epoch activation semantics, which is what
-  // keeps the two steppings aligned when completions land on boundaries.
+  // its issue time, so demand that lands mid-quantum joins the solve at
+  // the quantum's boundary.
   auto quantum = [dt](double time) { return std::floor(time / dt) * dt; };
 
   while (next < order.size() || !active_.empty()) {
@@ -992,7 +949,7 @@ double FlowNetwork::run_event(const std::vector<std::uint32_t>& order,
       }
     } else if (!removed.empty()) {
       // Completions also batch: freed capacity sits idle (the fluid
-      // analog of the fixed loop's one-epoch redistribution delay) until
+      // analog of a control-loop redistribution delay) until
       // the accumulated removals reach 1/16th of what's still active —
       // otherwise every injection quantum that happens to see a straggler
       // completion would pay a full-size re-solve.
@@ -1032,92 +989,6 @@ double FlowNetwork::run_event(const std::vector<std::uint32_t>& order,
 
 // ------------------------------------------------------------------- run
 
-double FlowNetwork::run_fixed(const std::vector<std::uint32_t>& order,
-                              double dt) {
-  double t = 0.0;
-  std::size_t next = 0;
-  std::vector<std::uint32_t> activated;
-  bool need_solve = true;
-  while (next < order.size() || !active_.empty()) {
-    DV_REQUIRE(++epochs_ < kMaxEpochs,
-               "flow simulation failed to drain (epoch guard)");
-    // Idle gap: jump to the epoch containing the next injection,
-    // emitting zero frames so sampled series stay contiguous from t=0.
-    if (active_.empty() && next < order.size()) {
-      const double next_time = messages_[order[next]].time;
-      while (t + dt <= next_time) {
-        if (sample_dt_ > 0.0) push_sample_frame();
-        t += dt;
-      }
-    }
-    const double t1 = t + dt;
-    activated.clear();
-    while (next < order.size() && messages_[order[next]].time < t1) {
-      const netsim::Message& m = messages_[order[next]];
-      const std::uint32_t id = bundle_of(m.src_terminal, m.dst_terminal);
-      Bundle& b = bundles_[id];
-      if (b.fifo.empty() && b.backlog <= 0.0) {
-        decide_route(b);
-        activated.push_back(id);
-      }
-      b.fifo.push_back(PendingMsg{static_cast<double>(m.bytes), m.time,
-                                  m.bytes, m.src_terminal, m.dst_terminal});
-      b.backlog += static_cast<double>(m.bytes);
-      ++next;
-    }
-    if (!activated.empty()) {
-      active_.insert(active_.end(), activated.begin(), activated.end());
-      std::sort(active_.begin(), active_.end());
-      active_.erase(std::unique(active_.begin(), active_.end()),
-                    active_.end());
-      need_solve = true;
-    }
-    // Rates only change when the active set does (a new demand arrives
-    // or a bundle drains); every other epoch reuses the last max-min
-    // allocation and just advances the drain accounting. Redistribution
-    // after a completion lands one epoch later — the fluid analog of a
-    // control-loop delay — which keeps heavy sweeps out of the
-    // solve-per-epoch regime.
-    if (need_solve) solve_epoch(dt);
-    // Epoch batching: while the allocation is frozen, drain accounting
-    // is linear in dt (sat += dt, exact in-epoch completion times), so
-    // one drain_epoch call over k whole epochs lands on the same state
-    // as k unit steps. k stops at the first event that changes rates:
-    // the earliest bundle to fully drain or the next injection epoch.
-    // Sampled runs step one epoch at a time — each epoch is a frame.
-    double step = dt;
-    if (sample_dt_ <= 0.0 && !active_.empty()) {
-      double k = std::numeric_limits<double>::infinity();
-      for (const std::uint32_t id : active_) {
-        const Bundle& b = bundles_[id];
-        if (b.rate <= 0.0) {
-          k = 1.0;
-          break;
-        }
-        k = std::min(k, std::ceil(b.backlog / (b.rate * dt)));
-      }
-      if (next < order.size()) {
-        k = std::min(k, std::floor((messages_[order[next]].time - t) / dt));
-      }
-      step = std::max(1.0, k) * dt;
-    }
-    need_solve = drain_epoch(t, step);
-    if (sample_dt_ > 0.0) push_sample_frame();
-    t = sample_dt_ > 0.0 ? t1 : t + step;
-  }
-  // Sampled runs keep ticking until the frames cover the last arrival —
-  // netsim's sampling loop ends only once the event queue is empty, so
-  // end_time ≈ frames * dt holds for both backends.
-  if (sample_dt_ > 0.0) {
-    while (t < max_delivery_) {
-      push_sample_frame();
-      t += dt;
-    }
-    return t;
-  }
-  return max_delivery_;
-}
-
 metrics::RunMetrics FlowNetwork::run() {
   DV_REQUIRE(!ran_, "run() already called");
   ran_ = true;
@@ -1147,8 +1018,7 @@ metrics::RunMetrics FlowNetwork::run() {
   double end = 0.0;
   {
     obs::ScopedPhase phase("sim");
-    end = stepping_ == Stepping::kEvent ? run_event(order, dt)
-                                        : run_fixed(order, dt);
+    end = run_event(order, dt);
   }
 
   DV_CHECK(msgs_finished_ == messages_.size(),

@@ -11,15 +11,14 @@
 // simulator). Demands activate when the workload issues them and drain at
 // the allocated rates.
 //
-// Time advances event-driven (Stepping::kEvent, the default): each step
-// runs to the next rate-changing event — the next injection quantum, a
-// batch of bundle completions, or a sampling-frame boundary — instead of
-// grinding fixed epochs through the long drain tail. Completions shrink
+// Time advances event-driven, with one stepper: each step runs to the
+// next rate-changing event — the next injection quantum, a batch of
+// bundle completions, or a sampling-frame boundary — so the long drain
+// tail costs a few steps, not one per tick. Completions shrink
 // the active set, and shrink-only changes re-solve *incrementally*
 // (water_fill_removed): finished bundles' rates leave their links and
 // water-filling re-runs restricted to the flows the perturbation can
 // actually reach, falling back to a full solve when the cascade spreads.
-// Stepping::kFixedEpoch keeps the PR-8 fixed-tick loop for comparison.
 //
 // The whole point is schema fidelity: FlowNetwork emits the *same*
 // RunMetrics record (link rows with netsim's src/dst port conventions,
@@ -114,12 +113,6 @@ IncrementalResult water_fill_removed(const std::vector<double>& capacity,
 /// with no translation layer.
 class FlowNetwork {
  public:
-  /// Time-stepping strategy. kEvent advances to the exact next
-  /// rate-changing event (injection quantum, completion batch, frame
-  /// boundary); kFixedEpoch is the PR-8 fixed-tick loop, kept as the
-  /// comparison baseline for the event engine's equivalence tests.
-  enum class Stepping { kEvent, kFixedEpoch };
-
   FlowNetwork(const topo::Dragonfly& topo, routing::Algo algo,
               netsim::Params params = {}, std::uint64_t seed = 1);
 
@@ -144,8 +137,6 @@ class FlowNetwork {
   /// while sampling — the quantum locks to the sampling dt). When never
   /// called, the quantum is auto-sized to 1/256 of the injection span.
   void set_epoch_dt(double dt);
-
-  void set_stepping(Stepping s);
 
   /// Aggregates demand per (src router, dst router) instead of per
   /// terminal pair — O(routers^2) bundles instead of O(terminals^2), the
@@ -245,19 +236,16 @@ class FlowNetwork {
   void decide_route(Bundle& b);
 
   std::uint32_t bundle_of(std::uint32_t src, std::uint32_t dst);
-  void solve_epoch(double dt);
   /// Returns true when any bundle fully drained (the active set changed,
-  /// so the next epoch must re-solve).
+  /// so the next step must re-solve).
   bool drain_epoch(double t0, double dt);
   void push_sample_frame();
   void collect(metrics::RunMetrics& out, double end);
   void publish_run_obs(const metrics::RunMetrics& out);
 
-  // Event-driven engine (Stepping::kEvent).
+  // Event-driven stepper.
   /// Returns the simulated end time (sampled: last frame boundary).
   double run_event(const std::vector<std::uint32_t>& order, double dt);
-  /// PR-8 fixed-epoch loop, kept verbatim (Stepping::kFixedEpoch).
-  double run_fixed(const std::vector<std::uint32_t>& order, double dt);
   void solve_event_full(double dt);
   /// Shrink-only re-solve: `removed` is the accumulated completion batch
   /// since the last solve (still cap-alive in ev_flows_; zeroed here).
@@ -280,8 +268,6 @@ class FlowNetwork {
   std::vector<double> link_traffic_; ///< per link, cumulative bytes
   std::vector<double> link_sat_;     ///< per link, cumulative saturated ns
   std::vector<double> link_util_;    ///< load/capacity from the last solve
-  std::vector<std::uint8_t> link_saturated_;  ///< solve-scope visit marker
-  std::vector<std::uint32_t> used_links_;     ///< links in the last solve
   std::vector<std::uint32_t> sat_links_;      ///< saturated-link list
 
   std::vector<netsim::Message> messages_;
@@ -322,11 +308,10 @@ class FlowNetwork {
   double max_delivery_ = 0.0;
   bool ran_ = false;
   bool coarsen_ = false;
-  Stepping stepping_ = Stepping::kEvent;
 
   // Event-engine solver state: one persistent SolverFlow per bundle
   // (rate_cap <= 0 = absent), so incremental re-solves have a stable flow
-  // index space and full solves skip the per-epoch path copies.
+  // index space and full solves skip per-step path copies.
   std::vector<SolverFlow> ev_flows_;
   SolverResult ev_state_;
   /// The last event solve froze some flow at its demand cap; such rates
@@ -334,8 +319,7 @@ class FlowNetwork {
   /// the frozen allocation and must full-solve.
   bool ev_cap_bound_ = false;
 
-  // Scratch reused across epochs.
-  std::vector<SolverFlow> scratch_flows_;
+  // Scratch reused across steps.
   std::vector<std::uint32_t> drained_;
   std::vector<double> comp_scratch_;
 };

@@ -4,8 +4,6 @@
 #include <barrier>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <thread>
 
@@ -38,20 +36,11 @@ void backoff(std::uint32_t spins) {
   std::this_thread::yield();
 }
 
-ParallelSimulator::SyncMode default_sync_mode() {
-  const char* env = std::getenv("DV_PAR_SYNC");
-  if (env && std::strcmp(env, "barrier") == 0) {
-    return ParallelSimulator::SyncMode::kBarrier;
-  }
-  return ParallelSimulator::SyncMode::kPairwise;
-}
-
 }  // namespace
 
 ParallelSimulator::ParallelSimulator(std::size_t partitions,
                                      double lookahead)
-    : lookahead_(lookahead), sync_mode_(default_sync_mode()),
-      pool_(partitions) {
+    : lookahead_(lookahead), pool_(partitions) {
   DV_REQUIRE(partitions >= 1, "need at least one partition");
   DV_REQUIRE(lookahead > 0.0, "conservative lookahead must be positive");
   DV_REQUIRE(partitions <= (1u << 22),
@@ -59,7 +48,6 @@ ParallelSimulator::ParallelSimulator(std::size_t partitions,
   parts_.reserve(partitions);
   for (std::size_t i = 0; i < partitions; ++i) {
     parts_.push_back(std::make_unique<Partition>());
-    parts_.back()->outbox.resize(partitions);
     // The lookahead floor is the engine's own lower bound on
     // cross-partition delays, which makes it a sound default bucket width
     // for the near-future fast path (see bucket_sched.hpp; sub-width
@@ -119,11 +107,6 @@ double ParallelSimulator::pair_lookahead(std::uint32_t src,
   return la_[src * parts_.size() + dst];
 }
 
-void ParallelSimulator::set_sync_mode(SyncMode mode) {
-  DV_REQUIRE(!running_, "set_sync_mode during a run");
-  sync_mode_ = mode;
-}
-
 void ParallelSimulator::schedule(SimTime t, LpId lp, std::uint32_t kind,
                                  std::uint64_t data0, std::uint64_t data1,
                                  std::uint64_t pri) {
@@ -155,16 +138,8 @@ void ParallelContext::schedule(SimTime t, LpId lp, std::uint32_t kind,
   DV_REQUIRE(t >= now_ + sim_->la(partition_, target),
              "cross-partition event violates the pairwise lookahead "
              "contract");
-  if (sim_->sync_mode_ == ParallelSimulator::SyncMode::kBarrier) {
-    // seq is assigned when the outboxes are drained at the barrier; the
-    // outbox cell is owned by this partition's worker, so no lock.
-    mine.outbox[target].push_back(Event{.time = t, .pri = pri, .seq = 0,
-                                        .lp = lp, .kind = kind,
-                                        .data0 = data0, .data1 = data1});
-    return;
-  }
-  // Pairwise mode: the sender stamps the deterministic sequence number and
-  // mails the event directly; the receiver drains the channel on its next
+  // The sender stamps the deterministic sequence number and mails the
+  // event directly; the receiver drains the channel on its next
   // negotiation round.
   auto& ch = sim_->channel(partition_, target);
   const std::uint64_t seq =
@@ -175,39 +150,12 @@ void ParallelContext::schedule(SimTime t, LpId lp, std::uint32_t kind,
                          .kind = kind, .data0 = data0, .data1 = data1});
 }
 
-void ParallelSimulator::process_window(std::uint32_t p) {
-  Partition& part = *parts_[p];
-#ifdef DV_OBS_ENABLED
-  const auto t0 = std::chrono::steady_clock::now();
-#endif
-  try {
-    Event ev;
-    while (!part.queue.empty() && part.queue.top().time < window_end_) {
-      part.queue.pop_into(ev);
-      ++part.processed;
-      if (budget_ != 0 && part.processed > budget_) {
-        throw Error("simulation event budget exceeded");
-      }
-      part.last_time = ev.time;
-      ParallelContext ctx(this, p, ev.time);
-      lps_[ev.lp]->on_event(ctx, ev);
-    }
-  } catch (...) {
-    part.error = std::current_exception();
-  }
-#ifdef DV_OBS_ENABLED
-  part.busy_seconds += std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-#endif
-}
-
 void ParallelSimulator::run_single_partition() {
   // One partition owns every LP, so no event can cross a partition
-  // boundary and both protocols degenerate to "drain the queue in
+  // boundary and window negotiation degenerates to "drain the queue in
   // (time, pri, seq) order" — exactly the sequential engine's loop. Skip
-  // the per-window bookkeeping entirely; the pop order (and therefore the
-  // model output) is byte-identical to the windowed execution.
+  // the per-round bookkeeping entirely; the pop order (and therefore the
+  // model output) is byte-identical to the negotiated execution.
   Partition& part = *parts_[0];
 #ifdef DV_OBS_ENABLED
   const auto t0 = std::chrono::steady_clock::now();
@@ -443,102 +391,6 @@ void ParallelSimulator::drain_channels_sequential() {
   }
 }
 
-// -------------------------------------------------------------- barrier
-
-void ParallelSimulator::drain_outboxes() {
-  const std::size_t n = parts_.size();
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    drain_buf_.clear();
-    for (std::size_t src = 0; src < n; ++src) {
-      auto& box = parts_[src]->outbox[dst];
-      drain_buf_.insert(drain_buf_.end(), box.begin(), box.end());
-      box.clear();
-    }
-    if (drain_buf_.empty()) continue;
-    // (time, pri) with source order breaking exact ties: thread-timing
-    // independent, and partition-count independent when pris are unique.
-    std::stable_sort(drain_buf_.begin(), drain_buf_.end(),
-                     [](const Event& a, const Event& b) {
-                       if (a.time != b.time) return a.time < b.time;
-                       return a.pri < b.pri;
-                     });
-    Partition& part = *parts_[dst];
-    for (Event ev : drain_buf_) {
-      ev.seq = part.next_seq++;
-      part.queue.push(ev);
-    }
-  }
-}
-
-void ParallelSimulator::advance_window() noexcept {
-  try {
-    for (const auto& part : parts_) {
-      if (part->error) {
-        done_ = true;
-        return;
-      }
-    }
-    drain_outboxes();
-    if (budget_ != 0 && events_processed() > budget_) {
-      budget_exceeded_.store(true, std::memory_order_relaxed);
-      done_ = true;
-      return;
-    }
-    // Global lower bound on the next event.
-    SimTime gvt = std::numeric_limits<SimTime>::infinity();
-    for (const auto& part : parts_) {
-      if (!part->queue.empty()) gvt = std::min(gvt, part->queue.top().time);
-    }
-    if (!std::isfinite(gvt) || gvt > t_end_) {
-      done_ = true;
-      return;
-    }
-    ++windows_;
-    // Match Simulator::run_until semantics: events with time <= t_end run.
-    window_end_ = std::min(
-        gvt + lookahead_,
-        std::nextafter(t_end_, std::numeric_limits<SimTime>::infinity()));
-  } catch (...) {
-    if (!parts_[0]->error) parts_[0]->error = std::current_exception();
-    done_ = true;
-  }
-}
-
-void ParallelSimulator::run_barrier_mode() {
-  advance_window();  // establishes the first window (or flags done)
-  if (done_) return;
-  // Long-lived workers: one per partition, looping process-window /
-  // barrier. The completion step runs advance_window with every worker
-  // parked, which is what makes the unlocked outbox/queue accesses there
-  // safe; the barrier also publishes window_end_ and done_ to the
-  // workers.
-  std::barrier bar(static_cast<std::ptrdiff_t>(parts_.size()),
-                   [this]() noexcept { advance_window(); });
-  for (std::uint32_t p = 0; p < parts_.size(); ++p) {
-    pool_.submit([this, p, &bar] {
-#ifdef DV_OBS_ENABLED
-      const auto loop_t0 = std::chrono::steady_clock::now();
-      const double busy_at_entry = parts_[p]->busy_seconds;
-#endif
-      for (;;) {
-        process_window(p);
-        bar.arrive_and_wait();
-        if (done_) break;
-      }
-#ifdef DV_OBS_ENABLED
-      const double loop_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        loop_t0)
-              .count();
-      const double wait =
-          loop_seconds - (parts_[p]->busy_seconds - busy_at_entry);
-      if (wait > 0.0) parts_[p]->wait_seconds += wait;
-#endif
-    });
-  }
-  pool_.wait_idle();
-}
-
 // ------------------------------------------------------------------ run
 
 void ParallelSimulator::publish_obs(double loop_seconds) {
@@ -571,17 +423,16 @@ void ParallelSimulator::publish_obs(double loop_seconds) {
   obs::counter("par.events_processed").add(total);
   obs::counter("par.sched.bucket_pushes").add(sched_bucketed);
   obs::counter("par.sched.heap_pushes").add(sched_heap);
-  obs::counter("par.windows").add(windows_);
-  // Pairwise-mode telemetry: negotiation rounds across workers, and how
-  // many of them made no progress (a stall = one spin/yield waiting for
-  // an in-neighbour's bound to move).
+  // Negotiation rounds across workers, and how many of them made no
+  // progress (a stall = one spin/yield waiting for an in-neighbour's
+  // bound to move).
   obs::counter("par.window.rounds").add(rounds);
   obs::counter("par.window.stalls").add(stalls);
   obs::gauge("par.run_seconds").add(loop_seconds);
   // Total wait: the span the whole run spends not executing events,
-  // summed over workers (barrier rendezvous or pairwise stall spins).
+  // summed over workers (stall spins and rendezvous waits).
   const double wait = loop_seconds * static_cast<double>(parts_.size()) - busy;
-  if (wait > 0.0) obs::gauge("par.barrier_wait_seconds").add(wait);
+  if (wait > 0.0) obs::gauge("par.wait_seconds").add(wait);
 #else
   (void)loop_seconds;
 #endif
@@ -598,14 +449,11 @@ void ParallelSimulator::run_until(SimTime t_end) {
   t_end_ = t_end;
   done_ = false;
   budget_exceeded_.store(false, std::memory_order_relaxed);
-  windows_ = 0;
   sync_requested_.store(false, std::memory_order_relaxed);
   for (auto& part : parts_) part->error = nullptr;
 
   if (parts_.size() == 1) {
     run_single_partition();
-  } else if (sync_mode_ == SyncMode::kBarrier) {
-    run_barrier_mode();
   } else {
     // Pairwise negotiation. Skip worker launch when nothing is due.
     SimTime gvt = kInf;

@@ -4,23 +4,18 @@
 // provides the conservative counterpart for multi-threaded execution.
 // Logical processes are partitioned across worker threads and every event
 // scheduled for an LP in a *different* partition must clear that pair's
-// lookahead: `t >= now + pair_lookahead(src, dst)`. The engine supports
-// two synchronization protocols over the same contract:
+// lookahead: `t >= now + pair_lookahead(src, dst)`.
 //
-// - kPairwise (default): barrier-free window negotiation. Every partition
-//   publishes a monotone lower bound `lb` on anything it will still
-//   execute or send; a worker advances to
-//   `safe = min over in-neighbours q of (lb[q] + pair_lookahead(q, p))`,
-//   processes events below `safe`, and republishes its own bound. Cross
-//   events travel through per-(src, dst) mailbox channels. No global
-//   barrier: partitions far apart in the channel graph (large pairwise
-//   lookahead) advance independently, and nobody pays a rendezvous per
-//   window — the cost that made the barrier engine *lose* to sequential.
-//
-// - kBarrier: the original synchronous-window ("YAWNS"-style) protocol —
-//   one global window of width `lookahead` per round with a std::barrier
-//   rendezvous — kept as the fallback (DV_PAR_SYNC=barrier) and as the
-//   simplest reference implementation of the same contract.
+// Synchronization is barrier-free pairwise window negotiation. Every
+// partition publishes a monotone lower bound `lb` on anything it will
+// still execute or send; a worker advances to
+// `safe = min over in-neighbours q of (lb[q] + pair_lookahead(q, p))`,
+// processes events below `safe`, and republishes its own bound. Cross
+// events travel through per-(src, dst) mailbox channels. There is no
+// per-window global barrier: partitions far apart in the channel graph
+// (large pairwise lookahead) advance independently. A rendezvous happens
+// only when a worker stalls — to detect termination, jump idle gaps and
+// surface errors.
 //
 // The pairwise lookahead matrix defaults to the scalar `lookahead` for
 // every pair; models with a channel graph (netsim) raise entries to the
@@ -29,15 +24,13 @@
 // Each partition's bucket-scheduler width is unified with its effective
 // window: the minimum finite inbound pairwise lookahead.
 //
-// Determinism: in pairwise mode the *sender* assigns cross-partition
-// sequence numbers (per-channel counters, namespaced above local seqs),
-// so the (time, pri, seq) order is independent of thread timing. In
-// barrier mode outboxes are drained in (time, pri) order with source
-// partition breaking exact ties. Either way a model that assigns unique
-// priority keys (netsim does) gets an event order independent of both
-// thread timing *and* partition count — bit-identical to the sequential
-// engine. Models that leave pri = 0 (PHOLD) are still deterministic per
-// (seed, partition count, sync mode).
+// Determinism: the *sender* assigns cross-partition sequence numbers
+// (per-channel counters, namespaced above local seqs), so the
+// (time, pri, seq) order is independent of thread timing. A model that
+// assigns unique priority keys (netsim does) gets an event order
+// independent of both thread timing *and* partition count — bit-identical
+// to the sequential engine. Models that leave pri = 0 (PHOLD) are still
+// deterministic per (seed, partition count).
 //
 // The classic PHOLD benchmark model is included (phold.hpp/cpp) and the
 // equivalence of the parallel and sequential engines is tested on it.
@@ -89,17 +82,12 @@ class ParallelLp {
 
 class ParallelSimulator {
  public:
-  enum class SyncMode {
-    kPairwise,  ///< barrier-free pairwise window negotiation (default)
-    kBarrier,   ///< global synchronous windows behind a std::barrier
-  };
-
   /// Per-worker execution statistics, cumulative across run_until calls.
   struct WorkerStats {
     std::uint64_t events = 0;
     double busy_seconds = 0.0;   ///< wall time executing events
-    double wait_seconds = 0.0;   ///< wall time waiting on peers/barriers
-    std::uint64_t rounds = 0;    ///< negotiation rounds (pairwise mode)
+    double wait_seconds = 0.0;   ///< wall time stalled or at rendezvous
+    std::uint64_t rounds = 0;    ///< window negotiation rounds
     std::uint64_t stalls = 0;    ///< rounds that processed no event
   };
 
@@ -127,15 +115,10 @@ class ParallelSimulator {
   /// sends there become contract violations and the pair stops
   /// constraining `dst`'s window. Must be called before any event is
   /// scheduled (it retunes dst's bucket width, which requires an empty
-  /// queue). `la` must be >= lookahead() so the barrier fallback's
-  /// global window stays sound.
+  /// queue). `la` must be >= lookahead(): the scalar floor stays the
+  /// lower bound on every pair.
   void set_pair_lookahead(std::uint32_t src, std::uint32_t dst, double la);
   double pair_lookahead(std::uint32_t src, std::uint32_t dst) const;
-
-  /// Protocol selection; the DV_PAR_SYNC environment variable
-  /// ("pairwise" / "barrier") overrides the built-in default.
-  void set_sync_mode(SyncMode mode);
-  SyncMode sync_mode() const { return sync_mode_; }
 
   /// Pre-run scheduling (any time >= 0).
   void schedule(SimTime t, LpId lp, std::uint32_t kind,
@@ -165,7 +148,7 @@ class ParallelSimulator {
   /// Mailbox for one directed partition pair. `buf` is the only field
   /// both sides touch (producer appends, consumer swap-takes, both under
   /// `mu`); `sent` is the sender-owned per-channel sequence counter that
-  /// makes pairwise event order thread-timing independent.
+  /// makes cross-partition event order thread-timing independent.
   struct alignas(64) Channel {
     std::mutex mu;
     std::vector<Event> buf;
@@ -174,12 +157,8 @@ class ParallelSimulator {
 
   struct alignas(64) Partition {
     BucketSched<Event> queue;  // bucket width = min finite inbound lookahead
-    // outbox[target]: cross-partition events produced by *this* partition
-    // during the current barrier-mode window. Single-writer (this
-    // partition's worker), read only in the barrier completion step.
-    std::vector<std::vector<Event>> outbox;
-    // Pairwise mode: published lower bound on any event this partition
-    // will still execute or send (monotone non-decreasing per run).
+    // Published lower bound on any event this partition will still
+    // execute or send (monotone non-decreasing per run).
     std::atomic<SimTime> lb{0.0};
     std::uint64_t next_seq = 0;
     std::uint64_t processed = 0;
@@ -204,15 +183,14 @@ class ParallelSimulator {
     return channels_[src * parts_.size() + dst];
   }
 
-  void process_window(std::uint32_t p);
   /// Single-partition fast path: with one partition no event can cross a
   /// partition boundary, so run_until drains the queue on a plain
-  /// sequential loop — no windows, barriers, outboxes, or atomics — while
+  /// sequential loop — no negotiation rounds, channels, or atomics — while
   /// keeping the pop order (and therefore the output) byte-identical.
   void run_single_partition();
-  /// Pairwise-mode worker loop for partition p. `bar` is the rendezvous
-  /// barrier every worker arrives at when `sync_requested_` is raised;
-  /// its completion step is pairwise_sync_step().
+  /// Worker loop for partition p. `bar` is the rendezvous barrier every
+  /// worker arrives at when `sync_requested_` is raised; its completion
+  /// step is pairwise_sync_step().
   template <typename Barrier>
   void run_pairwise_worker(std::uint32_t p, Barrier& bar);
   /// Rendezvous completion step: single-threaded while every pairwise
@@ -222,7 +200,6 @@ class ParallelSimulator {
   /// bounds — jumping idle gaps the per-round lb ratchet would crawl
   /// across one lookahead at a time.
   void pairwise_sync_step() noexcept;
-  void run_barrier_mode();
   /// Seeds the published lower bounds with the greatest fixed point of
   /// lb[p] = min(queue_top[p], min_q(lb[q] + la(q, p))) before workers
   /// start (single-threaded Bellman-Ford relaxation).
@@ -231,43 +208,34 @@ class ParallelSimulator {
   /// queues (single-threaded, after workers joined): events beyond t_end
   /// stay pending for the next run_until call.
   void drain_channels_sequential();
-  /// Barrier completion step: single-threaded while every worker is
-  /// parked. Drains outboxes, advances the window or flags termination.
-  void advance_window() noexcept;
-  void drain_outboxes();
   /// Publishes per-worker event counts, busy time and wait time to the
   /// observability registry (deltas flushed once per run_until call).
   void publish_obs(double loop_seconds);
 
   std::vector<std::unique_ptr<Partition>> parts_;
-  std::vector<Channel> channels_;  // parts x parts mailboxes (pairwise)
+  std::vector<Channel> channels_;  // parts x parts mailboxes
   std::vector<ParallelLp*> lps_;
   std::vector<std::uint32_t> lp_partition_;
   double lookahead_;
   std::vector<double> la_;  // pairwise lookahead matrix, row-major [src][dst]
-  SyncMode sync_mode_;
   ThreadPool pool_;
   bool running_ = false;
   std::uint64_t budget_ = 0;
 
-  // Pairwise-mode shared state: any worker (stalled, errored, or over
+  // Shared rendezvous state: any worker (stalled, errored, or over
   // budget) raises this flag; every worker checks it once per round and
   // then arrives at the rendezvous barrier, whose completion step is
   // pairwise_sync_step(). Mandatory arrival is what makes the rendezvous
   // deadlock-free.
   std::atomic<bool> sync_requested_{false};
 
-  // Barrier-mode window state: written in advance_window() (or before
-  // workers start), read by workers after the barrier — the barrier
-  // orders both.
-  SimTime window_end_ = 0.0;
+  // Run horizon (set before workers start) and the termination flag
+  // (written in pairwise_sync_step(), read by workers after the
+  // rendezvous barrier, which orders both).
   SimTime t_end_ = 0.0;
   bool done_ = false;
-  // Atomic because pairwise workers may trip the global budget
-  // concurrently; barrier mode only touches it single-threaded.
+  // Atomic because workers may trip the global budget concurrently.
   std::atomic<bool> budget_exceeded_{false};
-  std::uint64_t windows_ = 0;
-  std::vector<Event> drain_buf_;  // completion-step scratch
 };
 
 }  // namespace dv::pdes

@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <regex>
+#include <set>
 
 #include "app/cli.hpp"
 #include "app/runner.hpp"
@@ -459,6 +461,126 @@ TEST(Cli, NumericFlagsNameTheFlagAndRejectBadValues) {
                 .find("sweep: bad --window value: 1e4x (expected a number)"),
             std::string::npos);
   std::remove(out.c_str());
+}
+
+TEST(Cli, UnknownOptionsFailBeforeAnyWork) {
+  const std::string out = tmp("dv_cli_unknown_opt.dvr");
+  const std::string profile = tmp("dv_cli_unknown_opt.profile.json");
+  std::remove(out.c_str());
+  const std::vector<std::string> base = {"sim", "--p", "2", "--job",
+                                         "uniform_random", "--window",
+                                         "1e4", "--out", out};
+  auto with = [&](std::vector<std::string> extra) {
+    std::vector<std::string> args = base;
+    args.insert(args.end(), extra.begin(), extra.end());
+    return cli_error(args);
+  };
+  // A flag the command does not take fails and names itself, whether it
+  // never existed or was removed (--flow-stepping).
+  EXPECT_NE(with({"--flow-stepping", "fixed"})
+                .find("sim: unknown option --flow-stepping"),
+            std::string::npos);
+  EXPECT_NE(with({"--bogus", "1"}).find("sim: unknown option --bogus"),
+            std::string::npos);
+  // Keys are per command: --store belongs to sweep, not sim.
+  EXPECT_NE(with({"--store", tmp("dv_cli_unknown_store")})
+                .find("sim: unknown option --store"),
+            std::string::npos);
+  EXPECT_FALSE(fs::exists(out)) << "a rejected command still simulated";
+  // --profile is accepted by every command.
+  EXPECT_EQ(with({"--profile", profile}), "");
+  EXPECT_TRUE(fs::exists(out));
+  std::remove(out.c_str());
+  std::remove(profile.c_str());
+}
+
+TEST(Cli, HelpBlocksListExactlyTheAcceptedKeys) {
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(cli({"--help"}), 0);
+  const std::string help = testing::internal::GetCapturedStdout();
+  const std::regex flag(R"(--([a-z0-9][a-z0-9-]*))");
+  const auto commands = command_options();
+  ASSERT_FALSE(commands.empty());
+  for (const auto& c : commands) {
+    SCOPED_TRACE(c.name);
+    EXPECT_NE(help.find(c.help), std::string::npos) << "block not printed";
+    std::set<std::string> listed;
+    for (std::sregex_iterator it(c.help.begin(), c.help.end(), flag), end;
+         it != end; ++it) {
+      listed.insert((*it)[1]);
+    }
+    const std::set<std::string> accepted(c.keys.begin(), c.keys.end());
+    EXPECT_EQ(accepted.size(), c.keys.size()) << "duplicate accepted key";
+    EXPECT_EQ(listed, accepted);
+  }
+}
+
+TEST(Cli, CompoundFlagsParseWholeNumbers) {
+  const std::string run = tmp("dv_cli_compound.dvr");
+  const std::string svg = tmp("dv_cli_compound.svg");
+  const std::string html = tmp("dv_cli_compound.html");
+  const std::string store = tmp("dv_cli_compound_store");
+  ASSERT_EQ(cli({"sim", "--p", "2", "--job", "uniform_random", "--window",
+                 "2e4", "--sample-dt", "1000", "--out", run}),
+            0);
+  auto expect_bad = [](std::vector<std::string> args, const std::string& key,
+                       const std::string& v) {
+    const std::string want =
+        args[0] + ": bad --" + key + " value: " + v + " (expected a number)";
+    const std::string got = cli_error(args);
+    EXPECT_NE(got.find(want), std::string::npos)
+        << "wanted: " << want << "\ngot: " << got;
+  };
+  const std::vector<std::string> sim = {"sim", "--p", "2", "--window", "1e4",
+                                        "--out", tmp("dv_cli_compound_b.dvr")};
+  auto sim_job = [&](const std::string& job) {
+    std::vector<std::string> args = sim;
+    args.push_back("--job");
+    args.push_back(job);
+    return args;
+  };
+  // One non-number and one trailing-garbage value per compound field.
+  for (const std::string v : {"abc", "4x"}) {
+    SCOPED_TRACE(v);
+    // --job workload:ranks[:policy[:bytes]]
+    expect_bad(sim_job("uniform_random:" + v), "job", v);
+    expect_bad(sim_job("uniform_random:8:contiguous:" + v), "job", v);
+    // --window t0:t1 on every command that takes it.
+    expect_bad({"render", "--run", run, "--spec", "preset:overview",
+                "--window", v + ":2e4", "--out", svg},
+               "window", v);
+    expect_bad({"session", "--run", run, "--spec", "preset:overview",
+                "--window", "0:" + v, "--out", svg},
+               "window", v);
+    expect_bad({"report", "--run", run, "--spec", "preset:overview",
+                "--window", v + ":2e4", "--out", html},
+               "window", v);
+    expect_bad({"client", "--connect", "unix:/nonexistent/dv.sock",
+                "--render", "--spec", "preset:overview", "--window",
+                v + ":2e4", "--out", svg},
+               "window", v);
+    // --scales a,b and its singular --scale.
+    expect_bad({"sweep", "--store", store, "--p", "2", "--window", "1e4",
+                "--scales", "1," + v},
+               "scales", v);
+    expect_bad({"sweep", "--store", store, "--p", "2", "--window", "1e4",
+                "--scale", v},
+               "scale", v);
+    // --focus ring:item
+    expect_bad({"render", "--run", run, "--spec", "preset:overview",
+                "--focus", "0:" + v, "--out", svg},
+               "focus", v);
+    expect_bad({"client", "--connect", "unix:/nonexistent/dv.sock",
+                "--render", "--spec", "preset:overview", "--focus",
+                v + ":0", "--out", svg},
+               "focus", v);
+    // --brush axis:lo:hi
+    expect_bad({"session", "--run", run, "--spec", "preset:overview",
+                "--brush", "latency:" + v + ":10", "--out", svg},
+               "brush", v);
+  }
+  EXPECT_FALSE(fs::exists(store)) << "a rejected sweep still ran";
+  for (const auto& p : {run, svg, html}) std::remove(p.c_str());
 }
 
 TEST(Cli, SweepAppliesFaultPlans) {

@@ -411,66 +411,17 @@ TEST(FlowNetwork, ValidatesInputs) {
 }
 
 TEST(FlowNetwork, EpochLengthDoesNotChangeTotals) {
+  // Different epoch lengths move the stepper's solve points, never what it
+  // delivers: minimal routing fixes the paths, so injected bytes, finished
+  // packets and per-class traffic are epoch-invariant. Two inputs: a
+  // staggered 16-message ladder and 48 random messages.
   const auto topo = topo::Dragonfly::canonical(2);
-  std::vector<netsim::Message> ms;
+  std::vector<netsim::Message> ladder;
   for (std::uint32_t t = 0; t < 16; ++t) {
-    ms.push_back(msg(4 * t, (4 * t + 5) % topo.num_terminals(), 64 * 1024,
-                     100.0 * t));
+    ladder.push_back(msg(4 * t, (4 * t + 5) % topo.num_terminals(),
+                         64 * 1024, 100.0 * t));
   }
-  auto totals = [&](double epoch_dt) {
-    FlowNetwork net(topo, routing::Algo::kMinimal, {}, 9);
-    net.add_messages(ms);
-    if (epoch_dt > 0) net.set_epoch_dt(epoch_dt);
-    const auto run = net.run();
-    return std::pair<double, double>(run.total_injected(),
-                                     run.total_local_traffic() +
-                                         run.total_global_traffic());
-  };
-  const auto coarse = totals(0.0);
-  const auto fine = totals(50.0);
-  // Finer epochs refine *when* bytes move, never *how many*: minimal
-  // routing fixes the paths, so per-class traffic is epoch-invariant.
-  EXPECT_DOUBLE_EQ(coarse.first, fine.first);
-  EXPECT_NEAR(coarse.second, fine.second, coarse.second * 1e-9);
-}
-
-TEST(FlowNetwork, EventSteppingIsBitIdenticalToFixedOnAlignedCompletions) {
-  // When every activation and completion lands on an epoch boundary, the
-  // event engine visits a subset of the fixed-epoch solve points with the
-  // same state at each, so the sampled record must be *bitwise* identical
-  // (the fixed-epoch loop is the PR-8 baseline kept for exactly this).
-  // Construction: unit bandwidths, disjoint same-router pairs (inj+ej
-  // links only, no sharing -> every rate is exactly 1.0 byte/ns), message
-  // sizes in multiples of 4096 = 16 x 256-ns frames, issues at 0 and 2048.
-  const auto topo = topo::Dragonfly::canonical(2);
-  netsim::Params prm;
-  prm.terminal_bandwidth = 1.0;
-  prm.local_bandwidth = 1.0;
-  prm.global_bandwidth = 1.0;
-  std::vector<netsim::Message> ms;
-  for (std::uint32_t r = 0; r < topo.num_routers(); ++r) {
-    ms.push_back(msg(2 * r, 2 * r + 1, 4096ull * (1 + r % 3), 0.0));
-    if (r % 2 == 0) ms.push_back(msg(2 * r, 2 * r + 1, 4096, 2048.0));
-  }
-  auto run_stepping = [&](FlowNetwork::Stepping s) {
-    FlowNetwork net(topo, routing::Algo::kMinimal, prm, 3);
-    net.set_stepping(s);
-    net.add_messages(ms);
-    net.enable_sampling(256.0);
-    return net.run();
-  };
-  const auto event = run_stepping(FlowNetwork::Stepping::kEvent);
-  const auto fixed = run_stepping(FlowNetwork::Stepping::kFixedEpoch);
-  EXPECT_DOUBLE_EQ(event.end_time, fixed.end_time);
-  EXPECT_EQ(metrics::run_content_uid(event), metrics::run_content_uid(fixed));
-}
-
-TEST(FlowNetwork, EventAndFixedSteppingAgreeOnTotals) {
-  // On arbitrary (non-aligned) traffic the two steppings visit different
-  // solve points, but under minimal routing the paths are fixed, so what
-  // they deliver — bytes, packets, per-class traffic — must agree.
-  const auto topo = topo::Dragonfly::canonical(2);
-  std::vector<netsim::Message> ms;
+  std::vector<netsim::Message> random;
   Rng rng(17, 5);
   for (int i = 0; i < 48; ++i) {
     const auto s =
@@ -479,24 +430,98 @@ TEST(FlowNetwork, EventAndFixedSteppingAgreeOnTotals) {
     while (d == s) {
       d = static_cast<std::uint32_t>(rng.next_below(topo.num_terminals()));
     }
-    ms.push_back(msg(s, d, 3000 + 700 * i, rng.next_double() * 5e4));
+    random.push_back(msg(s, d, 3000 + 700 * i, rng.next_double() * 5e4));
   }
-  auto run_stepping = [&](FlowNetwork::Stepping s) {
-    FlowNetwork net(topo, routing::Algo::kMinimal, {}, 11);
-    net.set_stepping(s);
+  auto run_with = [&](const std::vector<netsim::Message>& ms,
+                      double epoch_dt) {
+    FlowNetwork net(topo, routing::Algo::kMinimal, {}, 9);
     net.add_messages(ms);
+    if (epoch_dt > 0) net.set_epoch_dt(epoch_dt);
     return net.run();
   };
-  const auto event = run_stepping(FlowNetwork::Stepping::kEvent);
-  const auto fixed = run_stepping(FlowNetwork::Stepping::kFixedEpoch);
-  EXPECT_DOUBLE_EQ(event.total_injected(), fixed.total_injected());
-  EXPECT_EQ(event.total_packets_finished(), fixed.total_packets_finished());
-  EXPECT_NEAR(event.total_local_traffic(), fixed.total_local_traffic(),
-              fixed.total_local_traffic() * 1e-9 + 1.0);
-  EXPECT_NEAR(event.total_global_traffic(), fixed.total_global_traffic(),
-              fixed.total_global_traffic() * 1e-9 + 1.0);
-  EXPECT_NEAR(event.total_terminal_traffic(), fixed.total_terminal_traffic(),
-              fixed.total_terminal_traffic() * 1e-9 + 1.0);
+  for (const auto* ms : {&ladder, &random}) {
+    SCOPED_TRACE(ms == &ladder ? "ladder" : "random");
+    const auto coarse = run_with(*ms, 0.0);  // auto: span / 256
+    const auto fine = run_with(*ms, 50.0);
+    EXPECT_DOUBLE_EQ(coarse.total_injected(), fine.total_injected());
+    EXPECT_EQ(coarse.total_packets_finished(), fine.total_packets_finished());
+    EXPECT_NEAR(coarse.total_local_traffic(), fine.total_local_traffic(),
+                coarse.total_local_traffic() * 1e-9 + 1.0);
+    EXPECT_NEAR(coarse.total_global_traffic(), fine.total_global_traffic(),
+                coarse.total_global_traffic() * 1e-9 + 1.0);
+    EXPECT_NEAR(coarse.total_terminal_traffic(), fine.total_terminal_traffic(),
+                coarse.total_terminal_traffic() * 1e-9 + 1.0);
+  }
+}
+
+TEST(FlowNetwork, EventSteppingMatchesClosedFormOnAlignedCompletions) {
+  // Every activation and completion lands on a frame boundary, so the
+  // sampled record has a closed form the stepper must hit exactly.
+  // Construction: unit bandwidths, disjoint same-router pairs (inj+ej
+  // links only, no sharing -> every rate is exactly 1 byte/ns), message
+  // sizes in multiples of 4096 = 16 x 256-ns frames, issues at 0 and 2048.
+  const auto topo = topo::Dragonfly::canonical(2);
+  netsim::Params prm;
+  prm.terminal_bandwidth = 1.0;
+  prm.local_bandwidth = 1.0;
+  prm.global_bandwidth = 1.0;
+  constexpr double kFrame = 256.0;
+  std::vector<netsim::Message> ms;
+  for (std::uint32_t r = 0; r < topo.num_routers(); ++r) {
+    ms.push_back(msg(2 * r, 2 * r + 1, 4096ull * (1 + r % 3), 0.0));
+    if (r % 2 == 0) ms.push_back(msg(2 * r, 2 * r + 1, 4096, 2048.0));
+  }
+  FlowNetwork net(topo, routing::Algo::kMinimal, prm, 3);
+  net.add_messages(ms);
+  net.enable_sampling(kFrame);
+  const auto run = net.run();
+
+  // Closed form. A pair's messages (listed in issue order) drain FIFO at
+  // 1 byte/ns: each completes at max(issue, previous completion) + bytes
+  // and arrives one path latency later (two terminal links, one router).
+  const double path_latency = 2.0 * prm.terminal_latency + prm.router_delay;
+  const std::size_t nterm = topo.num_terminals();
+  std::vector<std::uint64_t> packets(nterm, 0);
+  std::vector<double> latency(nterm, 0.0);
+  std::vector<double> drained_at(nterm, 0.0);  // per source terminal
+  double last_arrival = 0.0;
+  for (const auto& m : ms) {
+    double& done = drained_at[m.src_terminal];
+    done = std::max(done, m.time) + static_cast<double>(m.bytes);
+    const std::uint64_t npkts =
+        (m.bytes + prm.packet_size - 1) / prm.packet_size;
+    packets[m.dst_terminal] += npkts;
+    latency[m.dst_terminal] +=
+        (done + path_latency - m.time) * static_cast<double>(npkts);
+    last_arrival = std::max(last_arrival, done + path_latency);
+  }
+  // Sampled runs end at the first frame boundary covering the last arrival.
+  const double end = std::ceil(last_arrival / kFrame) * kFrame;
+  EXPECT_EQ(run.end_time, end);
+  ASSERT_EQ(run.terminals.size(), nterm);
+  for (std::size_t t = 0; t < nterm; ++t) {
+    EXPECT_EQ(run.terminals[t].packets_finished, packets[t]) << "term " << t;
+    EXPECT_EQ(run.terminals[t].sum_latency, latency[t]) << "term " << t;
+  }
+  // While a pair drains, its source injects a full frame of bytes, and
+  // the source's injection link and the destination's ejection link are
+  // saturated for the whole frame; afterwards both read zero.
+  const auto frames = static_cast<std::size_t>(end / kFrame);
+  ASSERT_EQ(run.term_traffic_ts.frames(), frames);
+  ASSERT_EQ(run.term_sat_ts.frames(), frames);
+  for (std::size_t f = 0; f < frames; ++f) {
+    const double frame_end = static_cast<double>(f + 1) * kFrame;
+    for (std::size_t t = 0; t < nterm; ++t) {
+      const std::size_t src = t & ~std::size_t{1};  // pair (2r, 2r + 1)
+      const bool busy = frame_end <= drained_at[src];
+      const float traffic = t == src && busy ? kFrame : 0.0f;
+      const float sat = busy ? kFrame : 0.0f;
+      EXPECT_EQ(run.term_traffic_ts.at(f, t), traffic)
+          << "frame " << f << " term " << t;
+      EXPECT_EQ(run.term_sat_ts.at(f, t), sat)
+          << "frame " << f << " term " << t;
+    }
+  }
 }
 
 TEST(FlowNetwork, CoarseningConservesTrafficUnderMinimalRouting) {

@@ -148,14 +148,9 @@ TEST(FlowVsPacket, FlowOnlyOptionsAreValidatedPerBackend) {
   auto cfg = base_config(Backend::kPacket, "uniform_random");
   cfg.flow_coarsen = true;
   EXPECT_THROW(run_experiment(cfg), Error);
-  // Unknown stepping names fail loudly instead of falling back to event.
-  cfg = base_config(Backend::kFlow, "uniform_random");
-  cfg.flow_stepping = "quantum";
-  EXPECT_THROW(run_experiment(cfg), Error);
-  // The same options are accepted where they mean something.
+  // The same option is accepted where it means something.
   cfg = base_config(Backend::kFlow, "uniform_random");
   cfg.flow_coarsen = true;
-  cfg.flow_stepping = "fixed";
   EXPECT_GT(run_experiment(cfg).run.total_injected(), 0.0);
 }
 

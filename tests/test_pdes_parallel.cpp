@@ -189,31 +189,6 @@ TEST(ParallelPdes, WiderPairLookaheadKeepsPingPongExact) {
   }
 }
 
-TEST(ParallelPdes, BarrierFallbackMatchesPairwise) {
-  // The two sync protocols implement one contract: identical event
-  // counts and timestamps on a cross-partition ping-pong.
-  auto run = [](ParallelSimulator::SyncMode mode) {
-    ParallelSimulator sim(2, 1.0);
-    sim.set_sync_mode(mode);
-    ForwardingLp a, b;
-    const LpId ia = sim.add_lp(&a, 0);
-    const LpId ib = sim.add_lp(&b, 1);
-    a.peer = ib;
-    b.peer = ia;
-    a.delay = b.delay = 2.5;
-    a.remaining = b.remaining = 8;
-    sim.schedule(0.0, ia, 0);
-    sim.run_until(100.0);
-    auto times = a.times;
-    times.insert(times.end(), b.times.begin(), b.times.end());
-    return std::make_pair(sim.events_processed(), times);
-  };
-  const auto pairwise = run(ParallelSimulator::SyncMode::kPairwise);
-  const auto barrier = run(ParallelSimulator::SyncMode::kBarrier);
-  EXPECT_EQ(pairwise.first, barrier.first);
-  EXPECT_EQ(pairwise.second, barrier.second);
-}
-
 TEST(ParallelPdes, WorkerStatsCountProcessedEvents) {
   ParallelSimulator sim(2, 1.0);
   CountingLp a, b;
