@@ -467,9 +467,10 @@ int cmd_pack(const Args& args) {
   auto load_phase = std::make_unique<obs::ScopedPhase>("load");
   const auto run = metrics::RunMetrics::load(in);
   load_phase.reset();
+  std::uint64_t uid = 0;
   {
     obs::ScopedPhase phase("write");
-    run.save(out);
+    uid = run.save(out);
   }
   const auto size_of = [](const std::string& p) {
     std::ifstream is(p, std::ios::binary | std::ios::ate);
@@ -480,8 +481,7 @@ int cmd_pack(const Args& args) {
               in.c_str(), in_b, out.c_str(), out_b,
               metrics::to_string(fmt).c_str(),
               out_b > 0 ? static_cast<double>(in_b) / out_b : 0.0);
-  std::printf("run uid: %016llx\n", static_cast<unsigned long long>(
-                                        metrics::run_content_uid(run)));
+  std::printf("run uid: %016llx\n", static_cast<unsigned long long>(uid));
   return 0;
 }
 

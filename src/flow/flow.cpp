@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <queue>
+#include <unordered_map>
 
 #include "obs/obs.hpp"
 
@@ -491,11 +492,10 @@ void FlowNetwork::enable_coarsening() {
 
 // --------------------------------------------------------------- routing
 
-FlowNetwork::PathInfo FlowNetwork::build_path(std::uint32_t src_term,
-                                              std::uint32_t dst_term,
-                                              std::int32_t proxy_group,
-                                              std::int32_t proxy_router) const {
-  PathInfo path;
+void FlowNetwork::build_path(std::uint32_t src_term, std::uint32_t dst_term,
+                             std::int32_t proxy_group,
+                             std::int32_t proxy_router, PathInfo& path) const {
+  path.links.clear();
   path.links.push_back(inj_link(src_term));
   path.latency = 2.0 * params_.terminal_latency;
 
@@ -519,7 +519,7 @@ FlowNetwork::PathInfo FlowNetwork::build_path(std::uint32_t src_term,
     if (d.kind == routing::Decision::Kind::kTerminal) {
       path.links.push_back(ej_link(dst_term));
       path.latency += params_.router_delay * path.router_hops;
-      return path;
+      return;
     }
     if (d.kind == routing::Decision::Kind::kLocal) {
       const std::uint32_t lport = d.port - nterm;
@@ -578,6 +578,7 @@ void FlowNetwork::decide_route(Bundle& b) {
 
   std::int32_t proxy_group = -1;
   std::int32_t proxy_router = -1;
+  const PathInfo* chosen = nullptr;  // set when adaptive built both paths
   if (sr != dr) {
     switch (algo_) {
       case routing::Algo::kMinimal:
@@ -598,27 +599,28 @@ void FlowNetwork::decide_route(Bundle& b) {
         if (dg == sg) break;
         const std::int32_t proxy = pick_proxy_group(sg, dg, rng);
         if (proxy < 0) break;
-        const PathInfo min_path = build_path(b.src, b.dst, -1, -1);
-        const PathInfo non_path = build_path(b.src, b.dst, proxy, -1);
-        const double q_min = path_peak_util(min_path);
-        const double q_non = path_peak_util(non_path);
+        build_path(b.src, b.dst, -1, -1, min_path_);
+        build_path(b.src, b.dst, proxy, -1, alt_path_);
+        const double q_min = path_peak_util(min_path_);
+        const double q_non = path_peak_util(alt_path_);
         const double bias =
             params_.adaptive.threshold / params_.vc_buffer_packets;
-        if (q_min * min_path.router_hops >
-            q_non * non_path.router_hops + bias) {
-          proxy_group = proxy;
-        }
+        chosen = q_min * min_path_.router_hops >
+                         q_non * alt_path_.router_hops + bias
+                     ? &alt_path_
+                     : &min_path_;
         break;
       }
     }
   }
 
-  PathInfo path = (proxy_group >= 0 || proxy_router >= 0)
-                      ? build_path(b.src, b.dst, proxy_group, proxy_router)
-                      : build_path(b.src, b.dst, -1, -1);
-  b.links = std::move(path.links);
-  b.router_hops = path.router_hops;
-  b.path_latency = path.latency;
+  if (chosen == nullptr) {
+    build_path(b.src, b.dst, proxy_group, proxy_router, min_path_);
+    chosen = &min_path_;
+  }
+  b.links.assign(chosen->links.begin(), chosen->links.end());
+  b.router_hops = chosen->router_hops;
+  b.path_latency = chosen->latency;
   if (coarsen_) {
     // build_path always brackets the route with the representative
     // terminal's edge links; swap in the router-level aggregate links.
@@ -629,28 +631,52 @@ void FlowNetwork::decide_route(Bundle& b) {
 
 // -------------------------------------------------------------- bundles
 
-std::uint32_t FlowNetwork::bundle_of(std::uint32_t src, std::uint32_t dst) {
-  std::uint32_t bsrc = src;
-  std::uint32_t bdst = dst;
-  if (coarsen_) {
-    // One bundle per (src router, dst router); the slot-0 terminals stand
-    // in for path building and the Valiant rng stream, so the coarse run
-    // stays deterministic in the same per-source-stream scheme.
-    const std::uint32_t p = topo_.terminals_per_router();
-    bsrc = topo_.terminal_router(src) * p;
-    bdst = topo_.terminal_router(dst) * p;
+std::vector<std::uint32_t> FlowNetwork::layout_bundles(
+    const std::vector<std::uint32_t>& order) {
+  std::unordered_map<std::uint64_t, std::uint32_t> index;
+  std::vector<std::uint32_t> issue_bundle(order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const netsim::Message& m = messages_[order[k]];
+    std::uint32_t bsrc = m.src_terminal;
+    std::uint32_t bdst = m.dst_terminal;
+    if (coarsen_) {
+      // One bundle per (src router, dst router); the slot-0 terminals
+      // stand in for path building and the Valiant rng stream, so the
+      // coarse run stays deterministic in the same per-source-stream
+      // scheme.
+      const std::uint32_t p = topo_.terminals_per_router();
+      bsrc = topo_.terminal_router(bsrc) * p;
+      bdst = topo_.terminal_router(bdst) * p;
+    }
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(bsrc) << 32) | bdst;
+    const auto [it, fresh] =
+        index.emplace(key, static_cast<std::uint32_t>(bundles_.size()));
+    if (fresh) {
+      Bundle b;
+      b.src = bsrc;
+      b.dst = bdst;
+      bundles_.push_back(std::move(b));
+    }
+    issue_bundle[k] = it->second;
+    ++bundles_[it->second].tail;  // message count, until the slices below
   }
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(bsrc) << 32) | bdst;
-  const auto it = bundle_index_.find(key);
-  if (it != bundle_index_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(bundles_.size());
-  Bundle b;
-  b.src = bsrc;
-  b.dst = bdst;
-  bundles_.push_back(std::move(b));
-  bundle_index_.emplace(key, id);
-  return id;
+  // Each bundle's slice starts where the previous one ends; fill them in
+  // issue order, then rewind the cursors to empty FIFOs.
+  std::uint32_t start = 0;
+  for (Bundle& b : bundles_) {
+    const std::uint32_t n = b.tail;
+    b.head = b.tail = start;
+    start += n;
+  }
+  queue_.resize(order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const netsim::Message& m = messages_[order[k]];
+    queue_[bundles_[issue_bundle[k]].tail++] =
+        QueuedMsg{m.time, m.bytes, m.src_terminal, m.dst_terminal};
+  }
+  for (Bundle& b : bundles_) b.tail = b.head;
+  return issue_bundle;
 }
 
 bool FlowNetwork::drain_epoch(double t0, double dt) {
@@ -667,14 +693,14 @@ bool FlowNetwork::drain_epoch(double t0, double dt) {
     // FIFO completion: message k finishes when the cumulative drain covers
     // its residue; its packets arrive one fixed path latency later.
     double consumed = 0.0;
-    while (!b.fifo.empty()) {
-      PendingMsg& m = b.fifo.front();
-      const double take = std::min(m.remaining, sent - consumed);
-      if (take < m.remaining - kByteEps) {
-        m.remaining -= take;
+    while (b.head != b.tail) {
+      const QueuedMsg& m = queue_[b.head];
+      const double take = std::min(b.head_left, sent - consumed);
+      if (take < b.head_left - kByteEps) {
+        b.head_left -= take;
         break;
       }
-      consumed += m.remaining;
+      consumed += b.head_left;
       const double completion =
           b.rate > 0.0 ? std::min(t0 + consumed / b.rate, t0 + dt) : t0 + dt;
       const double arrival = completion + b.path_latency;
@@ -696,10 +722,13 @@ bool FlowNetwork::drain_epoch(double t0, double dt) {
       ++msgs_finished_;
       bytes_delivered_ += static_cast<double>(m.bytes);
       max_delivery_ = std::max(max_delivery_, arrival);
-      b.fifo.pop_front();
+      ++b.head;
+      b.head_left = b.head != b.tail
+                        ? static_cast<double>(queue_[b.head].bytes)
+                        : 0.0;
     }
     b.backlog = std::max(0.0, b.backlog - sent);
-    if (b.backlog <= kByteEps && b.fifo.empty()) {
+    if (b.backlog <= kByteEps && b.head == b.tail) {
       b.backlog = 0.0;
       b.rate = 0.0;
       drained_.push_back(active_[i]);
@@ -860,10 +889,12 @@ double FlowNetwork::next_completion_target(double t) {
   return *kth;
 }
 
-double FlowNetwork::run_event(const std::vector<std::uint32_t>& order,
+double FlowNetwork::run_event(const std::vector<std::uint32_t>& issue_bundle,
                               double dt) {
   const bool sampled = sample_dt_ > 0.0;
-  std::size_t next = 0;
+  const std::size_t total = issue_bundle.size();
+  std::size_t next = 0;  // issue-order position of the next message
+  std::uint32_t issued_bundles = 0;  // ids are in first-issue order
   std::vector<std::uint32_t> pending;  // activated, not yet solved in
   std::vector<std::uint32_t> removed;  // completed, not yet solved out
   double t = 0.0;
@@ -872,14 +903,16 @@ double FlowNetwork::run_event(const std::vector<std::uint32_t>& order,
 
   // A message activates at the start of the length-dt interval containing
   // its issue time, so demand that lands mid-quantum joins the solve at
-  // the quantum's boundary.
-  auto quantum = [dt](double time) { return std::floor(time / dt) * dt; };
+  // the quantum's boundary. The next message sits at its bundle's tail.
+  auto next_quantum = [&] {
+    const double issue = queue_[bundles_[issue_bundle[next]].tail].issue;
+    return std::floor(issue / dt) * dt;
+  };
 
-  while (next < order.size() || !active_.empty()) {
+  while (next < total || !active_.empty()) {
     DV_REQUIRE(++epochs_ < kMaxEpochs,
                "flow simulation failed to drain (event guard)");
-    const double t_inj =
-        next < order.size() ? quantum(messages_[order[next]].time) : kInf;
+    const double t_inj = next < total ? next_quantum() : kInf;
     double stop = std::min(t_inj, batch_t);
     if (sampled) stop = std::min(stop, frame_next);
     DV_CHECK(std::isfinite(stop) && stop >= t, "event stepping stalled");
@@ -896,23 +929,29 @@ double FlowNetwork::run_event(const std::vector<std::uint32_t>& order,
     t = stop;
 
     if (sampled && t == frame_next) {
+      obs::ScopedPhase ph("ev.sample");
       push_sample_frame();
       frame_next += dt;
     }
 
-    while (next < order.size() &&
-           quantum(messages_[order[next]].time) <= t) {
-      const netsim::Message& m = messages_[order[next]];
-      const std::uint32_t id = bundle_of(m.src_terminal, m.dst_terminal);
-      Bundle& b = bundles_[id];
-      if (b.fifo.empty() && b.backlog <= 0.0) {
-        decide_route(b);
-        pending.push_back(id);
-      }
-      b.fifo.push_back(PendingMsg{static_cast<double>(m.bytes), m.time,
-                                  m.bytes, m.src_terminal, m.dst_terminal});
-      b.backlog += static_cast<double>(m.bytes);
-      ++next;
+    if (next < total && next_quantum() <= t) {
+      obs::ScopedPhase ph("ev.issue");
+      do {
+        const std::uint32_t id = issue_bundle[next];
+        Bundle& b = bundles_[id];
+        issued_bundles = std::max(issued_bundles, id + 1);
+        const double bytes = static_cast<double>(queue_[b.tail].bytes);
+        if (b.head == b.tail) {
+          if (b.backlog <= 0.0) {
+            decide_route(b);
+            pending.push_back(id);
+          }
+          b.head_left = bytes;
+        }
+        ++b.tail;
+        b.backlog += bytes;
+        ++next;
+      } while (next < total && next_quantum() <= t);
     }
 
     // Activation batching: below the cap-solve threshold every quantum
@@ -924,25 +963,28 @@ double FlowNetwork::run_event(const std::vector<std::uint32_t>& order,
     const bool flush =
         !pending.empty() &&
         (active_.size() <= kCapSolveLimit ||
-         pending.size() * 16 >= active_.size() || next >= order.size() ||
+         pending.size() * 16 >= active_.size() || next >= total ||
          active_.empty());
     if (flush) {
-      // Solver slots grow only here, so the drain-only incremental path
-      // always sees ev_flows_/ev_state_ at matching sizes.
-      if (ev_flows_.size() < bundles_.size()) {
-        ev_flows_.resize(bundles_.size());
+      {
+        obs::ScopedPhase ph("ev.activate");
+        // Solver slots grow only here, so the drain-only incremental path
+        // always sees ev_flows_/ev_state_ at matching sizes.
+        if (ev_flows_.size() < issued_bundles) {
+          ev_flows_.resize(issued_bundles);
+        }
+        for (const std::uint32_t id : pending) {
+          ev_flows_[id].links.assign(bundles_[id].links.begin(),
+                                     bundles_[id].links.end());
+        }
+        active_.insert(active_.end(), pending.begin(), pending.end());
+        pending.clear();
+        std::sort(active_.begin(), active_.end());
+        active_.erase(std::unique(active_.begin(), active_.end()),
+                      active_.end());
+        for (const std::uint32_t id : removed) ev_flows_[id].rate_cap = 0.0;
+        removed.clear();
       }
-      for (const std::uint32_t id : pending) {
-        ev_flows_[id].links.assign(bundles_[id].links.begin(),
-                                   bundles_[id].links.end());
-      }
-      active_.insert(active_.end(), pending.begin(), pending.end());
-      pending.clear();
-      std::sort(active_.begin(), active_.end());
-      active_.erase(std::unique(active_.begin(), active_.end()),
-                    active_.end());
-      for (const std::uint32_t id : removed) ev_flows_[id].rate_cap = 0.0;
-      removed.clear();
       {
         obs::ScopedPhase ph("ev.solve_full");
         solve_event_full(dt);
@@ -978,6 +1020,7 @@ double FlowNetwork::run_event(const std::vector<std::uint32_t>& order,
   // netsim's sampling loop ends only once the event queue is empty, so
   // end_time ≈ frames * dt holds for both backends.
   if (sampled) {
+    obs::ScopedPhase ph("ev.sample");
     while (frame_next - dt < max_delivery_) {
       push_sample_frame();
       frame_next += dt;
@@ -1018,7 +1061,12 @@ metrics::RunMetrics FlowNetwork::run() {
   double end = 0.0;
   {
     obs::ScopedPhase phase("sim");
-    end = run_event(order, dt);
+    std::vector<std::uint32_t> issue_bundle;
+    {
+      obs::ScopedPhase ph("ev.layout");
+      issue_bundle = layout_bundles(order);
+    }
+    end = run_event(issue_bundle, dt);
   }
 
   DV_CHECK(msgs_finished_ == messages_.size(),

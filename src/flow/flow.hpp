@@ -33,10 +33,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "metrics/run_metrics.hpp"
@@ -185,18 +183,20 @@ class FlowNetwork {
     return coarse_base_ + nrouters_ + router;
   }
 
+  /// One issued message as completion accounting sees it.
+  struct QueuedMsg {
+    double issue = 0.0;          ///< application send time
+    std::uint64_t bytes = 0;     ///< size (packet accounting)
+    std::uint32_t src = 0;       ///< source terminal (coarse fan-out)
+    std::uint32_t dst = 0;       ///< destination terminal (coarse fan-out)
+  };
   /// A demand bundle: every message of one (src,dst) terminal pair —
   /// router pair under coarsening — drains FIFO through one flow. Its path
   /// is (re)decided whenever the bundle transitions idle -> backlogged,
   /// the flow-level analog of per-packet adaptive decisions at injection
-  /// time.
-  struct PendingMsg {
-    double remaining = 0.0;      ///< bytes left to drain
-    double issue = 0.0;          ///< application send time
-    std::uint64_t bytes = 0;     ///< original size (packet accounting)
-    std::uint32_t src = 0;       ///< source terminal (coarse fan-out)
-    std::uint32_t dst = 0;       ///< destination terminal (coarse fan-out)
-  };
+  /// time. The bundle's messages sit in one slice of queue_, in issue
+  /// order; [head, tail) is the FIFO of issued, undrained messages. Only
+  /// the head message is ever partly drained.
   struct Bundle {
     std::uint32_t src = 0;  ///< representative terminal when coarsening
     std::uint32_t dst = 0;
@@ -205,7 +205,9 @@ class FlowNetwork {
     std::vector<std::uint32_t> links;    ///< current path (link indices)
     std::uint32_t router_hops = 0;       ///< routers on the path
     double path_latency = 0.0;           ///< fixed wire+router latency (ns)
-    std::deque<PendingMsg> fifo;
+    std::uint32_t head = 0;  ///< queue_ slot of the oldest undrained message
+    std::uint32_t tail = 0;  ///< queue_ slot of the next message to issue
+    double head_left = 0.0;  ///< bytes of the head message still to drain
   };
 
   struct PathInfo {
@@ -215,10 +217,11 @@ class FlowNetwork {
   };
 
   /// Walks the planner's minimal step function from src to dst, honoring
-  /// a preset Valiant proxy group/router, and records every link crossed.
-  PathInfo build_path(std::uint32_t src_term, std::uint32_t dst_term,
-                      std::int32_t proxy_group,
-                      std::int32_t proxy_router) const;
+  /// a preset Valiant proxy group/router, and records every link crossed
+  /// into `path` (its storage is reused).
+  void build_path(std::uint32_t src_term, std::uint32_t dst_term,
+                  std::int32_t proxy_group, std::int32_t proxy_router,
+                  PathInfo& path) const;
 
   // Valiant proxy draws, mirroring RoutePlanner's pick logic (private
   // there) on the per-source-terminal rng streams netsim uses.
@@ -232,10 +235,15 @@ class FlowNetwork {
   /// Chooses the bundle's path per the configured algorithm. Adaptive
   /// algorithms compare the bottleneck utilization (from the previous
   /// solve) along the minimal path against a Valiant candidate — the
-  /// fluid analog of UGAL's queue-depth comparison.
+  /// fluid analog of UGAL's queue-depth comparison — and keep whichever
+  /// candidate wins.
   void decide_route(Bundle& b);
 
-  std::uint32_t bundle_of(std::uint32_t src, std::uint32_t dst);
+  /// Creates the bundles (ids in first-issue order) and lays every
+  /// message out in queue_, grouped per bundle in issue order. Returns
+  /// the bundle of each position of `order`.
+  std::vector<std::uint32_t> layout_bundles(
+      const std::vector<std::uint32_t>& order);
   /// Returns true when any bundle fully drained (the active set changed,
   /// so the next step must re-solve).
   bool drain_epoch(double t0, double dt);
@@ -244,8 +252,10 @@ class FlowNetwork {
   void publish_run_obs(const metrics::RunMetrics& out);
 
   // Event-driven stepper.
-  /// Returns the simulated end time (sampled: last frame boundary).
-  double run_event(const std::vector<std::uint32_t>& order, double dt);
+  /// Issues the laid-out messages in order (`issue_bundle[k]` is the
+  /// bundle of the k-th). Returns the simulated end time (sampled: last
+  /// frame boundary).
+  double run_event(const std::vector<std::uint32_t>& issue_bundle, double dt);
   void solve_event_full(double dt);
   /// Shrink-only re-solve: `removed` is the accumulated completion batch
   /// since the last solve (still cap-alive in ev_flows_; zeroed here).
@@ -272,7 +282,7 @@ class FlowNetwork {
 
   std::vector<netsim::Message> messages_;
   std::vector<Bundle> bundles_;
-  std::unordered_map<std::uint64_t, std::uint32_t> bundle_index_;
+  std::vector<QueuedMsg> queue_;  ///< every message, sliced per bundle
   std::vector<std::uint32_t> active_;  ///< bundle ids, ascending
 
   std::vector<Rng> term_rng_;  ///< per-source Valiant draws (netsim scheme)
@@ -322,6 +332,7 @@ class FlowNetwork {
   // Scratch reused across steps.
   std::vector<std::uint32_t> drained_;
   std::vector<double> comp_scratch_;
+  PathInfo min_path_, alt_path_;  ///< route candidates
 };
 
 }  // namespace dv::flow

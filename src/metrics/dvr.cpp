@@ -37,11 +37,22 @@ Stats& stats() {
 // through byte buffers (no packed-struct aliasing); dragonviz targets
 // little-endian hosts, which keeps these memcpys copy-through.
 
-class ByteWriter {
+/// Buffered sequential writer over an open file descriptor. Small pieces
+/// (header fields, padding, the chunk directory) collect in a 64 KiB
+/// buffer; a payload at least that large goes to write(2) straight from
+/// the caller's memory, so a save never holds a whole-file image.
+class FdWriter {
  public:
+  explicit FdWriter(int fd) : fd_(fd) { buf_.reserve(kBuffer); }
   void raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    if (buf_.size() + n > kBuffer) flush();
+    if (n >= kBuffer) {
+      write_all(p, n);
+    } else {
+      const auto* b = static_cast<const unsigned char*>(p);
+      buf_.insert(buf_.end(), b, b + n);
+    }
+    at_ += n;
   }
   template <typename T>
   void pod(T v) {
@@ -51,17 +62,43 @@ class ByteWriter {
     pod(static_cast<std::uint32_t>(s.size()));
     raw(s.data(), s.size());
   }
-  std::size_t size() const { return buf_.size(); }
-  const std::vector<unsigned char>& bytes() const { return buf_; }
-  /// Patches a previously written POD in place (for offsets known late).
+  /// Zero-pads to the next 8-byte file offset.
+  void align8() {
+    static constexpr unsigned char kZeros[8] = {};
+    raw(kZeros, (8 - at_ % 8) % 8);
+  }
+  std::uint64_t at() const { return at_; }
+  /// Overwrites a POD written earlier (for values known only at the end).
   template <typename T>
-  void patch(std::size_t at, T v) {
-    DV_CHECK(at + sizeof(v) <= buf_.size(), "dvr patch out of range");
-    std::memcpy(buf_.data() + at, &v, sizeof(v));
+  void patch(std::uint64_t at, T v) {
+    DV_CHECK(at + sizeof(v) <= at_, "dvr patch out of range");
+    flush();
+    if (::pwrite(fd_, &v, sizeof(v), static_cast<off_t>(at)) !=
+        static_cast<ssize_t>(sizeof(v))) {
+      throw Error("write failed");
+    }
+  }
+  void flush() {
+    write_all(buf_.data(), buf_.size());
+    buf_.clear();
   }
 
  private:
+  static constexpr std::size_t kBuffer = 64 * 1024;
+
+  void write_all(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    while (size > 0) {
+      const ssize_t n = ::write(fd_, p, size);
+      if (n < 0) throw Error("write failed");
+      p += n;
+      size -= static_cast<std::size_t>(n);
+    }
+  }
+
+  int fd_;
   std::vector<unsigned char> buf_;
+  std::uint64_t at_ = 0;
 };
 
 class ByteReader {
@@ -96,30 +133,22 @@ class ByteReader {
 
 // -------------------------------------------------------------- column IO
 
-/// Extracts one field of a record vector into a contiguous typed buffer.
-template <typename T, typename Rec, typename F>
-std::vector<T> gather_field(const std::vector<Rec>& recs, F get) {
-  std::vector<T> out(recs.size());
-  for (std::size_t i = 0; i < recs.size(); ++i) out[i] = get(recs[i]);
-  return out;
-}
-
 template <typename T>
-void zone_map(const std::vector<T>& v, double& zmin, double& zmax) {
+void zone_map(const T* v, std::size_t n, double& zmin, double& zmax) {
   zmin = zmax = 0.0;
-  if (v.empty()) return;
+  if (n == 0) return;
   if constexpr (std::is_same_v<T, double>) {
-    kernels::minmax_f64(v.data(), v.size(), zmin, zmax);
+    kernels::minmax_f64(v, n, zmin, zmax);
   } else if constexpr (std::is_same_v<T, float>) {
     float lo = 0.0f, hi = 0.0f;
-    kernels::minmax_f32(v.data(), v.size(), lo, hi);
+    kernels::minmax_f32(v, n, lo, hi);
     zmin = lo;
     zmax = hi;
   } else {
     T lo = v[0], hi = v[0];
-    for (const T x : v) {
-      lo = x < lo ? x : lo;
-      hi = x > hi ? x : hi;
+    for (std::size_t i = 0; i < n; ++i) {
+      lo = v[i] < lo ? v[i] : lo;
+      hi = v[i] > hi ? v[i] : hi;
     }
     zmin = static_cast<double>(lo);
     zmax = static_cast<double>(hi);
@@ -135,83 +164,101 @@ DvrType dvr_type_of() {
   return DvrType::kI32;
 }
 
-struct PendingChunk {
-  DvrChunk meta;
-  std::vector<unsigned char> payload;
-};
-
-class ChunkSink {
+/// Streams chunk payloads through an FdWriter and records their directory
+/// entries. A field of a record vector is gathered into a staging buffer
+/// reused across columns of its element type; contiguous columns (router
+/// tallies, series frames) are written from the run's own memory.
+class ChunkWriter {
  public:
+  explicit ChunkWriter(FdWriter& w) : w_(w) {}
+
   template <typename T>
-  void add(DvrSection section, std::uint16_t column,
-           const std::vector<T>& values, std::uint64_t row0 = 0) {
-    PendingChunk c;
-    c.meta.section = static_cast<std::uint16_t>(section);
-    c.meta.column = column;
-    c.meta.dtype = static_cast<std::uint16_t>(dvr_type_of<T>());
-    c.meta.rows = values.size();
-    c.meta.row0 = row0;
-    c.meta.bytes = values.size() * sizeof(T);
-    zone_map(values, c.meta.zmin, c.meta.zmax);
-    c.payload.resize(c.meta.bytes);
-    std::memcpy(c.payload.data(), values.data(), c.meta.bytes);
-    chunks_.push_back(std::move(c));
+  void chunk(DvrSection section, std::uint16_t column, const T* values,
+             std::size_t rows, std::uint64_t row0 = 0) {
+    // 8-byte aligned so mmap'd doubles are naturally aligned for direct
+    // memcpy-free reads.
+    w_.align8();
+    DvrChunk c;
+    c.section = static_cast<std::uint16_t>(section);
+    c.column = column;
+    c.dtype = static_cast<std::uint16_t>(dvr_type_of<T>());
+    c.offset = w_.at();
+    c.bytes = rows * sizeof(T);
+    c.rows = rows;
+    c.row0 = row0;
+    zone_map(values, rows, c.zmin, c.zmax);
+    w_.raw(values, c.bytes);
+    dir_.push_back(c);
   }
-  std::vector<PendingChunk>& chunks() { return chunks_; }
+
+  template <typename T>
+  void chunk(DvrSection section, std::uint16_t column,
+             const std::vector<T>& values) {
+    chunk(section, column, values.data(), values.size());
+  }
+
+  /// One field of every record, as a column.
+  template <typename T, typename Rec, typename F>
+  void column(DvrSection section, std::uint16_t column,
+              const std::vector<Rec>& recs, F get) {
+    std::vector<T>& buf = staging<T>();
+    buf.resize(recs.size());
+    for (std::size_t i = 0; i < recs.size(); ++i) buf[i] = get(recs[i]);
+    chunk(section, column, buf);
+  }
+
+  const std::vector<DvrChunk>& directory() const { return dir_; }
 
  private:
-  std::vector<PendingChunk> chunks_;
+  template <typename T>
+  std::vector<T>& staging() {
+    if constexpr (std::is_same_v<T, double>) return f64_;
+    if constexpr (std::is_same_v<T, std::uint32_t>) return u32_;
+    if constexpr (std::is_same_v<T, std::uint64_t>) return u64_;
+    if constexpr (std::is_same_v<T, std::int32_t>) return i32_;
+  }
+
+  FdWriter& w_;
+  std::vector<DvrChunk> dir_;
+  std::vector<double> f64_;
+  std::vector<std::uint32_t> u32_;
+  std::vector<std::uint64_t> u64_;
+  std::vector<std::int32_t> i32_;
 };
 
-void write_links(ChunkSink& sink, DvrSection s,
+void write_links(ChunkWriter& cw, DvrSection s,
                  const std::vector<LinkMetrics>& links) {
   using L = LinkMetrics;
-  sink.add(s, 0, gather_field<std::uint32_t, L>(
-                     links, [](const L& l) { return l.src_router; }));
-  sink.add(s, 1, gather_field<std::uint32_t, L>(
-                     links, [](const L& l) { return l.src_port; }));
-  sink.add(s, 2, gather_field<std::uint32_t, L>(
-                     links, [](const L& l) { return l.dst_router; }));
-  sink.add(s, 3, gather_field<std::uint32_t, L>(
-                     links, [](const L& l) { return l.dst_port; }));
-  sink.add(s, 4, gather_field<double, L>(
-                     links, [](const L& l) { return l.traffic; }));
-  sink.add(s, 5, gather_field<double, L>(
-                     links, [](const L& l) { return l.sat_time; }));
-  sink.add(s, 6, gather_field<double, L>(
-                     links, [](const L& l) { return l.downtime; }));
-  sink.add(s, 7, gather_field<std::uint64_t, L>(
-                     links, [](const L& l) { return l.retries; }));
-  sink.add(s, 8, gather_field<std::uint64_t, L>(
-                     links, [](const L& l) { return l.pkts_dropped; }));
+  cw.column<std::uint32_t>(s, 0, links, [](const L& l) { return l.src_router; });
+  cw.column<std::uint32_t>(s, 1, links, [](const L& l) { return l.src_port; });
+  cw.column<std::uint32_t>(s, 2, links, [](const L& l) { return l.dst_router; });
+  cw.column<std::uint32_t>(s, 3, links, [](const L& l) { return l.dst_port; });
+  cw.column<double>(s, 4, links, [](const L& l) { return l.traffic; });
+  cw.column<double>(s, 5, links, [](const L& l) { return l.sat_time; });
+  cw.column<double>(s, 6, links, [](const L& l) { return l.downtime; });
+  cw.column<std::uint64_t>(s, 7, links, [](const L& l) { return l.retries; });
+  cw.column<std::uint64_t>(s, 8, links,
+                           [](const L& l) { return l.pkts_dropped; });
 }
 
-void write_terminals(ChunkSink& sink,
+void write_terminals(ChunkWriter& cw,
                      const std::vector<TerminalMetrics>& terms) {
   using T = TerminalMetrics;
   const auto s = DvrSection::kTerminals;
-  sink.add(s, 0, gather_field<std::uint32_t, T>(
-                     terms, [](const T& t) { return t.router; }));
-  sink.add(s, 1, gather_field<std::uint32_t, T>(
-                     terms, [](const T& t) { return t.port; }));
-  sink.add(s, 2, gather_field<double, T>(
-                     terms, [](const T& t) { return t.data_size; }));
-  sink.add(s, 3, gather_field<double, T>(
-                     terms, [](const T& t) { return t.sat_time; }));
-  sink.add(s, 4, gather_field<std::uint64_t, T>(
-                     terms, [](const T& t) { return t.packets_finished; }));
-  sink.add(s, 5, gather_field<double, T>(
-                     terms, [](const T& t) { return t.sum_latency; }));
-  sink.add(s, 6, gather_field<double, T>(
-                     terms, [](const T& t) { return t.sum_hops; }));
-  sink.add(s, 7, gather_field<std::int32_t, T>(
-                     terms, [](const T& t) { return t.job; }));
-  sink.add(s, 8, gather_field<std::uint64_t, T>(
-                     terms, [](const T& t) { return t.packets_rerouted; }));
-  sink.add(s, 9, gather_field<std::uint64_t, T>(
-                     terms, [](const T& t) { return t.packets_dropped; }));
-  sink.add(s, 10, gather_field<double, T>(
-                      terms, [](const T& t) { return t.downtime; }));
+  cw.column<std::uint32_t>(s, 0, terms, [](const T& t) { return t.router; });
+  cw.column<std::uint32_t>(s, 1, terms, [](const T& t) { return t.port; });
+  cw.column<double>(s, 2, terms, [](const T& t) { return t.data_size; });
+  cw.column<double>(s, 3, terms, [](const T& t) { return t.sat_time; });
+  cw.column<std::uint64_t>(s, 4, terms,
+                           [](const T& t) { return t.packets_finished; });
+  cw.column<double>(s, 5, terms, [](const T& t) { return t.sum_latency; });
+  cw.column<double>(s, 6, terms, [](const T& t) { return t.sum_hops; });
+  cw.column<std::int32_t>(s, 7, terms, [](const T& t) { return t.job; });
+  cw.column<std::uint64_t>(s, 8, terms,
+                           [](const T& t) { return t.packets_rerouted; });
+  cw.column<std::uint64_t>(s, 9, terms,
+                           [](const T& t) { return t.packets_dropped; });
+  cw.column<double>(s, 10, terms, [](const T& t) { return t.downtime; });
 }
 
 const SampledSeries* series_of(const RunMetrics& run, std::size_t id) {
@@ -226,7 +273,7 @@ const SampledSeries* series_of(const RunMetrics& run, std::size_t id) {
   return nullptr;
 }
 
-void write_series(ChunkSink& sink, std::size_t id, const SampledSeries& s) {
+void write_series(ChunkWriter& cw, std::size_t id, const SampledSeries& s) {
   const auto section =
       static_cast<DvrSection>(static_cast<std::uint16_t>(
                                   DvrSection::kSeriesBase) +
@@ -236,14 +283,52 @@ void write_series(ChunkSink& sink, std::size_t id, const SampledSeries& s) {
   std::uint16_t ordinal = 0;
   for (std::size_t f0 = 0; f0 < frames; f0 += kDvrSeriesChunkFrames) {
     const std::size_t nf = std::min(kDvrSeriesChunkFrames, frames - f0);
-    std::vector<float> chunk(s.data() + f0 * entities,
-                             s.data() + (f0 + nf) * entities);
-    sink.add(section, ordinal++, chunk, f0);
+    cw.chunk(section, ordinal++, s.data() + f0 * entities, nf * entities, f0);
   }
   // A sampled-but-empty series (entities > 0, no frames yet) still needs
   // its shape recorded; an explicit empty chunk does that.
   if (frames == 0 && entities > 0) {
-    sink.add(section, 0, std::vector<float>{}, 0);
+    cw.chunk(section, 0, std::vector<float>{});
+  }
+}
+
+/// Atomic durable publish: runs `body(fd)` to fill `path + ".tmp"`,
+/// fsyncs, renames over `path`, then best-effort fsyncs the containing
+/// directory. A failure removes the temporary file.
+template <typename Body>
+void publish_atomically(const std::string& path, Body&& body) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  DV_REQUIRE(fd >= 0, "cannot open for writing: " + tmp);
+  try {
+    body(fd);
+    // Durability before visibility: without this fsync the rename below
+    // can survive a power loss while the data does not, publishing a
+    // truncated file under the final name on some filesystems.
+    if (::fsync(fd) != 0) throw Error("fsync failed");
+  } catch (const Error&) {
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    throw Error("write failed: " + tmp);
+  } catch (...) {
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    throw;
+  }
+  ::close(fd);
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    throw Error("cannot rename " + tmp + " -> " + path);
+  }
+  // Best-effort: persist the directory entry too. Some filesystems refuse
+  // to fsync a directory fd, so failures here are not fatal — the data
+  // itself is already durable.
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dfd >= 0) {
+    ::fsync(dfd);
+    ::close(dfd);
   }
 }
 
@@ -338,115 +423,81 @@ std::uint64_t run_content_uid(const RunMetrics& run) {
 
 // ----------------------------------------------------------------- writer
 
-void save_dvr(const RunMetrics& run, const std::string& path) {
-  ChunkSink sink;
-  write_links(sink, DvrSection::kLocalLinks, run.local_links);
-  write_links(sink, DvrSection::kGlobalLinks, run.global_links);
-  write_terminals(sink, run.terminals);
-  if (!run.router_downtime.empty()) {
-    sink.add(DvrSection::kRouterTallies, 0, run.router_downtime);
-  }
-  if (!run.router_retries.empty()) {
-    sink.add(DvrSection::kRouterTallies, 1, run.router_retries);
-  }
-  if (!run.router_drops.empty()) {
-    sink.add(DvrSection::kRouterTallies, 2, run.router_drops);
-  }
-  if (run.has_time_series()) {
-    for (std::size_t id = 0; id < kDvrSeriesCount; ++id) {
-      write_series(sink, id, *series_of(run, id));
+std::uint64_t save_dvr(const RunMetrics& run, const std::string& path) {
+  const std::uint64_t uid = run_content_uid(run);
+  publish_atomically(path, [&](int fd) {
+    FdWriter w(fd);
+    w.raw(kMagic, sizeof(kMagic));
+    w.pod(kDvrVersion);
+    w.pod(uid);
+    w.pod(run.groups);
+    w.pod(run.routers_per_group);
+    w.pod(run.terminals_per_router);
+    w.pod(run.global_per_router);
+    w.pod(run.seed);
+    w.pod(run.end_time);
+    w.pod(run.sample_dt);
+    w.pod(static_cast<std::uint32_t>(run.local_links.size()));
+    w.pod(static_cast<std::uint32_t>(run.global_links.size()));
+    w.pod(static_cast<std::uint32_t>(run.terminals.size()));
+    w.pod(static_cast<std::uint32_t>(run.router_downtime.size()));
+    // Chunk count and directory offset are patched once the payloads are
+    // out.
+    const std::uint64_t count_at = w.at();
+    w.pod(static_cast<std::uint32_t>(0));
+    const std::uint64_t dir_offset_at = w.at();
+    w.pod(static_cast<std::uint64_t>(0));
+    w.str(run.workload);
+    w.str(run.routing);
+    w.str(run.placement);
+    w.pod(static_cast<std::uint32_t>(run.job_names.size()));
+    for (const auto& n : run.job_names) w.str(n);
+
+    ChunkWriter cw(w);
+    write_links(cw, DvrSection::kLocalLinks, run.local_links);
+    write_links(cw, DvrSection::kGlobalLinks, run.global_links);
+    write_terminals(cw, run.terminals);
+    if (!run.router_downtime.empty()) {
+      cw.chunk(DvrSection::kRouterTallies, 0, run.router_downtime);
     }
-  }
+    if (!run.router_retries.empty()) {
+      cw.chunk(DvrSection::kRouterTallies, 1, run.router_retries);
+    }
+    if (!run.router_drops.empty()) {
+      cw.chunk(DvrSection::kRouterTallies, 2, run.router_drops);
+    }
+    if (run.has_time_series()) {
+      for (std::size_t id = 0; id < kDvrSeriesCount; ++id) {
+        write_series(cw, id, *series_of(run, id));
+      }
+    }
 
-  ByteWriter w;
-  w.raw(kMagic, sizeof(kMagic));
-  w.pod(kDvrVersion);
-  w.pod(run_content_uid(run));
-  w.pod(run.groups);
-  w.pod(run.routers_per_group);
-  w.pod(run.terminals_per_router);
-  w.pod(run.global_per_router);
-  w.pod(run.seed);
-  w.pod(run.end_time);
-  w.pod(run.sample_dt);
-  w.pod(static_cast<std::uint32_t>(run.local_links.size()));
-  w.pod(static_cast<std::uint32_t>(run.global_links.size()));
-  w.pod(static_cast<std::uint32_t>(run.terminals.size()));
-  w.pod(static_cast<std::uint32_t>(run.router_downtime.size()));
-  w.pod(static_cast<std::uint32_t>(sink.chunks().size()));
-  const std::size_t dir_offset_at = w.size();
-  w.pod(static_cast<std::uint64_t>(0));  // chunk directory offset (patched)
-  w.str(run.workload);
-  w.str(run.routing);
-  w.str(run.placement);
-  w.pod(static_cast<std::uint32_t>(run.job_names.size()));
-  for (const auto& n : run.job_names) w.str(n);
-
-  // Chunk payloads, 8-byte aligned so mmap'd doubles are naturally
-  // aligned for direct memcpy-free reads.
-  for (auto& c : sink.chunks()) {
-    while (w.size() % 8 != 0) w.pod(static_cast<unsigned char>(0));
-    c.meta.offset = w.size();
-    w.raw(c.payload.data(), c.payload.size());
-  }
-
-  const std::uint64_t dir_offset = w.size();
-  w.patch(dir_offset_at, dir_offset);
-  for (const auto& c : sink.chunks()) {
-    w.pod(c.meta.section);
-    w.pod(c.meta.column);
-    w.pod(c.meta.dtype);
-    w.pod(static_cast<std::uint16_t>(0));  // reserved
-    w.pod(c.meta.offset);
-    w.pod(c.meta.bytes);
-    w.pod(c.meta.rows);
-    w.pod(c.meta.row0);
-    w.pod(c.meta.zmin);
-    w.pod(c.meta.zmax);
-  }
-
-  atomic_write_file(path, w.bytes().data(), w.size());
+    const std::uint64_t dir_offset = w.at();
+    for (const DvrChunk& c : cw.directory()) {
+      w.pod(c.section);
+      w.pod(c.column);
+      w.pod(c.dtype);
+      w.pod(static_cast<std::uint16_t>(0));  // reserved
+      w.pod(c.offset);
+      w.pod(c.bytes);
+      w.pod(c.rows);
+      w.pod(c.row0);
+      w.pod(c.zmin);
+      w.pod(c.zmax);
+    }
+    w.patch(count_at, static_cast<std::uint32_t>(cw.directory().size()));
+    w.patch(dir_offset_at, dir_offset);
+  });
+  return uid;
 }
 
 void atomic_write_file(const std::string& path, const void* data,
                        std::size_t size) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  DV_REQUIRE(fd >= 0, "cannot open for writing: " + tmp);
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::size_t put = 0;
-  bool ok = true;
-  while (ok && put < size) {
-    const ssize_t n = ::write(fd, p + put, size - put);
-    if (n < 0) {
-      ok = false;
-    } else {
-      put += static_cast<std::size_t>(n);
-    }
-  }
-  // Durability before visibility: without this fsync the rename below can
-  // survive a power loss while the data does not, publishing a truncated
-  // file under the final name on some filesystems.
-  if (ok && ::fsync(fd) != 0) ok = false;
-  ::close(fd);
-  if (!ok) {
-    ::unlink(tmp.c_str());
-    throw Error("write failed: " + tmp);
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    throw Error("cannot rename " + tmp + " -> " + path);
-  }
-  // Best-effort: persist the directory entry too. Some filesystems refuse
-  // to fsync a directory fd, so failures here are not fatal — the data
-  // itself is already durable.
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
+  publish_atomically(path, [&](int fd) {
+    FdWriter w(fd);
+    w.raw(data, size);
+    w.flush();
+  });
 }
 
 bool is_dvr_file(const std::string& path) {

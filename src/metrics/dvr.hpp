@@ -74,8 +74,9 @@ struct DvrChunk {
 std::uint64_t run_content_uid(const RunMetrics& run);
 
 /// Writes `run` as a .dvr file (atomically and durably: tmp + fsync +
-/// rename).
-void save_dvr(const RunMetrics& run, const std::string& path);
+/// rename), streaming the column payloads from the run's own memory.
+/// Returns the run's content uid, which the header embeds.
+std::uint64_t save_dvr(const RunMetrics& run, const std::string& path);
 
 /// Atomic durable file publish shared by the .dvr writer and the run-store
 /// index: writes `size` bytes to `path + ".tmp"`, fsyncs, renames over

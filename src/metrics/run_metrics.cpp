@@ -374,15 +374,13 @@ RunMetrics RunMetrics::from_json(const json::Value& v) {
   return m;
 }
 
-void RunMetrics::save(const std::string& path) const {
+std::uint64_t RunMetrics::save(const std::string& path) const {
   if (format_for_path(path) == StoreFormat::kPacked) {
-    save_dvr(*this, path);
-    return;
+    return save_dvr(*this, path);
   }
-  std::ofstream os(path, std::ios::binary);
-  DV_REQUIRE(os.good(), "cannot open for writing: " + path);
-  os << json::dump(to_json());
-  DV_REQUIRE(os.good(), "write failed: " + path);
+  const std::string text = json::dump(to_json());
+  atomic_write_file(path, text.data(), text.size());
+  return run_content_uid(*this);
 }
 
 RunMetrics RunMetrics::load(const std::string& path) {

@@ -217,10 +217,12 @@ struct RunMetrics {
   // consumer (CLI, store, serve catalog) reads both and old text runs
   // still open. Text parse errors are rethrown with the file path and the
   // offending line number; a UTF-8 BOM, CRLF line endings and trailing
-  // whitespace are tolerated.
+  // whitespace are tolerated. Either format is published atomically
+  // (tmp + fsync + rename), so a reader never sees a torn file, and
+  // save() returns the run's content uid (run_content_uid in dvr.hpp).
   json::Value to_json() const;
   static RunMetrics from_json(const json::Value& v);
-  void save(const std::string& path) const;
+  std::uint64_t save(const std::string& path) const;
   static RunMetrics load(const std::string& path);
 
   /// CSV export of one entity class: "local_links", "global_links",

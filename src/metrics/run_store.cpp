@@ -58,7 +58,7 @@ std::string RunStore::add(const RunMetrics& run, std::string name,
   for (int suffix = 2; contains(final_name); ++suffix) {
     final_name = name + "_" + std::to_string(suffix);
   }
-  run.save(path_of(final_name, format));
+  const std::uint64_t uid = run.save(path_of(final_name, format));
   RunInfo info;
   info.name = final_name;
   info.workload = run.workload;
@@ -69,7 +69,7 @@ std::string RunStore::add(const RunMetrics& run, std::string name,
   info.end_time = run.end_time;
   info.sampled = run.has_time_series();
   info.format = format;
-  info.uid = run_content_uid(run);
+  info.uid = uid;
   index_.push_back(info);
   save_index();
   return final_name;
@@ -96,10 +96,10 @@ void RunStore::repack(const std::string& name, StoreFormat format) {
   const RunMetrics run = RunMetrics::load(path_of(it->name, it->format));
   // Write the new file before dropping the old one: a failure mid-repack
   // leaves the run readable in its original format.
-  run.save(path_of(it->name, format));
+  const std::uint64_t uid = run.save(path_of(it->name, format));
   fs::remove(path_of(it->name, it->format));
   it->format = format;
-  if (it->uid == 0) it->uid = run_content_uid(run);
+  if (it->uid == 0) it->uid = uid;
   save_index();
 }
 

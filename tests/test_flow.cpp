@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "app/runner.hpp"
 #include "flow/flow.hpp"
 #include "metrics/dvr.hpp"
 #include "util/rng.hpp"
@@ -608,6 +609,51 @@ TEST(FlowNetwork, CoarsenedRunIsDeterministic) {
   };
   EXPECT_EQ(metrics::run_content_uid(run_once()),
             metrics::run_content_uid(run_once()));
+}
+
+/// Content uids of DF(3) flow runs through run_experiment, pinned so that
+/// changes to the issue path (bundle FIFOs, route decisions) are proven
+/// output-neutral: {uniform_random, transpose} x {minimal, adaptive},
+/// unsampled and sampled, plus one coarsened run.
+struct PinnedUid {
+  const char* workload;
+  routing::Algo routing;
+  double sample_dt;
+  bool coarsen;
+  std::uint64_t uid;
+};
+
+TEST(FlowNetwork, ContentUidsArePinned) {
+  using routing::Algo;
+  const PinnedUid cases[] = {
+      {"uniform_random", Algo::kMinimal, 0.0, false, 1386960425720503912ull},
+      {"uniform_random", Algo::kAdaptive, 0.0, false, 4762891858410712882ull},
+      {"transpose", Algo::kMinimal, 0.0, false, 2154718124508855922ull},
+      {"transpose", Algo::kAdaptive, 0.0, false, 12185161646573125343ull},
+      {"uniform_random", Algo::kMinimal, 5e3, false, 17457300128060876122ull},
+      {"uniform_random", Algo::kAdaptive, 5e3, false, 10619459015603097831ull},
+      {"transpose", Algo::kMinimal, 5e3, false, 14532117436866670070ull},
+      {"transpose", Algo::kAdaptive, 5e3, false, 15351001117768683078ull},
+      {"uniform_random", Algo::kAdaptive, 5e3, true, 11124301993836624311ull},
+  };
+  for (const PinnedUid& c : cases) {
+    app::ExperimentConfig cfg;
+    cfg.dragonfly_p = 3;
+    app::JobSpec job;
+    job.workload = c.workload;
+    cfg.jobs.push_back(job);
+    cfg.routing = c.routing;
+    cfg.window = 1.0e5;
+    cfg.synthetic_bytes_per_rank = 64 * 1024;
+    cfg.seed = 7;
+    cfg.sample_dt = c.sample_dt;
+    cfg.backend = app::Backend::kFlow;
+    cfg.flow_coarsen = c.coarsen;
+    const auto res = app::run_experiment(cfg);
+    EXPECT_EQ(metrics::run_content_uid(res.run), c.uid)
+        << c.workload << " " << routing::to_string(c.routing)
+        << " sample_dt=" << c.sample_dt << " coarsen=" << c.coarsen;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "metrics/dvr.hpp"
 #include "metrics/run_metrics.hpp"
 #include "metrics/run_store.hpp"
 #include "netsim/network.hpp"
@@ -78,6 +79,29 @@ TEST(Metrics, FileRoundTripSampled) {
     EXPECT_FLOAT_EQ(back.local_traffic_ts.at(f, e),
                     m.local_traffic_ts.at(f, e));
   }
+}
+
+TEST(Metrics, TextSaveReplacesAnExistingRunAtomically) {
+  // The text export is published like a packed run (tmp + fsync +
+  // rename): overwriting a run leaves the new content under the final
+  // name and no temporary file beside it.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "dv_metrics_text_overwrite";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "run.json").string();
+  const auto first = sample_run(true);
+  const auto second = sample_run(false);
+  EXPECT_EQ(first.save(path), run_content_uid(first));
+  EXPECT_EQ(second.save(path), run_content_uid(second));
+  EXPECT_EQ(run_content_uid(RunMetrics::load(path)), run_content_uid(second));
+  std::size_t files = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(e.path().filename(), "run.json");
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Metrics, SampledSeriesRangeOps) {

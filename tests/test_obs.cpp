@@ -171,6 +171,31 @@ TEST_F(ObsTest, ExperimentProfileHasCountersAndPhases) {
   EXPECT_TRUE(saw_sim);
 }
 
+TEST_F(ObsTest, FlowSimPhasesCoverTheSimulation) {
+  // The flow engine's ev.* phases (layout, issue, drain, solve, target,
+  // sample, activate) must account for the "sim" phase, so unattributed
+  // time shows up as a number instead of hiding inside it.
+  app::ExperimentConfig cfg;
+  cfg.dragonfly_p = 3;
+  cfg.jobs = {{"uniform_random", 0, placement::Policy::kContiguous, 0}};
+  cfg.window = 1.0e5;
+  cfg.synthetic_bytes_per_rank = 64 * 1024;
+  cfg.sample_dt = 2'000.0;
+  cfg.seed = 7;
+  cfg.backend = app::Backend::kFlow;
+  const obs::RunProfile p = app::run_experiment(cfg).profile;
+  double sim = 0.0, children = 0.0;
+  for (const auto& ph : p.phases) {
+    if (ph.path == "sim") sim = ph.seconds;
+    const bool child = ph.path.rfind("sim/", 0) == 0 &&
+                       ph.path.find('/', 4) == std::string::npos;
+    if (child) children += ph.seconds;
+  }
+  ASSERT_GT(sim, 0.0);
+  EXPECT_GE(children, 0.95 * sim)
+      << "sim/* phases cover " << children / sim << " of sim";
+}
+
 TEST_F(ObsTest, ProfilingDoesNotChangeRunMetrics) {
   // Same seeded experiment with the registry reset + captured vs. run
   // "cold": the serialized RunMetrics must be bit-identical. (capture()

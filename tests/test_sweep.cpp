@@ -1,11 +1,13 @@
 // Sweep orchestrator tests: a small grid lands one packed run per point in
 // the store, uids are distinct per point and reproducible across re-runs,
-// re-sweeping is idempotent, and the comparison report references every
-// stored run.
+// re-sweeping is idempotent, the comparison report references every
+// stored run, and the background writer stores exactly what a serial
+// simulate-then-add loop would, failure included.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -34,6 +36,121 @@ SweepConfig grid_config(const std::string& store_dir) {
   cfg.scales = {0.5, 1.0};
   cfg.store_dir = store_dir;
   return cfg;
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), {}};
+}
+
+/// Every file in `dir` by name, so two stores compare as sets of names.
+std::set<std::string> file_names(const std::string& dir) {
+  std::set<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    names.insert(e.path().filename().string());
+  }
+  return names;
+}
+
+TEST(Sweep, PipelinedStoreMatchesASerialOracle) {
+  // A sampled 2x2x2 grid through run_sweep against the serial loop it
+  // replaces: run_experiment, then RunStore::add, one point at a time.
+  const auto dir = temp_dir("dv_sweep_test_pipe");
+  const auto oracle_dir = temp_dir("dv_sweep_test_pipe_oracle");
+  auto cfg = grid_config(dir);
+  cfg.base.sample_dt = 5000.0;
+  cfg.routings = {"minimal", "adaptive"};
+  const auto res = run_sweep(cfg);
+  ASSERT_EQ(res.points.size(), 8u);
+
+  metrics::RunStore oracle(oracle_dir);
+  std::size_t i = 0;
+  for (const std::string& workload : cfg.workloads) {
+    for (const std::string& routing : cfg.routings) {
+      for (const double scale : cfg.scales) {
+        ExperimentConfig point = cfg.base;
+        point.jobs = {JobSpec{}};
+        point.jobs[0].workload = workload;
+        point.routing = routing::algo_from_string(routing);
+        point.traffic_scale = scale;
+        const std::string name =
+            sweep_point_name(workload, routing, scale, cfg.base.backend);
+        ASSERT_EQ(oracle.add(run_experiment(point).run, name), name);
+        EXPECT_EQ(res.points[i].name, name);
+        EXPECT_EQ(res.points[i].uid, oracle.info(name).uid) << name;
+        ++i;
+      }
+    }
+  }
+
+  const auto names = file_names(dir);
+  ASSERT_EQ(names, file_names(oracle_dir));
+  EXPECT_EQ(names.size(), 9u);  // 8 runs + index.json
+  for (const std::string& name : names) {
+    EXPECT_EQ(file_bytes(std::filesystem::path(dir) / name),
+              file_bytes(std::filesystem::path(oracle_dir) / name))
+        << name;
+  }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(oracle_dir);
+}
+
+TEST(Sweep, FailedPointRethrowsAndKeepsEarlierPointsStored) {
+  // The second of three points throws inside run_experiment while the
+  // writer may still be storing the first. The sweep must rethrow that
+  // error (no std::terminate from a joinable writer) and leave the store
+  // as a serial sweep would: the first point stored and indexed.
+  const auto dir = temp_dir("dv_sweep_test_fail");
+  auto cfg = grid_config(dir);
+  cfg.workloads = {"uniform_random", "no_such_workload", "nearest_neighbor"};
+  cfg.scales = {1.0};
+  try {
+    run_sweep(cfg);
+    FAIL() << "the unknown workload must fail the sweep";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("no_such_workload"),
+              std::string::npos)
+        << e.what();
+  }
+  const std::string first =
+      sweep_point_name("uniform_random", "adaptive", 1.0, Backend::kFlow);
+  metrics::RunStore store(dir);
+  ASSERT_EQ(store.size(), 1u);
+  ASSERT_TRUE(store.contains(first));
+  EXPECT_EQ(store.load(first).workload, "uniform_random");
+  EXPECT_EQ(file_names(dir),
+            (std::set<std::string>{first + ".dvr", "index.json"}));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Sweep, ResweepReplacesATextEntryOfTheSameName) {
+  const auto dir = temp_dir("dv_sweep_test_text_entry");
+  auto cfg = grid_config(dir);
+  cfg.workloads = {"uniform_random"};
+  cfg.scales = {1.0};
+  const std::string name =
+      sweep_point_name("uniform_random", "adaptive", 1.0, Backend::kFlow);
+  {
+    // A text-format entry under the grid point's name, with other
+    // content (another seed) than the sweep will produce.
+    ExperimentConfig other = cfg.base;
+    other.jobs[0].workload = "uniform_random";
+    other.seed = 99;
+    metrics::RunStore store(dir);
+    store.add(run_experiment(other).run, name, metrics::StoreFormat::kText);
+  }
+  ASSERT_TRUE(std::filesystem::exists(std::filesystem::path(dir) /
+                                      (name + ".json")));
+
+  const auto res = run_sweep(cfg);
+  ASSERT_EQ(res.points.size(), 1u);
+  metrics::RunStore store(dir);
+  ASSERT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.info(name).format, metrics::StoreFormat::kPacked);
+  EXPECT_EQ(store.info(name).uid, res.points[0].uid);
+  EXPECT_EQ(file_names(dir),
+            (std::set<std::string>{name + ".dvr", "index.json"}));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Sweep, GridProducesOneRunPerPoint) {
