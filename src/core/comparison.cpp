@@ -93,7 +93,7 @@ std::string ComparisonView::to_svg(double panel_px) const {
     views_[i].render(doc, x0 + panel_px / 2, 30 + panel_px / 2,
                      panel_px * 0.46);
   }
-  return doc.str();
+  return std::move(doc).str();
 }
 
 void ComparisonView::save_svg(const std::string& path,

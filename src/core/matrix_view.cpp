@@ -72,7 +72,7 @@ std::string MatrixView::to_svg(double size_px, const std::string& title,
     doc.text(size_px / 2, 18, title, 13, Rgb{40, 40, 40}, "middle");
   }
   render(doc, 10, 26, size_px - 20, max_render_dim);
-  return doc.str();
+  return std::move(doc).str();
 }
 
 }  // namespace dv::core

@@ -585,7 +585,7 @@ std::string ProjectionView::to_svg(double size_px,
   }
   render(doc, size_px / 2, size_px / 2 + 24, size_px * 0.47);
   render_legend(doc, 10, size_px + 24, size_px - 20);
-  return doc.str();
+  return std::move(doc).str();
 }
 
 void ProjectionView::save_svg(const std::string& path, double size_px,

@@ -70,18 +70,17 @@ ReportBuilder& ReportBuilder::run_summary(const DataSet& data) {
 ReportBuilder& ReportBuilder::projection(const ProjectionView& view,
                                          const std::string& caption,
                                          double size_px) {
-  body_ += "<figure>\n" + view.to_svg(size_px) + "<figcaption>" +
-           escape(caption) + "</figcaption>\n</figure>\n";
-  body_ += "<details><summary>projection spec</summary><pre>" +
-           escape(view.spec().to_script()) + "</pre></details>\n";
+  svg(view.to_svg(size_px), caption);
+  body_ += "<details><summary>projection spec</summary><pre>";
+  body_ += escape(view.spec().to_script());
+  body_ += "</pre></details>\n";
   return *this;
 }
 
 ReportBuilder& ReportBuilder::comparison(const ComparisonView& cmp,
                                          const std::string& caption,
                                          double panel_px) {
-  body_ += "<figure>\n" + cmp.to_svg(panel_px) + "<figcaption>" +
-           escape(caption) + "</figcaption>\n</figure>\n";
+  svg(cmp.to_svg(panel_px), caption);
   const auto summaries = cmp.job_summaries();
   std::ostringstream os;
   os << "<table class=\"jobs\">\n<tr><th>run</th><th>job</th>"
@@ -113,8 +112,13 @@ ReportBuilder& ReportBuilder::timeline(const TimelineView& view,
 
 ReportBuilder& ReportBuilder::svg(const std::string& svg_markup,
                                   const std::string& caption) {
-  body_ += "<figure>\n" + svg_markup + "<figcaption>" + escape(caption) +
-           "</figcaption>\n</figure>\n";
+  // Appended piece by piece: the markup is often a megabyte, and a
+  // concatenated temporary would copy it once more.
+  body_ += "<figure>\n";
+  body_ += svg_markup;
+  body_ += "<figcaption>";
+  body_ += escape(caption);
+  body_ += "</figcaption>\n</figure>\n";
   return *this;
 }
 
@@ -137,22 +141,26 @@ ReportBuilder& ReportBuilder::query_stats(const QueryStats& stats) {
 }
 
 std::string ReportBuilder::html() const {
-  std::ostringstream os;
-  os << "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n<title>"
-     << escape(title_) << "</title>\n<style>\n"
-     << "body{font-family:sans-serif;max-width:1100px;margin:2em auto;"
-        "color:#222}\n"
-     << "figure{margin:1.5em 0;text-align:center}\n"
-     << "figcaption{font-size:0.9em;color:#555;margin-top:0.4em}\n"
-     << "table{border-collapse:collapse;margin:1em 0}\n"
-     << "th,td{border:1px solid #ccc;padding:4px 10px;font-size:0.9em;"
-        "text-align:left}\n"
-     << "pre{background:#f6f6f6;padding:0.8em;overflow-x:auto;"
-        "font-size:0.85em}\n"
-     << "details{margin:0.5em 0}\n</style></head>\n<body>\n<h1>"
-     << escape(title_) << "</h1>\n"
-     << body_ << "</body></html>\n";
-  return os.str();
+  std::string out =
+      "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n<title>";
+  out += escape(title_);
+  out +=
+      "</title>\n<style>\n"
+      "body{font-family:sans-serif;max-width:1100px;margin:2em auto;"
+      "color:#222}\n"
+      "figure{margin:1.5em 0;text-align:center}\n"
+      "figcaption{font-size:0.9em;color:#555;margin-top:0.4em}\n"
+      "table{border-collapse:collapse;margin:1em 0}\n"
+      "th,td{border:1px solid #ccc;padding:4px 10px;font-size:0.9em;"
+      "text-align:left}\n"
+      "pre{background:#f6f6f6;padding:0.8em;overflow-x:auto;"
+      "font-size:0.85em}\n"
+      "details{margin:0.5em 0}\n</style></head>\n<body>\n<h1>";
+  out += escape(title_);
+  out += "</h1>\n";
+  out += body_;
+  out += "</body></html>\n";
+  return out;
 }
 
 void ReportBuilder::save(const std::string& path) const {

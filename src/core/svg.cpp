@@ -9,7 +9,7 @@
 namespace dv::core {
 
 namespace {
-std::string num(double v) { return fmt_double(v, 3); }
+constexpr std::string_view kClose = "</svg>\n";
 
 Pt polar(double cx, double cy, double r, double a) {
   // SVG y grows downward; negate to keep mathematical orientation.
@@ -20,79 +20,86 @@ Pt polar(double cx, double cy, double r, double a) {
 SvgDocument::SvgDocument(double width, double height)
     : width_(width), height_(height) {
   DV_REQUIRE(width > 0 && height > 0, "svg size must be positive");
+  put("<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"", width_,
+      "\" height=\"", height_, "\" viewBox=\"0 0 ", Pt{width_, height_},
+      "\">\n");
 }
 
-std::string SvgDocument::style_attrs(const Style& s) const {
-  std::string out;
-  out += " fill=\"";
-  out += s.fill.a ? s.fill.hex() : std::string("none");
-  out += "\"";
+void SvgDocument::put_part(double v) { append_fixed(out_, v, 3); }
+
+void SvgDocument::put_part(Pt p) { put(p.x, " ", p.y); }
+
+void SvgDocument::style_attrs(const Style& s) {
+  out_ += " fill=\"";
+  if (s.fill.a) {
+    s.fill.append_hex(out_);
+  } else {
+    out_ += "none";
+  }
+  out_ += '"';
   if (s.fill.a && s.fill.a != 255) {
-    out += " fill-opacity=\"" + num(s.fill.a / 255.0) + "\"";
+    put(" fill-opacity=\"", s.fill.a / 255.0, "\"");
   }
   if (s.stroke.a) {
-    out += " stroke=\"" + s.stroke.hex() + "\" stroke-width=\"" +
-           num(s.stroke_width) + "\"";
+    out_ += " stroke=\"";
+    s.stroke.append_hex(out_);
+    put("\" stroke-width=\"", s.stroke_width, "\"");
     if (s.stroke.a != 255) {
-      out += " stroke-opacity=\"" + num(s.stroke.a / 255.0) + "\"";
+      put(" stroke-opacity=\"", s.stroke.a / 255.0, "\"");
     }
   }
-  if (s.opacity != 1.0) out += " opacity=\"" + num(s.opacity) + "\"";
-  return out;
+  if (s.opacity != 1.0) put(" opacity=\"", s.opacity, "\"");
+}
+
+void SvgDocument::end_shape(const Style& s) {
+  style_attrs(s);
+  out_ += "/>\n";
+  ++elements_;
 }
 
 void SvgDocument::rect(double x, double y, double w, double h,
                        const Style& s) {
-  body_ << "<rect x=\"" << num(x) << "\" y=\"" << num(y) << "\" width=\""
-        << num(w) << "\" height=\"" << num(h) << "\"" << style_attrs(s)
-        << "/>\n";
-  ++elements_;
+  put("<rect x=\"", x, "\" y=\"", y, "\" width=\"", w, "\" height=\"", h,
+      "\"");
+  end_shape(s);
 }
 
 void SvgDocument::circle(double cx, double cy, double r, const Style& s) {
-  body_ << "<circle cx=\"" << num(cx) << "\" cy=\"" << num(cy) << "\" r=\""
-        << num(r) << "\"" << style_attrs(s) << "/>\n";
-  ++elements_;
+  put("<circle cx=\"", cx, "\" cy=\"", cy, "\" r=\"", r, "\"");
+  end_shape(s);
 }
 
 void SvgDocument::line(Pt a, Pt b, const Style& s) {
-  body_ << "<line x1=\"" << num(a.x) << "\" y1=\"" << num(a.y) << "\" x2=\""
-        << num(b.x) << "\" y2=\"" << num(b.y) << "\"" << style_attrs(s)
-        << "/>\n";
-  ++elements_;
+  put("<line x1=\"", a.x, "\" y1=\"", a.y, "\" x2=\"", b.x, "\" y2=\"", b.y,
+      "\"");
+  end_shape(s);
 }
 
 void SvgDocument::polyline(const std::vector<Pt>& pts, const Style& s) {
-  body_ << "<polyline points=\"";
+  out_ += "<polyline points=\"";
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    if (i) body_ << ' ';
-    body_ << num(pts[i].x) << ',' << num(pts[i].y);
+    put(i ? " " : "", pts[i].x, ",", pts[i].y);
   }
-  body_ << "\"" << style_attrs(s) << "/>\n";
-  ++elements_;
-}
-
-void SvgDocument::path(const std::string& d, const Style& s) {
-  body_ << "<path d=\"" << d << "\"" << style_attrs(s) << "/>\n";
-  ++elements_;
+  out_ += '"';
+  end_shape(s);
 }
 
 void SvgDocument::text(double x, double y, const std::string& content,
                        double size, const Rgb& color,
                        const std::string& anchor) {
-  body_ << "<text x=\"" << num(x) << "\" y=\"" << num(y)
-        << "\" font-size=\"" << num(size) << "\" font-family=\"sans-serif\""
-        << " fill=\"" << color.hex() << "\" text-anchor=\"" << anchor
-        << "\">";
+  put("<text x=\"", x, "\" y=\"", y, "\" font-size=\"", size,
+      "\" font-family=\"sans-serif\" fill=\"");
+  color.append_hex(out_);
+  put("\" text-anchor=\"", anchor, "\">");
   for (char c : content) {
     switch (c) {
-      case '<': body_ << "&lt;"; break;
-      case '>': body_ << "&gt;"; break;
-      case '&': body_ << "&amp;"; break;
-      default: body_ << c;
+      case '<': out_ += "&lt;"; break;
+      case '>': out_ += "&gt;"; break;
+      case '&': out_ += "&amp;"; break;
+      default: out_ += c;
     }
   }
-  body_ << "</text>\n";
+  out_ += "</text>\n";
   ++elements_;
 }
 
@@ -101,60 +108,59 @@ void SvgDocument::ring_sector(double cx, double cy, double r0, double r1,
   DV_REQUIRE(r1 >= r0 && r0 >= 0, "bad ring radii");
   const Pt p00 = polar(cx, cy, r0, a0), p01 = polar(cx, cy, r0, a1);
   const Pt p10 = polar(cx, cy, r1, a0), p11 = polar(cx, cy, r1, a1);
-  const int large = (a1 - a0) > 3.14159265358979323846 ? 1 : 0;
-  std::ostringstream d;
+  const char* large = (a1 - a0) > 3.14159265358979323846 ? " 0 1 " : " 0 0 ";
   // Outer arc a0->a1 (sweep 0 because of the flipped y axis), inner back.
-  d << "M" << num(p10.x) << ' ' << num(p10.y) << " A" << num(r1) << ' '
-    << num(r1) << " 0 " << large << " 0 " << num(p11.x) << ' ' << num(p11.y)
-    << " L" << num(p01.x) << ' ' << num(p01.y) << " A" << num(r0) << ' '
-    << num(r0) << " 0 " << large << " 1 " << num(p00.x) << ' ' << num(p00.y)
-    << " Z";
-  path(d.str(), s);
+  put("<path d=\"M", p10, " A", Pt{r1, r1}, large, "0 ", p11, " L", p01,
+      " A", Pt{r0, r0}, large, "1 ", p00, " Z\"");
+  end_shape(s);
 }
 
 void SvgDocument::ribbon(double cx, double cy, double r, double a0,
                          double a1, double b0, double b1, const Style& s) {
   const Pt pa0 = polar(cx, cy, r, a0), pa1 = polar(cx, cy, r, a1);
   const Pt pb0 = polar(cx, cy, r, b0), pb1 = polar(cx, cy, r, b1);
-  std::ostringstream d;
+  const Pt c{cx, cy}, radii{r, r};
   // Arc across span A, curve through centre to span B, arc, curve back.
-  d << "M" << num(pa0.x) << ' ' << num(pa0.y)
-    << " A" << num(r) << ' ' << num(r) << " 0 0 0 " << num(pa1.x) << ' '
-    << num(pa1.y)
-    << " Q" << num(cx) << ' ' << num(cy) << ' ' << num(pb0.x) << ' '
-    << num(pb0.y)
-    << " A" << num(r) << ' ' << num(r) << " 0 0 0 " << num(pb1.x) << ' '
-    << num(pb1.y)
-    << " Q" << num(cx) << ' ' << num(cy) << ' ' << num(pa0.x) << ' '
-    << num(pa0.y) << " Z";
-  path(d.str(), s);
+  put("<path d=\"M", pa0, " A", radii, " 0 0 0 ", pa1, " Q", c, " ", pb0,
+      " A", radii, " 0 0 0 ", pb1, " Q", c, " ", pa0, " Z\"");
+  end_shape(s);
 }
 
 void SvgDocument::begin_group(const std::string& id) {
-  body_ << "<g id=\"" << id << "\">\n";
+  put("<g id=\"", id, "\">\n");
   ++open_groups_;
 }
 
 void SvgDocument::end_group() {
   DV_REQUIRE(open_groups_ > 0, "end_group without begin_group");
-  body_ << "</g>\n";
+  out_ += "</g>\n";
   --open_groups_;
 }
 
-std::string SvgDocument::str() const {
+void SvgDocument::require_closed() const {
   DV_REQUIRE(open_groups_ == 0, "unclosed svg group");
-  std::ostringstream out;
-  out << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << num(width_)
-      << "\" height=\"" << num(height_) << "\" viewBox=\"0 0 " << num(width_)
-      << ' ' << num(height_) << "\">\n"
-      << body_.str() << "</svg>\n";
-  return out.str();
+}
+
+std::string SvgDocument::str() const& {
+  require_closed();
+  std::string out;
+  out.reserve(out_.size() + kClose.size());
+  out += out_;
+  out += kClose;
+  return out;
+}
+
+std::string SvgDocument::str() && {
+  require_closed();
+  out_ += kClose;
+  return std::move(out_);
 }
 
 void SvgDocument::save(const std::string& path) const {
+  require_closed();
   std::ofstream os(path, std::ios::binary);
   DV_REQUIRE(os.good(), "cannot open svg for writing: " + path);
-  os << str();
+  os << out_ << kClose;
   DV_REQUIRE(os.good(), "svg write failed: " + path);
 }
 

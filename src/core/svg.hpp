@@ -3,8 +3,9 @@
 // output plus a programmatic interaction API).
 #pragma once
 
-#include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/color.hpp"
 
@@ -29,7 +30,9 @@ struct Style {
 };
 
 /// Accumulates SVG elements; geometry helpers cover everything the radial
-/// views need (ring sectors, chord ribbons, polylines).
+/// views need (ring sectors, chord ribbons, polylines). Every element is
+/// appended straight into one buffer that already holds the <svg> header;
+/// numbers are written with three decimals, trailing zeros dropped.
 class SvgDocument {
  public:
   SvgDocument(double width, double height);
@@ -41,8 +44,6 @@ class SvgDocument {
   void circle(double cx, double cy, double r, const Style& s);
   void line(Pt a, Pt b, const Style& s);
   void polyline(const std::vector<Pt>& pts, const Style& s);
-  /// Arbitrary path data (already in SVG path syntax).
-  void path(const std::string& d, const Style& s);
   void text(double x, double y, const std::string& content, double size,
             const Rgb& color, const std::string& anchor = "start");
 
@@ -61,17 +62,30 @@ class SvgDocument {
   void begin_group(const std::string& id);
   void end_group();
 
-  std::string str() const;
+  /// The finished document. `std::move(doc).str()` hands the buffer over
+  /// instead of copying it.
+  std::string str() const&;
+  std::string str() &&;
   void save(const std::string& path) const;
 
   /// Number of emitted elements (used by tests).
   std::size_t element_count() const { return elements_; }
 
  private:
-  std::string style_attrs(const Style& s) const;
+  /// Appends each part: text as is, a double as a number, a Pt as "x y".
+  template <class... Parts>
+  void put(const Parts&... parts) {
+    (put_part(parts), ...);
+  }
+  void put_part(std::string_view text) { out_ += text; }
+  void put_part(double v);
+  void put_part(Pt p);
+  void style_attrs(const Style& s);
+  void end_shape(const Style& s);  // style, "/>", one element
+  void require_closed() const;
 
   double width_, height_;
-  std::ostringstream body_;
+  std::string out_;  ///< header and body; str() adds the closing tag
   std::size_t elements_ = 0;
   int open_groups_ = 0;
 };

@@ -190,7 +190,7 @@ std::string DetailView::to_svg(double w, double h) const {
   SvgDocument doc(w, h);
   doc.rect(0, 0, w, h, Style::filled(Rgb{255, 255, 255}));
   render(doc, 6, 6, w - 12, h - 12);
-  return doc.str();
+  return std::move(doc).str();
 }
 
 // ----------------------------------------------------------------- Timeline
@@ -291,7 +291,7 @@ std::string TimelineView::to_svg(double w, double h) const {
   SvgDocument doc(w, h);
   doc.rect(0, 0, w, h, Style::filled(Rgb{255, 255, 255}));
   render(doc, 6, 6, w - 12, h - 12);
-  return doc.str();
+  return std::move(doc).str();
 }
 
 // ----------------------------------------------------------------- Session
@@ -401,7 +401,7 @@ std::string AnalysisSession::to_svg(double width, double height) const {
   if (timeline_) {
     timeline_->render(doc, 10, top_h + 4, width - 20, timeline_h - 10);
   }
-  return doc.str();
+  return std::move(doc).str();
 }
 
 void AnalysisSession::save_svg(const std::string& path, double width,

@@ -1,10 +1,10 @@
 #include "json/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <string>
 
 namespace dv::json {
 
@@ -162,10 +162,8 @@ class Parser {
         ++col;
       }
     }
-    std::ostringstream os;
-    os << "json parse error at line " << line << ", column " << col << ": "
-       << msg;
-    return Error(os.str());
+    return Error("json parse error at line " + std::to_string(line) +
+                 ", column " + std::to_string(col) + ": " + msg);
   }
 
  private:
@@ -226,13 +224,13 @@ class Parser {
     expect(quote);
     std::string out;
     for (;;) {
+      // Copy the run up to the next quote or backslash in one append.
+      const std::size_t run = pos_;
+      while (!eof() && peek() != quote && peek() != '\\') ++pos_;
+      out.append(s_, run, pos_ - run);
       if (eof()) throw err("unterminated string");
       char c = s_[pos_++];
       if (c == quote) return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
       if (eof()) throw err("unterminated escape");
       c = s_[pos_++];
       switch (c) {
@@ -344,91 +342,97 @@ Value parse_script(const std::string& text) {
 
 namespace {
 
-void dump_string(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
+void dump_string(std::string& out, const std::string& s) {
+  out += '"';
+  // Bytes that need no escape are copied a run at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      case '\b': os << "\\b"; break;
-      case '\f': os << "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default: {
+        static constexpr char kDigits[] = "0123456789abcdef";
+        const char esc[] = {'\\', 'u', '0', '0', kDigits[c >> 4],
+                            kDigits[c & 0xf]};
+        out.append(esc, sizeof(esc));
+      }
     }
   }
-  os << '"';
+  out.append(s, run);
+  out += '"';
 }
 
-void dump_number(std::ostringstream& os, double d) {
+void dump_number(std::string& out, double d) {
   if (std::isnan(d) || std::isinf(d)) {
-    os << "null";  // JSON has no NaN/inf
-    return;
-  }
-  if (d == std::floor(d) && std::fabs(d) < 1e15) {
-    os << static_cast<long long>(d);
+    out += "null";  // JSON has no NaN/inf
     return;
   }
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  os << buf;
+  // Integral values print as integers; the rest round-trip as "%.17g"
+  // (to_chars is specified as printf in the C locale).
+  const auto res =
+      d == std::floor(d) && std::fabs(d) < 1e15
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d))
+          : std::to_chars(buf, buf + sizeof(buf), d,
+                          std::chars_format::general, 17);
+  out.append(buf, res.ptr);
 }
 
-void dump_impl(std::ostringstream& os, const Value& v, int indent,
-               int depth) {
+void dump_impl(std::string& out, const Value& v, int indent, int depth) {
   auto newline = [&](int d) {
     if (indent >= 0) {
-      os << '\n';
-      for (int i = 0; i < indent * d; ++i) os << ' ';
+      out += '\n';
+      out.append(static_cast<std::size_t>(indent * d), ' ');
     }
   };
   switch (v.type()) {
-    case Type::Null: os << "null"; break;
-    case Type::Bool: os << (v.as_bool() ? "true" : "false"); break;
-    case Type::Number: dump_number(os, v.as_number()); break;
-    case Type::String: dump_string(os, v.as_string()); break;
+    case Type::Null: out += "null"; break;
+    case Type::Bool: out += v.as_bool() ? "true" : "false"; break;
+    case Type::Number: dump_number(out, v.as_number()); break;
+    case Type::String: dump_string(out, v.as_string()); break;
     case Type::Array: {
       const auto& arr = v.as_array();
       if (arr.empty()) {
-        os << "[]";
+        out += "[]";
         break;
       }
-      os << '[';
+      out += '[';
       for (std::size_t i = 0; i < arr.size(); ++i) {
-        if (i) os << ',';
+        if (i) out += ',';
         newline(depth + 1);
-        dump_impl(os, arr[i], indent, depth + 1);
+        dump_impl(out, arr[i], indent, depth + 1);
       }
       newline(depth);
-      os << ']';
+      out += ']';
       break;
     }
     case Type::Object: {
       const auto& obj = v.as_object();
       if (obj.empty()) {
-        os << "{}";
+        out += "{}";
         break;
       }
-      os << '{';
+      out += '{';
       bool first = true;
       for (const auto& [k, val] : obj) {
-        if (!first) os << ',';
+        if (!first) out += ',';
         first = false;
         newline(depth + 1);
-        dump_string(os, k);
-        os << (indent >= 0 ? ": " : ":");
-        dump_impl(os, val, indent, depth + 1);
+        dump_string(out, k);
+        out += indent >= 0 ? ": " : ":";
+        dump_impl(out, val, indent, depth + 1);
       }
       newline(depth);
-      os << '}';
+      out += '}';
       break;
     }
   }
@@ -437,9 +441,9 @@ void dump_impl(std::ostringstream& os, const Value& v, int indent,
 }  // namespace
 
 std::string dump(const Value& v, int indent) {
-  std::ostringstream os;
-  dump_impl(os, v, indent, 0);
-  return os.str();
+  std::string out;
+  dump_impl(out, v, indent, 0);
+  return out;
 }
 
 }  // namespace dv::json

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -188,15 +189,27 @@ bool FrameStream::read_frame(std::string& out) {
 }
 
 void FrameStream::write_frame(const std::string& frame) {
-  std::string line = frame;
-  line.push_back('\n');
+  // The frame and its '\n' leave through one iovec pair, so a
+  // megabyte-sized reply is never copied just to append the terminator.
+  char newline = '\n';
+  const std::size_t total = frame.size() + 1;
   std::size_t off = 0;
-  while (off < line.size()) {
+  while (off < total) {
+    iovec iov[2]{};
+    std::size_t n_iov = 0;
+    if (off < frame.size()) {
+      iov[n_iov++] = {const_cast<char*>(frame.data()) + off,
+                      frame.size() - off};
+    }
+    iov[n_iov++] = {&newline, 1};
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = n_iov;
     ssize_t n;
     do {
       // MSG_NOSIGNAL: a peer that vanished mid-response must surface as an
       // error on this connection, not SIGPIPE the whole daemon.
-      n = ::send(fd_, line.data() + off, line.size() - off, MSG_NOSIGNAL);
+      n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     } while (n < 0 && errno == EINTR);
     if (n < 0) throw Error(errno_text("send"));
     off += static_cast<std::size_t>(n);

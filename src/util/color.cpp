@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <unordered_map>
 
 #include "util/common.hpp"
@@ -11,13 +10,21 @@
 namespace dv {
 
 std::string Rgb::hex() const {
-  char buf[16];
-  if (a == 255) {
-    std::snprintf(buf, sizeof(buf), "#%02x%02x%02x", r, g, b);
-  } else {
-    std::snprintf(buf, sizeof(buf), "#%02x%02x%02x%02x", r, g, b, a);
+  std::string out;
+  append_hex(out);
+  return out;
+}
+
+void Rgb::append_hex(std::string& out) const {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  char buf[9] = {'#'};
+  const std::uint8_t channels[4] = {r, g, b, a};
+  const int n = a == 255 ? 3 : 4;
+  for (int i = 0; i < n; ++i) {
+    buf[1 + 2 * i] = kDigits[channels[i] >> 4];
+    buf[2 + 2 * i] = kDigits[channels[i] & 0xf];
   }
-  return buf;
+  out.append(buf, static_cast<std::size_t>(1 + 2 * n));
 }
 
 namespace {

@@ -15,6 +15,8 @@ struct Rgb {
 
   /// "#rrggbb" (alpha omitted when fully opaque, else "#rrggbbaa").
   std::string hex() const;
+  /// Appends hex() to `out` without building a string.
+  void append_hex(std::string& out) const;
 };
 
 /// Parses "#rgb", "#rrggbb", "#rrggbbaa" or a known CSS color name

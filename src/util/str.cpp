@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
+
+#include "util/common.hpp"
 
 namespace dv {
 
@@ -66,16 +68,35 @@ std::string human_bytes(double bytes) {
   return buf;
 }
 
-std::string fmt_double(double v, int max_decimals) {
-  if (std::isnan(v)) return "nan";
-  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", max_decimals, v);
-  std::string s(buf);
-  if (s.find('.') != std::string::npos) {
-    while (!s.empty() && s.back() == '0') s.pop_back();
-    if (!s.empty() && s.back() == '.') s.pop_back();
+void append_fixed(std::string& out, double v, int max_decimals) {
+  if (std::isnan(v)) {
+    out += "nan";
+    return;
   }
+  if (std::isinf(v)) {
+    out += v > 0 ? "inf" : "-inf";
+    return;
+  }
+  DV_REQUIRE(max_decimals >= 0 && max_decimals <= 64,
+             "append_fixed: max_decimals must be in [0, 64]");
+  // Sign, 309 integer digits of DBL_MAX, '.', the decimals.
+  char buf[1 + 309 + 1 + 64];
+  // to_chars is specified as printf in the C locale: the same bytes as
+  // "%.*f", without the locale lookup and with no string per number.
+  char* end =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed,
+                    max_decimals)
+          .ptr;
+  if (max_decimals > 0) {
+    while (end[-1] == '0') --end;
+    if (end[-1] == '.') --end;
+  }
+  out.append(buf, end);
+}
+
+std::string fmt_double(double v, int max_decimals) {
+  std::string s;
+  append_fixed(s, v, max_decimals);
   return s;
 }
 

@@ -15,7 +15,14 @@ std::string to_lower(std::string s);
 /// "1.2 GB"-style human readable byte count.
 std::string human_bytes(double bytes);
 
-/// Fixed-precision double formatting without trailing-zero noise.
+/// Appends `v` in fixed notation with `max_decimals` (0..64) decimals,
+/// then drops trailing zeros and a trailing '.': the bytes of
+/// snprintf("%.*f") trimmed ("1.5", "-0", "12"). NaN and infinities are
+/// written "nan", "inf" and "-inf". The one fixed-point formatter of the
+/// document writers (SVG, HTML, CSV export).
+void append_fixed(std::string& out, double v, int max_decimals = 6);
+
+/// append_fixed into a fresh string.
 std::string fmt_double(double v, int max_decimals = 6);
 
 }  // namespace dv

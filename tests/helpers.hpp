@@ -1,6 +1,14 @@
-// Shared fixtures for the VA-layer tests: a small simulated run with jobs,
-// time-series sampling, and mixed traffic.
+// Shared test fixtures: a small simulated run with jobs, time-series
+// sampling and mixed traffic for the VA-layer tests, and a private
+// directory per test.
 #pragma once
+
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <string>
 
 #include "core/datatable.hpp"
 #include "netsim/network.hpp"
@@ -45,6 +53,37 @@ inline MiniRun make_mini_run(routing::Algo algo = routing::Algo::kAdaptive,
   net.enable_sampling(500.0);
   out.run = net.run();
   return out;
+}
+
+/// The running test's own directory under temp_directory_path(), named
+/// after its suite, its name and the process id, so tests in concurrent
+/// processes (ctest -j, the sanitizer lanes) never share a file. The first
+/// call in a test empties it and removes the previous test's directory;
+/// later calls in the same test return it as the test left it. Call it
+/// from the test's own thread.
+inline std::filesystem::path test_temp_dir() {
+  namespace fs = std::filesystem;
+  struct Current {
+    fs::path dir;
+    ~Current() {
+      std::error_code ec;
+      if (!dir.empty()) fs::remove_all(dir, ec);
+    }
+  };
+  static Current current;
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string leaf = std::string("dv_") + info->test_suite_name() + "." +
+                     info->name() + "." + std::to_string(::getpid());
+  std::replace(leaf.begin(), leaf.end(), '/', '_');  // parameterised names
+  const fs::path dir = fs::temp_directory_path() / leaf;
+  if (dir != current.dir) {
+    std::error_code ec;
+    if (!current.dir.empty()) fs::remove_all(current.dir, ec);
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    current.dir = dir;
+  }
+  return dir;
 }
 
 }  // namespace dv::testing

@@ -17,6 +17,7 @@
 #include "metrics/dvr.hpp"
 #include "metrics/run_store.hpp"
 #include "obs/profile.hpp"
+#include "helpers.hpp"
 
 namespace dv::app {
 namespace {
@@ -24,7 +25,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string tmp(const char* name) {
-  return (fs::temp_directory_path() / name).string();
+  return (dv::testing::test_temp_dir() / name).string();
 }
 
 int cli(std::vector<std::string> args) {
@@ -495,9 +496,9 @@ TEST(Cli, UnknownOptionsFailBeforeAnyWork) {
 }
 
 TEST(Cli, HelpBlocksListExactlyTheAcceptedKeys) {
-  testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStdout();
   EXPECT_EQ(cli({"--help"}), 0);
-  const std::string help = testing::internal::GetCapturedStdout();
+  const std::string help = ::testing::internal::GetCapturedStdout();
   const std::regex flag(R"(--([a-z0-9][a-z0-9-]*))");
   const auto commands = command_options();
   ASSERT_FALSE(commands.empty());

@@ -73,7 +73,7 @@ TEST(Report, ComparisonTableAndSave) {
   EXPECT_NE(html.find("avg latency"), std::string::npos);
 
   const auto path =
-      (std::filesystem::temp_directory_path() / "dv_report_test.html")
+      (dv::testing::test_temp_dir() / "dv_report_test.html")
           .string();
   report.save(path);
   EXPECT_GT(std::filesystem::file_size(path), 2000u);

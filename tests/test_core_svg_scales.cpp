@@ -5,6 +5,7 @@
 
 #include "core/scales.hpp"
 #include "core/svg.hpp"
+#include "helpers.hpp"
 
 namespace dv::core {
 namespace {
@@ -87,7 +88,7 @@ TEST(Svg, SaveWritesFile) {
   SvgDocument doc(10, 10);
   doc.circle(5, 5, 2, Style::filled(Rgb{0, 0, 0}));
   const auto path =
-      (std::filesystem::temp_directory_path() / "dv_svg_test.svg").string();
+      (dv::testing::test_temp_dir() / "dv_svg_test.svg").string();
   doc.save(path);
   EXPECT_GT(std::filesystem::file_size(path), 50u);
   std::filesystem::remove(path);

@@ -27,6 +27,7 @@
 #include "util/kernels.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "helpers.hpp"
 
 namespace dv {
 namespace {
@@ -52,7 +53,7 @@ metrics::RunMetrics dvr_sample_run(bool sampled, std::uint64_t seed = 17) {
 }
 
 std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (dv::testing::test_temp_dir() / name).string();
 }
 
 /// Bitwise equality — EXPECT_EQ(0.0, -0.0) would pass, this does not.

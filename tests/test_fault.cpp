@@ -14,6 +14,7 @@
 #include "json/json.hpp"
 #include "netsim/network.hpp"
 #include "util/rng.hpp"
+#include "helpers.hpp"
 
 namespace dv::fault {
 namespace {
@@ -154,7 +155,7 @@ TEST(FaultPlanParse, HandlesCommentsAndBlankLines) {
 
 TEST(FaultPlanParse, LoadsFromFile) {
   const auto path =
-      (std::filesystem::temp_directory_path() / "dv_fault_plan_test.txt")
+      (dv::testing::test_temp_dir() / "dv_fault_plan_test.txt")
           .string();
   {
     std::ofstream os(path);

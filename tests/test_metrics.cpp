@@ -8,6 +8,7 @@
 #include "metrics/run_metrics.hpp"
 #include "metrics/run_store.hpp"
 #include "netsim/network.hpp"
+#include "helpers.hpp"
 
 namespace dv::metrics {
 namespace {
@@ -66,7 +67,7 @@ TEST(Metrics, FileRoundTripSampled) {
   const auto m = sample_run(true);
   ASSERT_TRUE(m.has_time_series());
   const std::string path =
-      (std::filesystem::temp_directory_path() / "dv_metrics_test.json")
+      (dv::testing::test_temp_dir() / "dv_metrics_test.json")
           .string();
   m.save(path);
   const auto back = RunMetrics::load(path);
@@ -86,7 +87,7 @@ TEST(Metrics, TextSaveReplacesAnExistingRunAtomically) {
   // rename): overwriting a run leaves the new content under the final
   // name and no temporary file beside it.
   const auto dir =
-      std::filesystem::temp_directory_path() / "dv_metrics_text_overwrite";
+      dv::testing::test_temp_dir() / "dv_metrics_text_overwrite";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "run.json").string();
@@ -134,7 +135,7 @@ TEST(Metrics, CsvExportShapes) {
 
 TEST(RunStore, AddListLoadRemove) {
   const auto dir =
-      (std::filesystem::temp_directory_path() / "dv_run_store_test").string();
+      (dv::testing::test_temp_dir() / "dv_run_store_test").string();
   std::filesystem::remove_all(dir);
   {
     RunStore store(dir);
@@ -168,7 +169,7 @@ TEST(RunStore, AddListLoadRemove) {
 
 TEST(RunStore, CustomNameAndMetadata) {
   const auto dir =
-      (std::filesystem::temp_directory_path() / "dv_run_store_test2").string();
+      (dv::testing::test_temp_dir() / "dv_run_store_test2").string();
   std::filesystem::remove_all(dir);
   RunStore store(dir);
   const auto run = sample_run(true);

@@ -13,12 +13,13 @@
 
 #include "app/sweep.hpp"
 #include "metrics/run_store.hpp"
+#include "helpers.hpp"
 
 namespace dv::app {
 namespace {
 
 std::string temp_dir(const std::string& leaf) {
-  const auto dir = (std::filesystem::temp_directory_path() / leaf).string();
+  const auto dir = (dv::testing::test_temp_dir() / leaf).string();
   std::filesystem::remove_all(dir);
   return dir;
 }

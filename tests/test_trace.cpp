@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "trace/trace.hpp"
+#include "helpers.hpp"
 
 namespace dv::trace {
 namespace {
@@ -20,7 +21,7 @@ workload::Config cfg() {
 }
 
 std::string tmp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (dv::testing::test_temp_dir() / name).string();
 }
 
 TEST(Trace, RecordValidates) {

@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <set>
 
 #include <deque>
@@ -195,6 +199,76 @@ TEST(Str, FmtDoubleTrimsZeros) {
   EXPECT_EQ(fmt_double(1.0 / 3.0, 3), "0.333");
 }
 
+/// The formatter append_fixed replaced: snprintf("%.*f"), then trailing
+/// zeros and a trailing '.' dropped.
+std::string printf_fixed(double v, int decimals) {
+  if (std::isnan(v)) return "nan";
+  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
+  char buf[512];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+  std::string s(buf);
+  if (s.find('.') != std::string::npos) {
+    while (s.back() == '0') s.pop_back();
+    if (s.back() == '.') s.pop_back();
+  }
+  return s;
+}
+
+::testing::AssertionResult fixed_matches(double v, int decimals) {
+  std::string got = "prefix:";
+  append_fixed(got, v, decimals);
+  const std::string want = "prefix:" + printf_fixed(v, decimals);
+  if (got == want && fmt_double(v, decimals) == want.substr(7)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v)
+         << std::dec << " at " << decimals << " decimals: got '" << got
+         << "', printf gives '" << want << "'";
+}
+
+TEST(Str, FixedAppenderMatchesPrintf) {
+  const double edge[] = {
+      0.0, -0.0, -0.0004, 0.0004, 0.0005, -0.0005, 0.0625, -0.0625, 2.5,
+      0.5, 1.5, -2.5, 0.125, 0.375, 2.675, 1.005, 1e-4, -1e-4, 999.9995,
+      1e15, -1e15, 1e15 + 0.5, 123456789.0625,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3,
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  for (const double v : edge) {
+    for (int d = 0; d <= 3; ++d) EXPECT_TRUE(fixed_matches(v, d));
+  }
+
+  // 10^6 splitmix draws across magnitudes 1e-6 .. 1e15, half of them
+  // exact binary fractions (k / 2^m), which hit printf's round-half-even
+  // ties at some precision.
+  std::uint64_t state = 20240917;
+  int failures = 0;
+  for (int i = 0; i < 1'000'000 && failures < 10; ++i) {
+    const std::uint64_t a = splitmix64(state), b = splitmix64(state);
+    double v;
+    if (a & 1) {
+      const double unit = static_cast<double>(b >> 11) * 0x1.0p-53;
+      v = unit * std::pow(10.0, static_cast<double>((a >> 2) % 22) - 6.0);
+    } else {
+      const auto k = static_cast<double>(b >> 40);  // < 2^24
+      v = std::ldexp(k, -static_cast<int>((a >> 2) & 15));
+    }
+    if (a & 2) v = -v;
+    if (!fixed_matches(v, i % 4)) {
+      ADD_FAILURE() << fixed_matches(v, i % 4).message();
+      ++failures;
+    }
+  }
+  EXPECT_EQ(failures, 0);
+  EXPECT_THROW(fmt_double(1.0, -1), Error);
+  EXPECT_THROW(fmt_double(1.0, 65), Error);
+}
+
 // ----------------------------------------------------------------- colors
 
 TEST(Color, ParseHexAndNames) {
@@ -209,6 +283,26 @@ TEST(Color, ParseHexAndNames) {
 TEST(Color, HexRoundTrip) {
   const Rgb c{70, 130, 180, 255};
   EXPECT_EQ(parse_color(c.hex()), c);
+}
+
+TEST(Color, HexMatchesPrintf) {
+  for (int v = 0; v < 256; ++v) {
+    const auto u = static_cast<std::uint8_t>(v);
+    const std::uint8_t w = 255 - u;
+    for (const Rgb c : {Rgb{u, w, u, 255}, Rgb{w, u, 7, u}}) {
+      char want[16];
+      if (c.a == 255) {
+        std::snprintf(want, sizeof(want), "#%02x%02x%02x", c.r, c.g, c.b);
+      } else {
+        std::snprintf(want, sizeof(want), "#%02x%02x%02x%02x", c.r, c.g,
+                      c.b, c.a);
+      }
+      std::string got = "x";
+      c.append_hex(got);
+      EXPECT_EQ(got, std::string("x") + want);
+      EXPECT_EQ(c.hex(), want);
+    }
+  }
 }
 
 TEST(Color, LerpEndpointsAndMidpoint) {
