@@ -130,22 +130,6 @@ std::string out_path(const std::string& name) {
   return "bench_out/" + name;
 }
 
-void parse_args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (arg == "--parallel" && i + 1 < argc) {
-      value = argv[++i];
-    } else if (arg.rfind("--parallel=", 0) == 0) {
-      value = arg.substr(std::string("--parallel=").size());
-    } else {
-      continue;
-    }
-    ::setenv("DV_PARALLEL", value.c_str(), 1);
-    std::printf("engine: parallel=%s (DV_PARALLEL)\n", value.c_str());
-  }
-}
-
 app::ExperimentConfig paper_df5_app(const std::string& appname,
                                     routing::Algo algo) {
   app::ExperimentConfig cfg;

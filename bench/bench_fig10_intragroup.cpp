@@ -45,9 +45,8 @@ double backpressure_corr(const RunMetrics& run) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dv;
-  bench::parse_args(argc, argv);
   bench::banner(
       "Figure 10 — intra-group patterns of AMG / AMR Boxlib / MiniFE",
       "AMG+MiniFE balanced; AMR's first groups dominate; MiniFE back "

@@ -28,9 +28,8 @@ int count_bursts(const std::vector<double>& series, double factor) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dv;
-  bench::parse_args(argc, argv);
   bench::banner(
       "Figure 12 — temporal characteristics of AMG / AMR Boxlib / MiniFE",
       "AMG: three bursts; AMR Boxlib: irregular phases; MiniFE: periodic "

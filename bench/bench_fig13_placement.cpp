@@ -12,9 +12,8 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dv;
-  bench::parse_args(argc, argv);
   using placement::Policy;
   bench::banner(
       "Figure 13 — job placement and inter-job interference (5,256 nodes)",

@@ -12,9 +12,8 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dv;
-  bench::parse_args(argc, argv);
   bench::banner(
       "Figure 4 — hierarchical radial view, 3 jobs on the 73-group network",
       "intra-group patterns + metric correlations in one customizable view");

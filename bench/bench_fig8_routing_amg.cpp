@@ -7,9 +7,8 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dv;
-  bench::parse_args(argc, argv);
   bench::banner("Figure 8 — minimal vs adaptive routing, AMG on 2,550 nodes",
                 "adaptive raises local-link usage/traffic and lowers "
                 "saturation on every link class");

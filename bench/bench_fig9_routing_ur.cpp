@@ -27,9 +27,8 @@ dv::metrics::RunMetrics run_ur(dv::routing::Algo algo) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dv;
-  bench::parse_args(argc, argv);
   bench::banner(
       "Figure 9 — minimal vs adaptive, uniform random on 9,702 nodes",
       "adaptive: higher global usage + local proxy traffic, lower local "

@@ -5,20 +5,15 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "core/projection.hpp"
 #include "core/views.hpp"
 #include "fault/fault.hpp"
-#include "json/json.hpp"
 #include "netsim/network.hpp"
-#include "pdes/phold.hpp"
 #include "workload/workload.hpp"
 
 namespace {
@@ -65,25 +60,10 @@ core::ProjectionSpec default_spec() {
       .build();
 }
 
-/// Partition/cut provenance plus the engine's busy/wait split, captured
-/// from the Network after a parallel run (zeros for sequential runs).
-struct EngineProvenance {
-  std::uint32_t partitions = 1;
-  std::uint32_t cut_channels = 0;
-  std::uint32_t total_channels = 0;
-  std::uint32_t refine_moves = 0;
-  double cut_weight = 0.0;
-  double busy_seconds = 0.0;  ///< summed across workers
-  double wait_seconds = 0.0;  ///< summed across workers
-  std::uint64_t rounds = 0;   ///< pairwise negotiation rounds
-};
-
-/// One medium uniform-random netsim run; workers = 0 picks the sequential
-/// engine, N > 1 the partitioned parallel one. `faulted` adds a transient
-/// cable outage plus a transient router outage inside the injection window.
+/// One medium uniform-random netsim run. `faulted` adds a transient cable
+/// outage plus a transient router outage inside the injection window.
 /// Returns events processed.
-std::uint64_t run_netsim_once(std::uint32_t workers, bool faulted = false,
-                              EngineProvenance* prov = nullptr) {
+std::uint64_t run_netsim_once(bool faulted = false) {
   const auto topo = topo::Dragonfly::canonical(3);
   netsim::Network net(topo, routing::Algo::kAdaptive, {}, 3);
   workload::Config cfg;
@@ -99,47 +79,24 @@ std::uint64_t run_netsim_once(std::uint32_t workers, bool faulted = false,
     net.set_fault_plan(fault::FaultPlan::parse(
         "link:g0->g1@1e4:3e4\nrouter:g2.r1@5e3:2.5e4\n"));
   }
-  if (workers) net.set_parallel(workers);
   benchmark::DoNotOptimize(net.run());
-  if (prov) {
-    prov->partitions = net.partitions_used();
-    if (const auto* plan = net.partition_plan()) {
-      prov->cut_channels = plan->cut_channels;
-      prov->total_channels = plan->total_channels;
-      prov->cut_weight = plan->cut_weight;
-      prov->refine_moves = plan->refine_moves;
-    }
-    if (const auto* par = net.parallel_engine()) {
-      for (std::uint32_t p = 0; p < net.partitions_used(); ++p) {
-        const auto ws = par->worker_stats(p);
-        prov->busy_seconds += ws.busy_seconds;
-        prov->wait_seconds += ws.wait_seconds;
-        prov->rounds += ws.rounds;
-      }
-    }
-  }
   return net.events_processed();
 }
 
 void BM_SimulatorEventRate(benchmark::State& state) {
   std::uint64_t events = 0;
-  const auto workers = static_cast<std::uint32_t>(state.range(0));
   for (auto _ : state) {
-    events += run_netsim_once(workers);
+    events += run_netsim_once();
   }
   state.counters["events/s"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
-// Arg 0 = sequential engine; 1/2/4 = conservative parallel partitions.
-BENCHMARK(BM_SimulatorEventRate)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimulatorEventRate)->Unit(benchmark::kMillisecond);
 
 void BM_SimulatorEventRateFaulted(benchmark::State& state) {
   std::uint64_t events = 0;
-  const auto workers = static_cast<std::uint32_t>(state.range(0));
   for (auto _ : state) {
-    events += run_netsim_once(workers, /*faulted=*/true);
+    events += run_netsim_once(/*faulted=*/true);
   }
   state.counters["events/s"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
@@ -147,9 +104,7 @@ void BM_SimulatorEventRateFaulted(benchmark::State& state) {
 // The degraded-operation cost: same run with an active fault plan (per-port
 // liveness checks, retries, detours). Compare against BM_SimulatorEventRate
 // to see the overhead; the no-fault path itself stays branch-gated.
-BENCHMARK(BM_SimulatorEventRateFaulted)
-    ->Arg(0)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimulatorEventRateFaulted)->Unit(benchmark::kMillisecond);
 
 void BM_DataSetBuild(benchmark::State& state) {
   const auto& run = cached_run();
@@ -222,97 +177,20 @@ void BM_BrushSelection(benchmark::State& state) {
 }
 BENCHMARK(BM_BrushSelection)->Unit(benchmark::kMillisecond);
 
-void BM_PholdEngine(benchmark::State& state) {
-  pdes::PholdConfig cfg;
-  cfg.lps = 64;
-  cfg.population = 8;
-  cfg.horizon = 2000.0;
-  std::uint64_t events = 0;
-  const auto partitions = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    const auto result = partitions == 0
-                            ? pdes::run_phold_sequential(cfg)
-                            : pdes::run_phold_parallel(cfg, partitions);
-    events += result.events;
-    benchmark::DoNotOptimize(result.per_lp.data());
-  }
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-// Arg 0 = sequential engine; 1/2/4 = conservative parallel partitions.
-BENCHMARK(BM_PholdEngine)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
-/// Sequential events/s recorded in a previous BENCH_perf.json, or 0 when
-/// the file is missing/unreadable. `DV_BENCH_BASELINE` overrides the path
-/// (CI points it at the checked-in baseline before this run overwrites the
-/// default location).
-double read_baseline_seq_rate(const std::string& default_path) {
-  const char* env = std::getenv("DV_BENCH_BASELINE");
-  const std::string path = env && *env ? env : default_path;
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return 0.0;
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  try {
-    const json::Value v = json::parse(buf.str());
-    for (const auto& cfg : v.at("configs").as_array()) {
-      if (cfg.get_string("engine", "") == "sequential") {
-        return cfg.get_number("events_per_second", 0.0);
-      }
-    }
-  } catch (const Error&) {
-  }
-  return 0.0;
-}
-
-/// Direct timed comparison of the two simulation engines, written as
-/// machine-readable JSON so CI and EXPERIMENTS.md can track the event-rate
-/// speedup across hardware. Each config runs once untimed (warm-up), then
-/// `reps` timed repetitions; the reported rate uses the *median* rep so a
-/// stray slow run on shared hardware cannot fail the CI regression gate.
-/// The file also stamps build provenance — a number measured with a
-/// different compiler or with assertions on is not comparable.
-/// Returns the 4-worker speedup over sequential (the CI perf-parallel gate).
-double write_perf_json(const std::string& path) {
-  const double baseline_seq = read_baseline_seq_rate(path);
-  struct Row {
-    std::uint32_t workers;  // 0 = sequential reference
-    std::uint64_t events;   // per run (identical across reps by design)
-    double seconds;         // median timed rep
-    EngineProvenance prov;  // partition/cut + busy/wait, last timed rep
-  };
-  std::vector<Row> rows;
+/// Timed sequential event rate, written as machine-readable JSON so CI
+/// and EXPERIMENTS.md can track it across commits and hardware. The run
+/// goes once untimed (warm-up), then `reps` timed repetitions; the
+/// reported rate uses the *median* rep so one stray slow run on shared
+/// hardware does not move it. The file also stamps build provenance — a
+/// number measured with a different compiler or with assertions on is not
+/// comparable.
+void write_perf_json(const std::string& path) {
   const int reps = 5;
-  for (const std::uint32_t workers : {0u, 1u, 2u, 4u}) {
-    Row row{workers, 0, 0.0, {}};
-    row.seconds = bench::median_seconds(reps, [&] {
-      row.prov = {};
-      row.events = run_netsim_once(workers, /*faulted=*/false, &row.prov);
-    });
-    rows.push_back(row);
-    std::printf("perf: %-28s %10.0f events/s\n",
-                workers == 0 ? "sequential"
-                             : ("parallel workers=" +
-                                std::to_string(workers)).c_str(),
-                static_cast<double>(row.events) / row.seconds);
-    if (row.prov.partitions > 1) {
-      const double engine_time =
-          row.prov.busy_seconds + row.prov.wait_seconds;
-      std::printf("      cut %u/%u channels (weight %.1f, %u refine moves), "
-                  "wait share %.0f%%\n",
-                  row.prov.cut_channels, row.prov.total_channels,
-                  row.prov.cut_weight, row.prov.refine_moves,
-                  engine_time > 0.0
-                      ? 100.0 * row.prov.wait_seconds / engine_time
-                      : 0.0);
-    }
-  }
-  const double seq_rate =
-      static_cast<double>(rows[0].events) / rows[0].seconds;
-  if (baseline_seq > 0.0) {
-    std::printf("perf: sequential vs baseline        %10.2fx (%.0f -> %.0f)\n",
-                seq_rate / baseline_seq, baseline_seq, seq_rate);
-  }
+  std::uint64_t events = 0;  // per run (identical across reps by design)
+  const double seconds =
+      bench::median_seconds(reps, [&] { events = run_netsim_once(); });
+  const double rate = static_cast<double>(events) / seconds;
+  std::printf("perf: %-28s %10.0f events/s\n", "sequential", rate);
 
   std::filesystem::create_directories(
       std::filesystem::path(path).parent_path());
@@ -323,37 +201,12 @@ double write_perf_json(const std::string& path) {
      << "  \"reps\": " << reps << ",\n"
      << "  \"timing\": \"median rep after one untimed warm-up\",\n"
      << "  \"provenance\": " << bench::provenance_json() << ",\n"
-     << "  \"configs\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const double rate = static_cast<double>(rows[i].events) / rows[i].seconds;
-    os << "    {\"engine\": \""
-       << (rows[i].workers == 0 ? "sequential" : "parallel")
-       << "\", \"workers\": " << rows[i].workers
-       << ", \"events\": " << rows[i].events
-       << ", \"seconds\": " << rows[i].seconds
-       << ", \"events_per_second\": " << rate
-       << ", \"speedup_vs_sequential\": " << rate / seq_rate;
-    const EngineProvenance& pv = rows[i].prov;
-    if (pv.partitions > 1) {
-      os << ",\n     \"partitions\": " << pv.partitions
-         << ", \"cut_channels\": " << pv.cut_channels
-         << ", \"total_channels\": " << pv.total_channels
-         << ", \"cut_weight\": " << pv.cut_weight
-         << ", \"refine_moves\": " << pv.refine_moves
-         << ", \"busy_seconds\": " << pv.busy_seconds
-         << ", \"wait_seconds\": " << pv.wait_seconds
-         << ", \"negotiation_rounds\": " << pv.rounds;
-    }
-    os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
+     << "  \"configs\": [\n"
+     << "    {\"engine\": \"sequential\""
+     << ", \"events\": " << events << ", \"seconds\": " << seconds
+     << ", \"events_per_second\": " << rate << "}\n"
+     << "  ]\n}\n";
   std::printf("wrote %s\n", path.c_str());
-  const Row& par4 = rows.back();
-  const double par4_rate = static_cast<double>(par4.events) / par4.seconds;
-  const double speedup = par4_rate / seq_rate;
-  std::printf("perf: parallel speedup at %u workers %9.2fx\n", par4.workers,
-              speedup);
-  return speedup;
 }
 
 }  // namespace
@@ -361,12 +214,9 @@ double write_perf_json(const std::string& path) {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    // CI's perf-smoke leg wants only the engine comparison JSON, not the
-    // google-benchmark suite; the perf-parallel leg gates on the reported
-    // speedup (threshold enforcement lives in the workflow, which also
-    // decides whether the host has enough cores for the number to mean
-    // anything).
-    if (arg == "--perf-json-only" || arg == "--parallel") {
+    // CI's perf-smoke leg wants only the event-rate JSON, not the
+    // google-benchmark suite.
+    if (arg == "--perf-json-only") {
       write_perf_json("bench_out/BENCH_perf.json");
       return 0;
     }

@@ -44,8 +44,7 @@ json::Value render_params(double t0, double t1) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_args(argc, argv);
+int main() {
   bench::banner(
       "serve — multi-tenant query daemon over the shared result cache",
       "concurrent sessions brushing the same views share one cache: hit "

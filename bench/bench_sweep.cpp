@@ -75,9 +75,8 @@ std::string telemetry_json(const app::FlowTelemetry& t) {
 }  // namespace
 }  // namespace dv
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dv;
-  bench::parse_args(argc, argv);
   bench::banner("sweep",
                 "a design-space sweep under the flow backend is >= 20x "
                 "faster than the same grid under the packet simulator");

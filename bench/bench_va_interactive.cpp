@@ -93,8 +93,7 @@ double read_baseline_ms(const std::string& default_path,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_args(argc, argv);
+int main() {
   bench::banner(
       "VA interactive — windowed re-aggregation with a spec-keyed cache",
       "brushing a time range re-aggregates incrementally; cached brushes "

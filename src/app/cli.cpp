@@ -249,7 +249,7 @@ void maybe_print_cache_stats(const Args& args, const core::QueryStats& s) {
 }
 
 /// The experiment flags `sim` and `sweep` share: network size, injection
-/// window, sampling, seed, engine, backend and its flow knobs, and the
+/// window, sampling, seed, backend and its flow knobs, and the
 /// fault plan with its retry tuning. Each command names its own backend
 /// default.
 ExperimentConfig parse_experiment(const Args& args, Backend default_backend) {
@@ -258,7 +258,6 @@ ExperimentConfig parse_experiment(const Args& args, Backend default_backend) {
   cfg.window = args.num_or("window", 2.0e6);
   cfg.sample_dt = args.num_or("sample-dt", 0.0);
   cfg.seed = static_cast<std::uint64_t>(args.num_or("seed", 1));
-  cfg.parallel = static_cast<std::uint32_t>(args.num_or("parallel", 0));
   cfg.backend = backend_from_string(
       args.one_or("backend", to_string(default_backend)));
   cfg.flow_epoch_dt = parse_epoch_dt(args);
@@ -299,12 +298,11 @@ int cmd_sim(const Args& args) {
   }
   // The flow backend steps in epochs; result.events holds that count.
   std::printf(
-      "simulated %s on %s: %llu %s, %.2fs wall, end=%.0f ns (%u %s)\n",
+      "simulated %s on %s: %llu %s, %.2fs wall, end=%.0f ns\n",
       result.run.workload.c_str(), result.topo.describe().c_str(),
       static_cast<unsigned long long>(result.events),
       cfg.backend == Backend::kFlow ? "epochs" : "events", result.wall_seconds,
-      result.run.end_time, result.partitions,
-      result.partitions > 1 ? "partitions" : "partition, sequential");
+      result.run.end_time);
   if (!cfg.faults.empty()) {
     std::uint64_t retries = 0, drops = 0;
     for (const auto c : result.run.router_retries) retries += c;
@@ -686,7 +684,6 @@ int cmd_trace_replay(const Args& args) {
   if (!fault_plan.empty()) net.set_fault_plan(fault_plan);
   const double dt = args.num_or("sample-dt", 0.0);
   if (dt > 0) net.enable_sampling(dt);
-  net.set_parallel(static_cast<std::uint32_t>(args.num_or("parallel", 1)));
   const auto run = net.run();
   const std::string out = args.one("out");
   {
@@ -922,17 +919,13 @@ const std::vector<Command>& commands() {
   static const std::vector<Command> table = {
       {"sim", cmd_sim,
        {"p", "job", "out", "routing", "scale", "window", "sample-dt", "seed",
-        "parallel", "faults", "fault", "fault-retry-base",
-        "fault-retry-budget", "backend", "epoch-dt", "flow-coarsen"},
+        "faults", "fault", "fault-retry-base", "fault-retry-budget",
+        "backend", "epoch-dt", "flow-coarsen"},
        "  sim      --p N --job workload[:ranks[:policy]] ... --out run.dvr\n"
        "           (--out *.json writes the text export; any other path\n"
        "           the packed .dvr format)\n"
        "           [--routing minimal|nonminimal|adaptive|par]\n"
        "           [--scale F] [--window NS] [--sample-dt NS] [--seed N]\n"
-       "           [--parallel N]  (N>1: conservative parallel engine with\n"
-       "           N group-partitions; same seed => identical metrics for\n"
-       "           any routing, with or without faults; env DV_PARALLEL as\n"
-       "           default)\n"
        "           [--faults plan.txt] [--fault SPEC ...]  (fault injection;\n"
        "           SPEC: link:g0.r1->g2.r0@T0[:T1] | link:g0->g2@T0[:T1] |\n"
        "           router:g1.r2@T0[:T1], times in ns, no T1 = permanent)\n"
@@ -946,9 +939,9 @@ const std::vector<Command>& commands() {
       {"sweep", cmd_sweep,
        {"store", "backend", "p", "workloads", "workload", "routings",
         "routing", "scales", "scale", "window", "seed", "sample-dt",
-        "bytes-per-rank", "epoch-dt", "flow-coarsen", "parallel", "faults",
-        "fault", "fault-retry-base", "fault-retry-budget", "format",
-        "report", "spec", "title"},
+        "bytes-per-rank", "epoch-dt", "flow-coarsen", "faults", "fault",
+        "fault-retry-base", "fault-retry-budget", "format", "report", "spec",
+        "title"},
        "  sweep    --store DIR [--backend packet|flow] [--p N]\n"
        "           [--workloads a,b|--workload W ...]\n"
        "           [--routings a,b|--routing R ...]"
@@ -956,7 +949,7 @@ const std::vector<Command>& commands() {
        "           [--window NS] [--seed N] [--sample-dt NS]"
        " [--bytes-per-rank B]\n"
        "           [--epoch-dt NS] [--flow-coarsen]\n"
-       "           [--parallel N] [--faults plan.txt] [--fault SPEC ...]\n"
+       "           [--faults plan.txt] [--fault SPEC ...]\n"
        "           [--fault-retry-base NS] [--fault-retry-budget N]"
        "  (packet only)\n"
        "           [--format text|dvr] [--report out.html]"
@@ -1037,12 +1030,11 @@ const std::vector<Command>& commands() {
        "  trace-info   --trace t.dvtr\n"},
       {"trace-replay", cmd_trace_replay,
        {"trace", "p", "out", "placement", "routing", "seed", "sample-dt",
-        "parallel", "faults", "fault", "fault-retry-base",
-        "fault-retry-budget"},
+        "faults", "fault", "fault-retry-base", "fault-retry-budget"},
        "  trace-replay --trace t.dvtr --p N --out run.dvr\n"
        "           (--out *.json writes the text export)\n"
        "           [--placement P] [--routing R] [--seed N] [--sample-dt NS]\n"
-       "           [--parallel N] [--faults plan.txt] [--fault SPEC ...]\n"
+       "           [--faults plan.txt] [--fault SPEC ...]\n"
        "           [--fault-retry-base NS] [--fault-retry-budget N]\n"},
   };
   return table;

@@ -1,7 +1,6 @@
 #include "app/runner.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 
 #include "flow/flow.hpp"
@@ -25,15 +24,6 @@ namespace {
 
 bool is_application(const std::string& name) {
   return name == "amg" || name == "amr_boxlib" || name == "minife";
-}
-
-std::uint32_t resolve_parallel(std::uint32_t requested) {
-  if (requested) return requested;
-  if (const char* env = std::getenv("DV_PARALLEL")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 1) return static_cast<std::uint32_t>(v);
-  }
-  return 1;
 }
 
 }  // namespace
@@ -65,6 +55,9 @@ core::DataSet load_run_dataset(const std::string& path) {
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   DV_REQUIRE(!cfg.jobs.empty(), "experiment has no jobs");
+  DV_REQUIRE(cfg.parallel <= 1,
+             "the parallel packet engine was removed; only the sequential "
+             "engine (parallel = 0 or 1) remains");
   DV_REQUIRE(cfg.traffic_scale > 0, "traffic scale must be positive");
   DV_REQUIRE(cfg.window > 0,
              "injection window must be positive (a zero-length window would "
@@ -142,7 +135,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     const auto t0 = std::chrono::steady_clock::now();
     out.run = net.run();
     const auto t1 = std::chrono::steady_clock::now();
-    out.partitions = 1;
     out.events = net.epochs();  // the flow analog of an event count
     out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
     out.flow.epochs = net.epochs();
@@ -165,13 +157,11 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 
   if (!cfg.faults.empty()) net.set_fault_plan(cfg.faults);
   if (cfg.sample_dt > 0) net.enable_sampling(cfg.sample_dt);
-  net.set_parallel(resolve_parallel(cfg.parallel));
   setup_phase.reset();
 
   const auto t0 = std::chrono::steady_clock::now();
   out.run = net.run();
   const auto t1 = std::chrono::steady_clock::now();
-  out.partitions = net.partitions_used();
   out.events = net.events_processed();
   out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   out.profile = obs::capture();

@@ -45,15 +45,14 @@ struct ExperimentConfig {
   /// nearest_neighbor stride (see workload::Config::neighbor_stride);
   /// 0 = auto (terminals per router, the congestion-forming variant).
   std::uint32_t nn_stride = 0;
-  /// Simulation engine: 0 = take the DV_PARALLEL environment variable
-  /// (defaulting to 1), 1 = sequential reference, N > 1 = conservative
-  /// parallel engine with N partitions (clamped to the group count).
+  /// Must be 0 or 1 (the parallel engine was removed). Stays only until
+  /// analyst_bench drops its `parallel = 1` assignments.
   std::uint32_t parallel = 0;
   netsim::Params params;
   /// Scheduled link/router outages (empty = healthy network).
   fault::FaultPlan faults;
-  /// Simulation backend. The flow backend ignores `parallel` and rejects
-  /// non-empty `faults` (no fluid fault model).
+  /// Simulation backend. The flow backend rejects non-empty `faults` (no
+  /// fluid fault model).
   Backend backend = Backend::kPacket;
   /// Flow backend epoch length in ns (0 = auto; locked to sample_dt when
   /// sampling is on; explicit values must be positive).
@@ -89,8 +88,6 @@ struct ExperimentResult {
   std::uint64_t events = 0;
   double wall_seconds = 0.0;
   FlowTelemetry flow;  ///< zeros unless backend == kFlow
-  /// Partition count the simulation actually used (1 = sequential engine).
-  std::uint32_t partitions = 1;
   /// Observability snapshot taken when the experiment finished: counters,
   /// gauges and phase times accumulated since the last obs::reset() (call
   /// obs::reset() before run_experiment for a per-experiment profile).

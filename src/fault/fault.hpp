@@ -5,11 +5,9 @@
 // (--fault). The plan is pure configuration: compiled against a concrete
 // topology it becomes a FaultTimeline, where "is entity X down at time t"
 // is a pure function of the plan — sorted, merged down-intervals queried
-// by binary search. Because liveness never depends on simulation state,
-// any partition of the parallel engine can evaluate it without
-// communication, and sequential and parallel runs under the same plan stay
-// bit-exact (the netsim reacts through ordinary PDES events scheduled at
-// the interval boundaries).
+// by binary search. Liveness never depends on simulation state, and the
+// netsim reacts through ordinary PDES events scheduled at the interval
+// boundaries, so a faulted run is as deterministic as a healthy one.
 //
 // Spec grammar (one fault per line / argument, '#' starts a comment):
 //   link:g<G>.r<R>->g<G'>.r<R'>@<t_down>[:<t_up>]  exact directed link
@@ -73,7 +71,7 @@ struct FaultPlan {
 
 /// A FaultPlan resolved against a topology: per-entity sorted disjoint
 /// down-intervals plus the wake schedule the simulator needs. Queries are
-/// pure functions of (plan, t) — safe from any thread/partition.
+/// pure functions of (plan, t).
 class FaultTimeline {
  public:
   /// Sorted, merged, half-open [down, up) intervals.

@@ -1,4 +1,4 @@
-// Bounded-horizon bucket scheduler — the engines' hot-path pending set.
+// Bounded-horizon bucket scheduler — the engine's hot-path pending set.
 //
 // A calendar-style layer over EventHeap: events landing within a bounded
 // time horizon ahead of the drain cursor go into fixed-width buckets;
@@ -18,8 +18,7 @@
 // when it is at most the model's minimum scheduling delay — then a push
 // can (almost) never land in the bucket currently being drained, so the
 // ordered-insert slow path stays cold. The netsim model uses its
-// conservative lookahead (min link/credit latency); the parallel engine
-// uses the same lookahead it already synchronizes windows with.
+// lookahead (min link/credit latency).
 //
 // Horizon advance: when every bucket has drained and the next event comes
 // out of the fallback heap, the window re-anchors at that event's time, so

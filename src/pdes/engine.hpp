@@ -3,10 +3,10 @@
 // This is the substrate standing in for ROSS in the paper's toolchain: a
 // deterministic event engine over logical processes (LPs). Events are
 // ordered by (timestamp, priority key, sequence number). The priority key
-// is model-assigned and engine-independent, so models that key every event
-// can produce bit-identical results on the sequential and the partitioned
-// parallel engine; `seq` (schedule order) breaks the remaining ties, so
-// every run is bit-reproducible for a given seed either way.
+// is model-assigned, so a model that keys every event by the entity it
+// concerns gets an order that does not depend on how its handlers happen
+// to schedule; `seq` (schedule order) breaks the remaining ties, so every
+// run is bit-reproducible for a given seed.
 //
 // The model layer (netsim) keeps its own payload arenas; an event carries
 // the destination LP, a model-defined kind, and two 64-bit payload words,
@@ -32,11 +32,11 @@ using LpId = std::uint32_t;
 struct Event {
   SimTime time = 0.0;
   // Model-assigned ordering key for simultaneous events. Unlike `seq` it
-  // must not depend on schedule order; models wanting cross-engine
-  // determinism give every event class a unique key (netsim encodes
-  // kind + entity id). 0 (the default) preserves pure schedule order.
+  // does not depend on schedule order; netsim gives every event class a
+  // unique key (kind + entity id). 0 (the default) preserves pure schedule
+  // order.
   std::uint64_t pri = 0;
-  std::uint64_t seq = 0;  // per-engine schedule order; last tie-breaker
+  std::uint64_t seq = 0;  // schedule order; last tie-breaker
   LpId lp = 0;
   std::uint32_t kind = 0;
   std::uint64_t data0 = 0;
@@ -93,7 +93,7 @@ class Simulator {
 
   /// Enables the bounded-horizon bucket layer of the pending-event set
   /// (see bucket_sched.hpp). `width` should be the model's minimum
-  /// scheduling delay (netsim passes its conservative lookahead); 0
+  /// scheduling delay (netsim passes its lookahead); 0
   /// reverts to the pure heap. Must be called before any event is
   /// scheduled. No effect on event order — only on scheduling cost.
   void set_bucket_granularity(double width,

@@ -56,8 +56,7 @@ class QueueProbe {
   virtual double depth(std::uint32_t router, std::uint32_t port) const = 0;
   /// True when the output port is unusable at `now` because of an injected
   /// fault (dead link, dead router on either end). Pure function of the
-  /// fault plan — unlike depth(), safe to evaluate for any router from any
-  /// partition. Default: a healthy network.
+  /// fault plan. Default: a healthy network.
   virtual bool port_blocked(std::uint32_t /*router*/, std::uint32_t /*port*/,
                             double /*now*/) const {
     return false;

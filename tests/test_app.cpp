@@ -100,6 +100,11 @@ TEST(Runner, Validation) {
   cfg.jobs = {{"uniform_random", 8, placement::Policy::kContiguous, 1024}};
   cfg.traffic_scale = 0.0;
   EXPECT_THROW(run_experiment(cfg), Error);
+  cfg.traffic_scale = 1.0;
+  cfg.parallel = 2;  // the parallel engine is gone
+  EXPECT_THROW(run_experiment(cfg), Error);
+  cfg.parallel = 1;
+  EXPECT_NO_THROW(run_experiment(cfg));
 }
 
 TEST(Runner, ZeroLengthWindowRejected) {

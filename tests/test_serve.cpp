@@ -6,6 +6,7 @@
 
 #include <sys/socket.h>
 
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -33,14 +34,12 @@ const dv::testing::MiniRun& mini() {
   return run;
 }
 
-/// The mini run saved to disk once (the daemon loads runs from files).
-const std::string& mini_run_path() {
-  static const std::string path = [] {
-    const std::string p = ::testing::TempDir() + "dv_serve_mini_run.json";
-    mini().run.save(p);
-    return p;
-  }();
-  return path;
+/// The mini run saved in the test's own temp directory (the daemon loads
+/// runs from files); written on the test's first call.
+std::string mini_run_path() {
+  const auto path = dv::testing::test_temp_dir() / "mini_run.json";
+  if (!std::filesystem::exists(path)) mini().run.save(path.string());
+  return path.string();
 }
 
 ServeOptions test_options() {

@@ -16,8 +16,7 @@ whole performance picture of a run:
 
 `source` is the path of the containing directory relative to the scan
 root (the artifact name in CI), so two lanes uploading the same filename
-— e.g. perf-smoke and perf-parallel both write BENCH_perf.json — stay
-distinguishable. Files that fail to parse are reported and skipped: a
+stay distinguishable. Files that fail to parse are reported and skipped: a
 truncated artifact must not hide every other measurement.
 
 Usage:
