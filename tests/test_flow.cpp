@@ -613,8 +613,11 @@ TEST(FlowNetwork, CoarsenedRunIsDeterministic) {
 
 /// Content uids of DF(3) flow runs through run_experiment, pinned so that
 /// changes to the issue path (bundle FIFOs, route decisions) are proven
-/// output-neutral: {uniform_random, transpose} x {minimal, adaptive},
-/// unsampled and sampled, plus one coarsened run.
+/// output-neutral: {uniform_random, transpose} x {minimal, adaptive} and
+/// {uniform_random, nearest_neighbor} x {nonminimal, progressive
+/// adaptive}, unsampled and sampled, plus two coarsened runs.
+/// nearest_neighbor under nonminimal routing reaches the intra-group
+/// Valiant draw (a proxy router); uniform_random the proxy group.
 struct PinnedUid {
   const char* workload;
   routing::Algo routing;
@@ -635,6 +638,22 @@ TEST(FlowNetwork, ContentUidsArePinned) {
       {"transpose", Algo::kMinimal, 5e3, false, 14532117436866670070ull},
       {"transpose", Algo::kAdaptive, 5e3, false, 15351001117768683078ull},
       {"uniform_random", Algo::kAdaptive, 5e3, true, 11124301993836624311ull},
+      {"uniform_random", Algo::kNonMinimal, 0.0, false, 7595258620831018900ull},
+      {"nearest_neighbor", Algo::kNonMinimal, 0.0, false,
+       10584092359439307399ull},
+      {"uniform_random", Algo::kProgressiveAdaptive, 0.0, false,
+       14406604972178228302ull},
+      {"nearest_neighbor", Algo::kProgressiveAdaptive, 0.0, false,
+       2686463933239850272ull},
+      {"uniform_random", Algo::kNonMinimal, 5e3, false, 8617846989629775613ull},
+      {"nearest_neighbor", Algo::kNonMinimal, 5e3, false,
+       5698651122591197971ull},
+      {"uniform_random", Algo::kProgressiveAdaptive, 5e3, false,
+       11819689442827915131ull},
+      {"nearest_neighbor", Algo::kProgressiveAdaptive, 5e3, false,
+       5207974660987016181ull},
+      {"nearest_neighbor", Algo::kNonMinimal, 5e3, true,
+       11801716709541078814ull},
   };
   for (const PinnedUid& c : cases) {
     app::ExperimentConfig cfg;
