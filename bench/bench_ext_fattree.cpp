@@ -6,16 +6,23 @@
 // (128 hosts) on the same credit/VC packet model as the Dragonfly, laid
 // out as the standard entity tables (pods = groups, edge/agg switches =
 // routers, cores = pseudo-pods), and renders the same radial projection
-// views used for the Dragonfly.
+// views used for the Dragonfly. The flow backend runs the same fabric and
+// routing, so it must put the same bytes on every link.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "flow/flow.hpp"
 #include "netsim/network.hpp"
 #include "util/stats.hpp"
 #include "workload/workload.hpp"
 
 namespace {
 
+/// Runs `pattern` on the k=8 fat tree; Net is netsim::Network or
+/// flow::FlowNetwork (same constructor and calls).
+template <class Net>
 dv::metrics::RunMetrics run_ft(const char* pattern, std::uint64_t seed) {
   const dv::topo::FatTree topo(8);
   // Fat-tree links: 100 ns and full host bandwidth on every switch link.
@@ -23,7 +30,7 @@ dv::metrics::RunMetrics run_ft(const char* pattern, std::uint64_t seed) {
   params.local_latency = 100.0;
   params.global_latency = 100.0;
   params.global_bandwidth = params.local_bandwidth;
-  dv::netsim::Network net(topo, params, seed);
+  Net net(topo, params, seed);
   net.set_labels(pattern, "contiguous", {pattern});
   dv::placement::Placement placement;
   placement.job_of.assign(topo.num_hosts(), 0);
@@ -37,6 +44,23 @@ dv::metrics::RunMetrics run_ft(const char* pattern, std::uint64_t seed) {
     net.add_message({m.src_rank, m.dst_rank, m.bytes, m.time, 0});
   }
   return net.run();
+}
+
+/// Largest relative difference of per-link traffic between two runs.
+double max_link_rel_diff(const dv::metrics::RunMetrics& a,
+                         const dv::metrics::RunMetrics& b) {
+  double worst = 0.0;
+  auto scan = [&](const std::vector<dv::metrics::LinkMetrics>& x,
+                  const std::vector<dv::metrics::LinkMetrics>& y) {
+    if (x.size() != y.size()) worst = INFINITY;
+    for (std::size_t i = 0; i < std::min(x.size(), y.size()); ++i) {
+      const double d = std::abs(x[i].traffic - y[i].traffic);
+      if (d > 0.0) worst = std::max(worst, d / y[i].traffic);
+    }
+  };
+  scan(a.local_links, b.local_links);
+  scan(a.global_links, b.global_links);
+  return worst;
 }
 
 double cv(const std::vector<dv::metrics::LinkMetrics>& links) {
@@ -54,8 +78,10 @@ int main() {
       "future work of Sec. VI: other topologies through the same entity "
       "tables, aggregation and radial views");
 
-  const auto ur = run_ft("uniform_random", 3);
-  const auto bis = run_ft("bisection", 3);
+  const auto ur = run_ft<netsim::Network>("uniform_random", 3);
+  const auto bis = run_ft<netsim::Network>("bisection", 3);
+  const auto ur_flow = run_ft<flow::FlowNetwork>("uniform_random", 3);
+  const auto bis_flow = run_ft<flow::FlowNetwork>("bisection", 3);
 
   std::printf("%-24s %14s %14s\n", "", "uniform-random", "bisection");
   auto row = [](const char* label, double a, double b) {
@@ -70,6 +96,9 @@ int main() {
   const auto bis_t = bench::term_stats(bis);
   row("avg hops", ur_t.avg_hops, bis_t.avg_hops);
   row("avg latency (ns)", ur_t.avg_latency, bis_t.avg_latency);
+  const double ur_diff = max_link_rel_diff(ur_flow, ur);
+  const double bis_diff = max_link_rel_diff(bis_flow, bis);
+  row("flow vs packet link diff", ur_diff, bis_diff);
 
   bench::shape_check(cv(ur.global_links) < 0.6,
                      "ECMP balances uniform-random load over the core");
@@ -77,6 +106,9 @@ int main() {
                      "bisection traffic crosses the core (5-switch paths)");
   bench::shape_check(ur_t.avg_hops > 3.0 && ur_t.avg_hops < 5.0,
                      "uniform random mixes 1/3/5-switch paths");
+  bench::shape_check(ur_diff <= 1e-12 && bis_diff <= 1e-12,
+                     "flow and packet put the same bytes on every link "
+                     "(up/down ECMP)");
 
   // The same VA pipeline renders the fat tree.
   const core::DataSet data(ur);

@@ -120,50 +120,43 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     messages.insert(messages.end(), mapped.begin(), mapped.end());
   }
 
-  if (cfg.backend == Backend::kFlow) {
-    DV_REQUIRE(cfg.faults.empty(),
-               "the flow backend does not model faults; use --backend packet");
-    flow::FlowNetwork net(out.topo, cfg.routing, cfg.params, cfg.seed);
+  // Both backends are built and driven the same way; only faults (packet)
+  // and epoch length and coarsening (flow) are set per backend.
+  auto simulate = [&](auto& net) {
     net.set_jobs(out.placement);
     net.set_labels(workload_label, cfg.placement_label(), names);
     net.add_messages(messages);
     if (cfg.sample_dt > 0) net.enable_sampling(cfg.sample_dt);
-    if (cfg.flow_epoch_dt != 0) net.set_epoch_dt(cfg.flow_epoch_dt);
-    if (cfg.flow_coarsen) net.enable_coarsening();
     setup_phase.reset();
 
     const auto t0 = std::chrono::steady_clock::now();
     out.run = net.run();
     const auto t1 = std::chrono::steady_clock::now();
-    out.events = net.epochs();  // the flow analog of an event count
     out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  };
+  if (cfg.backend == Backend::kFlow) {
+    DV_REQUIRE(cfg.faults.empty(),
+               "the flow backend does not model faults; use --backend packet");
+    flow::FlowNetwork net(out.topo, cfg.routing, cfg.params, cfg.seed);
+    if (cfg.flow_epoch_dt != 0) net.set_epoch_dt(cfg.flow_epoch_dt);
+    if (cfg.flow_coarsen) net.enable_coarsening();
+    simulate(net);
+    out.events = net.epochs();  // the flow analog of an event count
     out.flow.epochs = net.epochs();
     out.flow.solves = net.solves();
     out.flow.full_solves = net.full_solves();
     out.flow.incremental_solves = net.incremental_solves();
     out.flow.solver_rounds = net.solver_rounds();
     out.flow.drain_events = net.drain_events();
-    out.profile = obs::capture();
-    return out;
+  } else {
+    DV_REQUIRE(!cfg.flow_coarsen,
+               "--flow-coarsen requires --backend flow (the packet simulator "
+               "always resolves per-terminal demand)");
+    netsim::Network net(out.topo, cfg.routing, cfg.params, cfg.seed);
+    if (!cfg.faults.empty()) net.set_fault_plan(cfg.faults);
+    simulate(net);
+    out.events = net.events_processed();
   }
-  DV_REQUIRE(!cfg.flow_coarsen,
-             "--flow-coarsen requires --backend flow (the packet simulator "
-             "always resolves per-terminal demand)");
-
-  netsim::Network net(out.topo, cfg.routing, cfg.params, cfg.seed);
-  net.set_jobs(out.placement);
-  net.set_labels(workload_label, cfg.placement_label(), names);
-  net.add_messages(messages);
-
-  if (!cfg.faults.empty()) net.set_fault_plan(cfg.faults);
-  if (cfg.sample_dt > 0) net.enable_sampling(cfg.sample_dt);
-  setup_phase.reset();
-
-  const auto t0 = std::chrono::steady_clock::now();
-  out.run = net.run();
-  const auto t1 = std::chrono::steady_clock::now();
-  out.events = net.events_processed();
-  out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   out.profile = obs::capture();
   return out;
 }

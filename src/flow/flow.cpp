@@ -380,32 +380,58 @@ IncrementalResult water_fill_removed(const std::vector<double>& capacity,
 
 // ------------------------------------------------------------ FlowNetwork
 
+// Minimal routing walks the minimal planner. Every other algorithm draws
+// its Valiant candidate from a kNonMinimal planner's on_inject; the
+// adaptive ones then choose between it and the minimal path themselves
+// (decide_route).
 FlowNetwork::FlowNetwork(const topo::Dragonfly& topo, routing::Algo algo,
                          netsim::Params params, std::uint64_t seed)
-    : topo_(topo),
+    : FlowNetwork(netsim::Fabric::dragonfly(topo, params),
+                  std::make_unique<routing::RoutePlanner>(
+                      topo,
+                      algo == routing::Algo::kMinimal
+                          ? routing::Algo::kMinimal
+                          : routing::Algo::kNonMinimal,
+                      params.adaptive, seed),
+                  algo, params, seed) {}
+
+FlowNetwork::FlowNetwork(const topo::FatTree& topo, netsim::Params params,
+                         std::uint64_t seed)
+    : FlowNetwork(netsim::Fabric::fat_tree(topo, params),
+                  netsim::make_updown_ecmp(topo, seed),
+                  routing::Algo::kMinimal, params, seed) {}
+
+FlowNetwork::FlowNetwork(netsim::Fabric fabric,
+                         std::unique_ptr<routing::Policy> policy,
+                         routing::Algo algo, netsim::Params params,
+                         std::uint64_t seed)
+    : fabric_(std::move(fabric)),
+      policy_(std::move(policy)),
       algo_(algo),
       params_(params),
-      planner_(topo_, routing::Algo::kMinimal, params.adaptive, seed),
       seed_(seed) {
   params_.validate();
-  nterm_ = topo_.num_terminals();
-  nlocal_ = topo_.num_local_links();
-  nglobal_ = topo_.num_global_links();
-  nrouters_ = topo_.num_routers();
+  nterm_ = fabric_.num_terminals();
+  nlocal_ = fabric_.num_local_links();
+  nglobal_ = fabric_.num_global_links();
+  nrouters_ = fabric_.num_routers();
   const std::size_t nlinks =
       2 * static_cast<std::size_t>(nterm_) + nlocal_ + nglobal_;
   coarse_base_ = static_cast<std::uint32_t>(nlinks);
 
+  auto bandwidth = [this](const netsim::PortRef& at) {
+    return fabric_.port(at.router, at.port).bandwidth;
+  };
   capacity_.resize(nlinks);
   for (std::uint32_t t = 0; t < nterm_; ++t) {
-    capacity_[inj_link(t)] = params_.terminal_bandwidth;
-    capacity_[ej_link(t)] = params_.terminal_bandwidth;
+    capacity_[inj_link(t)] = bandwidth(fabric_.terminal_port(t));
+    capacity_[ej_link(t)] = capacity_[inj_link(t)];
   }
   for (std::uint32_t l = 0; l < nlocal_; ++l) {
-    capacity_[local_link(l)] = params_.local_bandwidth;
+    capacity_[local_link(l)] = bandwidth(fabric_.local_src(l));
   }
   for (std::uint32_t g = 0; g < nglobal_; ++g) {
-    capacity_[global_link(g)] = params_.global_bandwidth;
+    capacity_[global_link(g)] = bandwidth(fabric_.global_src(g));
   }
   link_traffic_.assign(nlinks, 0.0);
   link_sat_.assign(nlinks, 0.0);
@@ -457,8 +483,9 @@ void FlowNetwork::enable_sampling(double dt) {
   local_sat_ts_ = metrics::SampledSeries(nlocal_, dt);
   global_traffic_ts_ = metrics::SampledSeries(nglobal_, dt);
   global_sat_ts_ = metrics::SampledSeries(nglobal_, dt);
-  term_traffic_ts_ = metrics::SampledSeries(nterm_, dt);
-  term_sat_ts_ = metrics::SampledSeries(nterm_, dt);
+  // One column per RunMetrics terminal row; padding rows stay zero.
+  term_traffic_ts_ = metrics::SampledSeries(fabric_.terminal_rows(), dt);
+  term_sat_ts_ = metrics::SampledSeries(fabric_.terminal_rows(), dt);
   prev_traffic_.assign(capacity_.size(), 0.0);
   prev_sat_.assign(capacity_.size(), 0.0);
 }
@@ -478,7 +505,7 @@ void FlowNetwork::enable_coarsening() {
   // the router's p terminals; the per-terminal edge links stay allocated
   // (collect's schema reads them) but drop out of every path.
   const double cap =
-      params_.terminal_bandwidth * topo_.terminals_per_router();
+      capacity_[inj_link(0)] * fabric_.shape().terminals_per_router;
   capacity_.resize(coarse_base_ + 2 * static_cast<std::size_t>(nrouters_),
                    cap);
   link_traffic_.resize(capacity_.size(), 0.0);
@@ -492,73 +519,35 @@ void FlowNetwork::enable_coarsening() {
 
 // --------------------------------------------------------------- routing
 
-void FlowNetwork::build_path(std::uint32_t src_term, std::uint32_t dst_term,
-                             std::int32_t proxy_group,
-                             std::int32_t proxy_router, PathInfo& path) const {
+void FlowNetwork::build_path(std::uint32_t src_term,
+                             routing::PacketRoute route,
+                             PathInfo& path) const {
   path.links.clear();
   path.links.push_back(inj_link(src_term));
   path.latency = 2.0 * params_.terminal_latency;
 
-  std::uint32_t cur = topo_.terminal_router(src_term);
+  std::uint32_t cur = fabric_.terminal_port(src_term).router;
   path.router_hops = 1;
 
-  routing::PacketRoute st;
-  st.dst_terminal = dst_term;
-  st.proxy_group = proxy_group;
-  st.proxy_router = proxy_router;
-  st.src_group = static_cast<std::int32_t>(topo_.router_group(cur));
-  st.decided = true;
-
-  const std::uint32_t nterm = topo_.terminals_per_router();
-  const std::uint32_t nlocal_ports = topo_.routers_per_group() - 1;
   routing::RouteStats stats;
-  Rng rng(0, 0);  // never consulted: minimal walker, decided, no faults
+  Rng rng(0, 0);  // never consulted: proxies drawn, decided, no faults
   for (int step = 0; step < 32; ++step) {
     const routing::Decision d =
-        planner_.route(st, cur, null_probe_, rng, stats);
-    if (d.kind == routing::Decision::Kind::kTerminal) {
-      path.links.push_back(ej_link(dst_term));
+        policy_->route(route, cur, null_probe_, rng, stats);
+    const netsim::Port& hop = fabric_.port(cur, d.port);
+    if (hop.cls == netsim::LinkClass::kEjection) {
+      path.links.push_back(ej_link(hop.dst_terminal));
       path.latency += params_.router_delay * path.router_hops;
       return;
     }
-    if (d.kind == routing::Decision::Kind::kLocal) {
-      const std::uint32_t lport = d.port - nterm;
-      path.links.push_back(local_link(topo_.local_link_id(cur, lport)));
-      path.latency += params_.local_latency;
-      cur = topo_.router_id(
-          topo_.router_group(cur),
-          topo_.local_neighbor(topo_.router_rank(cur), lport));
-    } else {
-      const std::uint32_t channel = d.port - nterm - nlocal_ports;
-      path.links.push_back(global_link(topo_.global_link_id(cur, channel)));
-      path.latency += params_.global_latency;
-      cur = topo_.global_neighbor(cur, channel).router;
-    }
+    path.links.push_back(hop.cls == netsim::LinkClass::kLocal
+                             ? local_link(hop.id)
+                             : global_link(hop.id));
+    path.latency += hop.latency;
+    cur = hop.dst_router;
     ++path.router_hops;
   }
   throw Error("flow path walk failed to terminate");
-}
-
-std::int32_t FlowNetwork::pick_proxy_group(std::uint32_t sg, std::uint32_t dg,
-                                           Rng& rng) const {
-  if (topo_.groups() <= 2) return -1;
-  for (;;) {
-    const auto g = static_cast<std::uint32_t>(rng.next_below(topo_.groups()));
-    if (g != sg && g != dg) return static_cast<std::int32_t>(g);
-  }
-}
-
-std::int32_t FlowNetwork::pick_proxy_router(std::uint32_t group,
-                                            std::uint32_t sr,
-                                            std::uint32_t dr,
-                                            Rng& rng) const {
-  if (topo_.routers_per_group() <= 2) return -1;
-  for (;;) {
-    const auto rank = static_cast<std::uint32_t>(
-        rng.next_below(topo_.routers_per_group()));
-    const std::uint32_t r = topo_.router_id(group, rank);
-    if (r != sr && r != dr) return static_cast<std::int32_t>(r);
-  }
 }
 
 double FlowNetwork::path_peak_util(const PathInfo& path) const {
@@ -570,53 +559,38 @@ double FlowNetwork::path_peak_util(const PathInfo& path) const {
 }
 
 void FlowNetwork::decide_route(Bundle& b) {
-  const std::uint32_t sr = topo_.terminal_router(b.src);
-  const std::uint32_t dr = topo_.terminal_router(b.dst);
-  const std::uint32_t sg = topo_.router_group(sr);
-  const std::uint32_t dg = topo_.router_group(dr);
-  Rng& rng = term_rng_[b.src];
-
-  std::int32_t proxy_group = -1;
-  std::int32_t proxy_router = -1;
-  const PathInfo* chosen = nullptr;  // set when adaptive built both paths
-  if (sr != dr) {
-    switch (algo_) {
-      case routing::Algo::kMinimal:
-        break;
-      case routing::Algo::kNonMinimal:
-        if (dg != sg) {
-          proxy_group = pick_proxy_group(sg, dg, rng);
-        } else {
-          proxy_router = pick_proxy_router(sg, sr, dr, rng);
-        }
-        break;
-      case routing::Algo::kAdaptive:
-      case routing::Algo::kProgressiveAdaptive: {
-        // Fluid UGAL: netsim compares source-router queue depths; the flow
-        // model's congestion signal is the previous solve's bottleneck
-        // utilization along each candidate path. The threshold (packets)
-        // is normalized by the VC buffer size to the same [0,1] scale.
-        if (dg == sg) break;
-        const std::int32_t proxy = pick_proxy_group(sg, dg, rng);
-        if (proxy < 0) break;
-        build_path(b.src, b.dst, -1, -1, min_path_);
-        build_path(b.src, b.dst, proxy, -1, alt_path_);
-        const double q_min = path_peak_util(min_path_);
-        const double q_non = path_peak_util(alt_path_);
-        const double bias =
-            params_.adaptive.threshold / params_.vc_buffer_packets;
-        chosen = q_min * min_path_.router_hops >
-                         q_non * alt_path_.router_hops + bias
-                     ? &alt_path_
-                     : &min_path_;
-        break;
-      }
-    }
+  const std::uint32_t sr = fabric_.terminal_port(b.src).router;
+  const std::uint32_t dr = fabric_.terminal_port(b.dst).router;
+  routing::PacketRoute route;
+  route.dst_terminal = b.dst;
+  route.decided = true;
+  // The policy draws on the source terminal's stream, as in netsim.
+  // Adaptive routing has no Valiant candidate inside a group (UGAL's
+  // candidates are proxy groups), so it draws nothing there.
+  if (!adaptive() || fabric_.router_group(sr) != fabric_.router_group(dr)) {
+    routing::RouteStats stats;
+    policy_->on_inject(route, b.src, null_probe_, term_rng_[b.src], stats);
   }
 
-  if (chosen == nullptr) {
-    build_path(b.src, b.dst, proxy_group, proxy_router, min_path_);
-    chosen = &min_path_;
+  const PathInfo* chosen = &min_path_;
+  if (adaptive() && route.proxy_group >= 0) {
+    // Fluid UGAL: netsim compares source-router queue depths; the flow
+    // model's congestion signal is the previous solve's bottleneck
+    // utilization along each candidate path. The threshold (packets)
+    // is normalized by the VC buffer size to the same [0,1] scale.
+    build_path(b.src, route, alt_path_);
+    route.proxy_group = -1;
+    build_path(b.src, route, min_path_);
+    const double q_min = path_peak_util(min_path_);
+    const double q_non = path_peak_util(alt_path_);
+    const double bias =
+        params_.adaptive.threshold / params_.vc_buffer_packets;
+    if (q_min * min_path_.router_hops >
+        q_non * alt_path_.router_hops + bias) {
+      chosen = &alt_path_;
+    }
+  } else {
+    build_path(b.src, route, min_path_);
   }
   b.links.assign(chosen->links.begin(), chosen->links.end());
   b.router_hops = chosen->router_hops;
@@ -644,9 +618,8 @@ std::vector<std::uint32_t> FlowNetwork::layout_bundles(
       // stand in for path building and the Valiant rng stream, so the
       // coarse run stays deterministic in the same per-source-stream
       // scheme.
-      const std::uint32_t p = topo_.terminals_per_router();
-      bsrc = topo_.terminal_router(bsrc) * p;
-      bdst = topo_.terminal_router(bdst) * p;
+      bsrc = slot0_terminal(bsrc);
+      bdst = slot0_terminal(bdst);
     }
     const std::uint64_t key =
         (static_cast<std::uint64_t>(bsrc) << 32) | bdst;
@@ -776,7 +749,7 @@ void FlowNetwork::push_sample_frame() {
       for (std::size_t t = 0; t < nterm_; ++t) {
         const auto tm = static_cast<std::uint32_t>(t);
         const std::size_t li = inj_link(tm);
-        const std::uint32_t r = topo_.terminal_router(tm);
+        const std::uint32_t r = fabric_.terminal_port(tm).router;
         const std::size_t lsi = coarse_inj_link(r);
         const std::size_t lse = coarse_ej_link(r);
         dt[t] = static_cast<float>(link_traffic_[li] - prev_traffic_[li]);
@@ -1086,49 +1059,25 @@ metrics::RunMetrics FlowNetwork::run() {
 }
 
 void FlowNetwork::collect(metrics::RunMetrics& out, double end) {
-  out.groups = topo_.groups();
-  out.routers_per_group = topo_.routers_per_group();
-  out.terminals_per_router = topo_.terminals_per_router();
-  out.global_per_router = topo_.global_per_router();
+  fabric_.layout_run_metrics(out);
   out.workload = workload_label_;
-  out.routing = routing::to_string(algo_);
+  // Adaptive runs walk a kNonMinimal planner; the label names the algorithm.
+  out.routing = adaptive() ? routing::to_string(algo_) : policy_->label();
   out.placement = placement_label_;
   out.job_names = job_names_;
   out.seed = seed_;
   out.end_time = end;
 
-  const std::uint32_t nterm = topo_.terminals_per_router();
-  out.local_links.resize(nlocal_);
   for (std::uint32_t lid = 0; lid < nlocal_; ++lid) {
-    const auto [router, lport] = topo_.local_link_ends(lid);
-    const std::uint32_t nrank =
-        topo_.local_neighbor(topo_.router_rank(router), lport);
-    metrics::LinkMetrics& l = out.local_links[lid];
-    l.src_router = router;
-    l.src_port = nterm + lport;
-    l.dst_router = topo_.router_id(topo_.router_group(router), nrank);
-    l.dst_port = nterm + (topo_.local_port(nrank, topo_.router_rank(router)) -
-                          nterm);
-    l.traffic = link_traffic_[local_link(lid)];
-    l.sat_time = link_sat_[local_link(lid)];
+    out.local_links[lid].traffic = link_traffic_[local_link(lid)];
+    out.local_links[lid].sat_time = link_sat_[local_link(lid)];
   }
-  out.global_links.resize(nglobal_);
   for (std::uint32_t gid = 0; gid < nglobal_; ++gid) {
-    const topo::GlobalEnd src = topo_.global_link_src(gid);
-    const topo::GlobalEnd dst = topo_.global_neighbor(src.router, src.channel);
-    metrics::LinkMetrics& l = out.global_links[gid];
-    l.src_router = src.router;
-    l.src_port = topo_.global_port(src.channel);
-    l.dst_router = dst.router;
-    l.dst_port = topo_.global_port(dst.channel);
-    l.traffic = link_traffic_[global_link(gid)];
-    l.sat_time = link_sat_[global_link(gid)];
+    out.global_links[gid].traffic = link_traffic_[global_link(gid)];
+    out.global_links[gid].sat_time = link_sat_[global_link(gid)];
   }
-  out.terminals.resize(nterm_);
   for (std::uint32_t tm = 0; tm < nterm_; ++tm) {
     metrics::TerminalMetrics& trow = out.terminals[tm];
-    trow.router = topo_.terminal_router(tm);
-    trow.port = topo_.terminal_slot(tm);
     trow.packets_finished = term_finished_[tm];
     trow.sum_latency = term_sum_latency_[tm];
     trow.sum_hops = term_sum_hops_[tm];

@@ -228,8 +228,8 @@ void Network::enable_sampling(double dt) {
   global_traffic_ts_ = metrics::SampledSeries(nglobal, dt);
   global_sat_ts_ = metrics::SampledSeries(nglobal, dt);
   // One column per RunMetrics terminal row; padding rows stay zero.
-  term_traffic_ts_ = metrics::SampledSeries(terminal_rows(), dt);
-  term_sat_ts_ = metrics::SampledSeries(terminal_rows(), dt);
+  term_traffic_ts_ = metrics::SampledSeries(fabric_.terminal_rows(), dt);
+  term_sat_ts_ = metrics::SampledSeries(fabric_.terminal_rows(), dt);
   prev_local_traffic_.assign(nlocal, 0.0);
   prev_local_sat_.assign(nlocal, 0.0);
   prev_global_traffic_.assign(nglobal, 0.0);
@@ -786,16 +786,8 @@ void Network::publish_run_obs(const metrics::RunMetrics& out) {
 #endif
 }
 
-std::uint32_t Network::terminal_rows() const {
-  return fabric_.num_routers() * fabric_.shape().terminals_per_router;
-}
-
 void Network::flush_and_collect(metrics::RunMetrics& out, SimTime end) {
-  const Fabric::Shape& shape = fabric_.shape();
-  out.groups = shape.groups;
-  out.routers_per_group = shape.routers_per_group;
-  out.terminals_per_router = shape.terminals_per_router;
-  out.global_per_router = shape.global_per_router;
+  fabric_.layout_run_metrics(out);
   out.workload = workload_label_;
   out.routing = policy_->label();
   out.placement = placement_label_;
@@ -805,38 +797,24 @@ void Network::flush_and_collect(metrics::RunMetrics& out, SimTime end) {
 
   auto collect_links = [&](const LinkArray& la, bool global,
                            std::vector<metrics::LinkMetrics>& rows) {
-    rows.resize(la.traffic.size());
     for (std::uint32_t id = 0; id < rows.size(); ++id) {
-      const PortRef& src =
-          global ? fabric_.global_src(id) : fabric_.local_src(id);
-      const Port& hop = fabric_.port(src.router, src.port);
       metrics::LinkMetrics& l = rows[id];
-      l.src_router = src.router;
-      l.src_port = src.port;
-      l.dst_router = hop.dst_router;
-      l.dst_port = hop.dst_port;
       l.traffic = la.traffic[id];
       l.sat_time = la.sat_at(id, end);
       l.retries = la.retries[id];
       l.pkts_dropped = la.drops[id];
       if (has_faults_) {
-        l.downtime = fault_.effective_link_downtime(global, id, src.router,
-                                                    hop.dst_router, end);
+        l.downtime = fault_.effective_link_downtime(global, id, l.src_router,
+                                                    l.dst_router, end);
       }
     }
   };
   collect_links(local_links_, false, out.local_links);
   collect_links(global_links_, true, out.global_links);
-  // Terminal rows assemble here from the columnar accumulators — the only
+  // Terminal rows fill here from the columnar accumulators — the only
   // place the 80-byte TerminalMetrics records are materialized.
-  out.terminals.resize(fabric_.num_terminals());
-  std::vector<std::uint32_t> used(fabric_.num_routers(), 0);
   for (std::uint32_t t = 0; t < fabric_.num_terminals(); ++t) {
     metrics::TerminalMetrics& tm = out.terminals[t];
-    const PortRef& at = fabric_.terminal_port(t);
-    ++used[at.router];
-    tm.router = at.router;
-    tm.port = at.port;
     tm.packets_finished = term_finished_[t];
     tm.sum_latency = term_sum_latency_[t];
     tm.sum_hops = term_sum_hops_[t];
@@ -847,18 +825,7 @@ void Network::flush_and_collect(metrics::RunMetrics& out, SimTime end) {
     tm.job = term_job_[t];
     if (has_faults_) {
       // A terminal is down exactly when its router is.
-      tm.downtime = fault_.router_downtime(at.router, end);
-    }
-  }
-  // Routers with fewer terminals than the grid's slots (fat-tree agg and
-  // core switches) get empty rows, so the VA invariant
-  // terminals == groups * routers_per_group * terminals_per_router holds.
-  for (std::uint32_t r = 0; r < fabric_.num_routers(); ++r) {
-    for (std::uint32_t s = used[r]; s < shape.terminals_per_router; ++s) {
-      metrics::TerminalMetrics pad;
-      pad.router = r;
-      pad.port = s;
-      out.terminals.push_back(pad);
+      tm.downtime = fault_.router_downtime(tm.router, end);
     }
   }
   if (has_faults_) {

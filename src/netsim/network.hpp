@@ -274,8 +274,6 @@ class Network final : public pdes::LogicalProcess,
   void return_credit(std::uint64_t enc_link);
   void take_sample(SimTime now);
   void flush_and_collect(metrics::RunMetrics& out, SimTime end);
-  /// RunMetrics terminal rows: one per (router, slot) of the fabric grid.
-  std::uint32_t terminal_rows() const;
   void publish_run_obs(const metrics::RunMetrics& out);
 
   // ---- state ---------------------------------------------------------

@@ -1,15 +1,19 @@
 // Differential cross-validation of the flow backend against the packet
 // simulator on the paper's Fig. 7 synthetic scenarios: identical metrics
-// schema, matching saturation ordering between scenarios, rank-correlated
-// per-link load, and byte-identical view plumbing over either backend.
+// schema, the same bytes on every link under minimal routing (dragonfly
+// and fat tree), matching saturation ordering between scenarios,
+// rank-correlated per-link load, and byte-identical view plumbing over
+// either backend.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "app/runner.hpp"
 #include "core/datatable.hpp"
 #include "core/presets.hpp"
 #include "core/projection.hpp"
+#include "flow/flow.hpp"
 #include "util/stats.hpp"
 
 namespace dv::app {
@@ -103,6 +107,59 @@ TEST(FlowVsPacket, RunMetricsSchemaIsIdentical) {
         << to_string(e);
     EXPECT_EQ(fds.table(e).rows(), pds.table(e).rows()) << to_string(e);
   }
+}
+
+double total_hops(const metrics::RunMetrics& run) {
+  double hops = 0.0;
+  for (const auto& t : run.terminals) hops += t.sum_hops;
+  return hops;
+}
+
+/// Both backends walk the same minimal routes, so every link carries the
+/// same bytes (up to the flow drain's floating-point sums) and every
+/// delivered packet the same hop count.
+void expect_same_bytes_on_every_link(const metrics::RunMetrics& flow,
+                                     const metrics::RunMetrics& packet,
+                                     const std::string& what) {
+  const auto f = link_traffic(flow);
+  const auto p = link_traffic(packet);
+  ASSERT_EQ(f.size(), p.size()) << what;
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    EXPECT_LE(std::abs(f[i] - p[i]), 1e-12 * p[i]) << what << " link " << i;
+  }
+  EXPECT_GT(total_hops(packet), 0.0) << what;
+  EXPECT_EQ(total_hops(flow), total_hops(packet)) << what;
+}
+
+TEST(FlowVsPacket, MinimalRoutingPutsTheSameBytesOnEveryLink) {
+  for (const char* workload :
+       {"uniform_random", "transpose", "nearest_neighbor"}) {
+    auto flow_cfg = base_config(Backend::kFlow, workload);
+    flow_cfg.routing = routing::Algo::kMinimal;
+    auto packet_cfg = flow_cfg;
+    packet_cfg.backend = Backend::kPacket;
+    expect_same_bytes_on_every_link(run_experiment(flow_cfg).run,
+                                    run_experiment(packet_cfg).run, workload);
+  }
+
+  // FatTree(4) up/down ECMP: the flow constructor builds the same fabric
+  // and hashes each (src, dst) pair onto the same up-links.
+  const topo::FatTree ft(4);
+  flow::FlowNetwork flow_net(ft, {}, 3);
+  netsim::Network packet_net(ft, {}, 3);
+  Rng rng(11, 0);
+  const std::uint32_t hosts = ft.num_hosts();
+  for (int i = 0; i < 200; ++i) {
+    const auto src = static_cast<std::uint32_t>(rng.next_below(hosts));
+    auto dst = src;
+    while (dst == src) dst = static_cast<std::uint32_t>(rng.next_below(hosts));
+    const netsim::Message m{src, dst, 1024 + rng.next_below(8192),
+                            rng.next_double() * 2e4, -1};
+    flow_net.add_message(m);
+    packet_net.add_message(m);
+  }
+  expect_same_bytes_on_every_link(flow_net.run(), packet_net.run(),
+                                  "fat_tree_k4");
 }
 
 TEST(FlowVsPacket, SaturationOrderingMatchesOnFig7Scenarios) {
