@@ -117,17 +117,6 @@ struct Args {
   }
 };
 
-/// Explicit --epoch-dt values must be positive; omitting the flag keeps
-/// the flow backend's automatic epoch sizing.
-double parse_epoch_dt(const Args& args) {
-  const double dt = args.num_or("epoch-dt", 0.0);
-  DV_REQUIRE(args.opts.find("epoch-dt") == args.opts.end() || dt > 0.0,
-             args.cmd +
-                 ": --epoch-dt must be > 0 ns (omit the flag for automatic "
-                 "epoch sizing)");
-  return dt;
-}
-
 /// Boolean flag: bare `--key`, `--key=1/true/on`, or explicit off values.
 bool flag_on(const Args& args, const std::string& key) {
   const auto it = args.opts.find(key);
@@ -260,7 +249,6 @@ ExperimentConfig parse_experiment(const Args& args, Backend default_backend) {
   cfg.seed = static_cast<std::uint64_t>(args.num_or("seed", 1));
   cfg.backend = backend_from_string(
       args.one_or("backend", to_string(default_backend)));
-  cfg.flow_epoch_dt = parse_epoch_dt(args);
   cfg.flow_coarsen = flag_on(args, "flow-coarsen");
   cfg.faults = parse_fault_args(args);
   apply_fault_params(args, cfg.params);
@@ -920,7 +908,7 @@ const std::vector<Command>& commands() {
       {"sim", cmd_sim,
        {"p", "job", "out", "routing", "scale", "window", "sample-dt", "seed",
         "faults", "fault", "fault-retry-base", "fault-retry-budget",
-        "backend", "epoch-dt", "flow-coarsen"},
+        "backend", "flow-coarsen"},
        "  sim      --p N --job workload[:ranks[:policy]] ... --out run.dvr\n"
        "           (--out *.json writes the text export; any other path\n"
        "           the packed .dvr format)\n"
@@ -932,14 +920,14 @@ const std::vector<Command>& commands() {
        "           [--fault-retry-base NS] [--fault-retry-budget N]\n"
        "           [--backend packet|flow]  (flow: max-min water-filling\n"
        "           fluid model — same RunMetrics schema, orders of magnitude\n"
-       "           faster; no faults) [--epoch-dt NS] (> 0; omit for auto)\n"
+       "           faster; no faults)\n"
        "           [--flow-coarsen]  (flow: one bundle per router pair —\n"
        "           much faster under uniform-random; terminals of a router\n"
        "           share latency/saturation attribution)\n"},
       {"sweep", cmd_sweep,
        {"store", "backend", "p", "workloads", "workload", "routings",
         "routing", "scales", "scale", "window", "seed", "sample-dt",
-        "bytes-per-rank", "epoch-dt", "flow-coarsen", "faults", "fault",
+        "bytes-per-rank", "flow-coarsen", "faults", "fault",
         "fault-retry-base", "fault-retry-budget", "format", "report", "spec",
         "title"},
        "  sweep    --store DIR [--backend packet|flow] [--p N]\n"
@@ -948,7 +936,7 @@ const std::vector<Command>& commands() {
        " [--scales 0.5,1|--scale F ...]\n"
        "           [--window NS] [--seed N] [--sample-dt NS]"
        " [--bytes-per-rank B]\n"
-       "           [--epoch-dt NS] [--flow-coarsen]\n"
+       "           [--flow-coarsen]\n"
        "           [--faults plan.txt] [--fault SPEC ...]\n"
        "           [--fault-retry-base NS] [--fault-retry-budget N]"
        "  (packet only)\n"

@@ -29,7 +29,6 @@ class MatrixView {
 
   std::size_t dim() const { return dim_; }
   double at(std::size_t row, std::size_t col) const;
-  double max_value() const { return max_; }
 
   /// Cells the encoding must draw — the scalability cost the paper calls
   /// out (always dim^2; a radial aggregated view draws O(aggregates)).

@@ -270,22 +270,6 @@ SpecBuilder& SpecBuilder::filter(const std::string& attr, double lo,
   return *this;
 }
 
-SpecBuilder& SpecBuilder::filter_min(const std::string& attr, double lo) {
-  AttrFilter f;
-  f.attr = attr;
-  f.lo = lo;
-  current().filters.push_back(std::move(f));
-  return *this;
-}
-
-SpecBuilder& SpecBuilder::filter_max(const std::string& attr, double hi) {
-  AttrFilter f;
-  f.attr = attr;
-  f.hi = hi;
-  current().filters.push_back(std::move(f));
-  return *this;
-}
-
 SpecBuilder& SpecBuilder::color(const std::string& attr) {
   current().vmap.color = attr;
   return *this;

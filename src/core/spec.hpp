@@ -85,9 +85,6 @@ class SpecBuilder {
   SpecBuilder& aggregate(std::vector<std::string> keys);
   SpecBuilder& max_bins(std::size_t n);
   SpecBuilder& filter(const std::string& attr, double lo, double hi);
-  /// One-sided / unbounded filters (omitted bounds stay infinite).
-  SpecBuilder& filter_min(const std::string& attr, double lo);
-  SpecBuilder& filter_max(const std::string& attr, double hi);
   SpecBuilder& color(const std::string& attr);
   SpecBuilder& size(const std::string& attr);
   SpecBuilder& x(const std::string& attr);

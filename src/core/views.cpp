@@ -87,8 +87,6 @@ void DetailView::select_terminals(std::vector<std::uint32_t> rows) {
   explicit_selection_ = std::move(rows);
 }
 
-void DetailView::clear_selection() { explicit_selection_.reset(); }
-
 std::vector<std::uint32_t> DetailView::associated_links(
     Entity link_entity) const {
   DV_REQUIRE(link_entity == Entity::kLocalLink ||

@@ -43,9 +43,8 @@ class DetailView {
   std::vector<std::uint32_t> selected_terminals() const;
 
   /// Explicit selection (e.g. handed over from a projection aggregate);
-  /// overrides brush-derived selection until cleared.
+  /// overrides brush-derived selection.
   void select_terminals(std::vector<std::uint32_t> rows);
-  void clear_selection();
 
   /// Links touching the routers of the currently selected terminals — the
   /// paper's "selecting a set of terminals ... highlights associated

@@ -490,13 +490,6 @@ void FlowNetwork::enable_sampling(double dt) {
   prev_sat_.assign(capacity_.size(), 0.0);
 }
 
-void FlowNetwork::set_epoch_dt(double dt) {
-  DV_REQUIRE(!ran_, "set_epoch_dt after run()");
-  DV_REQUIRE(dt > 0.0,
-             "epoch length must be positive (omit it for auto sizing)");
-  epoch_dt_ = dt;
-}
-
 void FlowNetwork::enable_coarsening() {
   DV_REQUIRE(!ran_, "enable_coarsening after run()");
   if (coarsen_) return;
@@ -1024,7 +1017,7 @@ metrics::RunMetrics FlowNetwork::run() {
               return a < b;
             });
 
-  double dt = sample_dt_ > 0.0 ? sample_dt_ : epoch_dt_;
+  double dt = sample_dt_;
   if (dt <= 0.0) {
     double max_issue = 0.0;
     for (const auto& m : messages_) max_issue = std::max(max_issue, m.time);

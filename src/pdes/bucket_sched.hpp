@@ -62,7 +62,6 @@ class BucketSched {
     sorted_ = false;
   }
 
-  bool bucketing_enabled() const { return width_ > 0.0; }
   bool empty() const { return nbucketed_ == 0 && heap_.empty(); }
   std::size_t size() const { return nbucketed_ + heap_.size(); }
 

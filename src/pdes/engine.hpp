@@ -67,8 +67,6 @@ class Simulator {
   /// the simulator's lifetime (LPs are owned by the model layer).
   LpId add_lp(LogicalProcess* lp);
 
-  std::size_t lp_count() const { return lps_.size(); }
-
   /// Schedules an event at absolute time `t` (must be >= now()).
   void schedule(SimTime t, LpId lp, std::uint32_t kind, std::uint64_t data0 = 0,
                 std::uint64_t data1 = 0, std::uint64_t pri = 0);

@@ -3,7 +3,7 @@
 // One Client is one connection (one daemon-side Session). call() sends a
 // request frame and waits for its response; protocol-level failures come
 // back as RpcError carrying the structured error code, so callers (the
-// `dragonviz client` subcommand, tests, bench_serve) can distinguish
+// `dragonviz client` subcommand, tests, analyst_bench) can distinguish
 // "overloaded" from "not_found" without string matching.
 #pragma once
 
@@ -36,9 +36,6 @@ class Client {
   /// value of an ok response; throws RpcError on an error response and
   /// dv::Error on connection failures. `params` may be Null (omitted).
   json::Value call(const std::string& verb, json::Value params = {});
-
-  /// The id the next request will use (exposed for tests).
-  std::int64_t next_id() const { return next_id_; }
 
  private:
   std::unique_ptr<FrameStream> stream_;

@@ -18,16 +18,6 @@ std::uint32_t FatTree::host_edge(std::uint32_t host) const {
   return host / hosts_per_edge();
 }
 
-std::uint32_t FatTree::edge_id(std::uint32_t pod, std::uint32_t idx) const {
-  DV_REQUIRE(pod < pods() && idx < edge_per_pod(), "edge id out of range");
-  return pod * edge_per_pod() + idx;
-}
-
-std::uint32_t FatTree::agg_id(std::uint32_t pod, std::uint32_t idx) const {
-  DV_REQUIRE(pod < pods() && idx < agg_per_pod(), "agg id out of range");
-  return pod * agg_per_pod() + idx;
-}
-
 std::uint32_t FatTree::core_above(std::uint32_t agg_idx,
                                   std::uint32_t up) const {
   DV_REQUIRE(agg_idx < num_agg() && up < k_ / 2, "core_above out of range");

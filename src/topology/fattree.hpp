@@ -33,8 +33,6 @@ class FatTree {
   // Host / switch id decomposition.
   std::uint32_t host_pod(std::uint32_t host) const;
   std::uint32_t host_edge(std::uint32_t host) const;  // global edge index
-  std::uint32_t edge_id(std::uint32_t pod, std::uint32_t idx) const;
-  std::uint32_t agg_id(std::uint32_t pod, std::uint32_t idx) const;
 
   /// Core switch reached by up-port `up` of aggregation switch (pod, j).
   std::uint32_t core_above(std::uint32_t agg_idx, std::uint32_t up) const;

@@ -36,7 +36,6 @@ class ColorRamp {
   static ColorRamp from_names(const std::vector<std::string>& names);
 
   Rgb at(double t) const;
-  std::size_t stop_count() const { return stops_.size(); }
   const Rgb& stop(std::size_t i) const { return stops_[i]; }
 
  private:

@@ -403,8 +403,6 @@ TEST(FlowNetwork, ValidatesInputs) {
   EXPECT_THROW(net.add_message(msg(0, 1, 0, 0.0)), Error);        // empty
   EXPECT_THROW(net.add_message(msg(0, 1, 100, -1.0)), Error);     // time
   EXPECT_THROW(net.enable_sampling(0.0), Error);
-  EXPECT_THROW(net.set_epoch_dt(-1.0), Error);
-  EXPECT_THROW(net.set_epoch_dt(0.0), Error);
   net.add_message(msg(0, 1, 100, 0.0));
   (void)net.run();
   EXPECT_THROW(net.run(), Error);                   // single-shot
@@ -414,8 +412,10 @@ TEST(FlowNetwork, ValidatesInputs) {
 TEST(FlowNetwork, EpochLengthDoesNotChangeTotals) {
   // Different epoch lengths move the stepper's solve points, never what it
   // delivers: minimal routing fixes the paths, so injected bytes, finished
-  // packets and per-class traffic are epoch-invariant. Two inputs: a
-  // staggered 16-message ladder and 48 random messages.
+  // packets and per-class traffic are epoch-invariant. An unsampled run
+  // (auto quantum, span / 256) is compared with one sampled at 50 ns (the
+  // quantum locks to the sampling interval). Two inputs: a staggered
+  // 16-message ladder and 48 random messages.
   const auto topo = topo::Dragonfly::canonical(2);
   std::vector<netsim::Message> ladder;
   for (std::uint32_t t = 0; t < 16; ++t) {
@@ -434,15 +434,15 @@ TEST(FlowNetwork, EpochLengthDoesNotChangeTotals) {
     random.push_back(msg(s, d, 3000 + 700 * i, rng.next_double() * 5e4));
   }
   auto run_with = [&](const std::vector<netsim::Message>& ms,
-                      double epoch_dt) {
+                      double sample_dt) {
     FlowNetwork net(topo, routing::Algo::kMinimal, {}, 9);
     net.add_messages(ms);
-    if (epoch_dt > 0) net.set_epoch_dt(epoch_dt);
+    if (sample_dt > 0) net.enable_sampling(sample_dt);
     return net.run();
   };
   for (const auto* ms : {&ladder, &random}) {
     SCOPED_TRACE(ms == &ladder ? "ladder" : "random");
-    const auto coarse = run_with(*ms, 0.0);  // auto: span / 256
+    const auto coarse = run_with(*ms, 0.0);  // unsampled: auto quantum
     const auto fine = run_with(*ms, 50.0);
     EXPECT_DOUBLE_EQ(coarse.total_injected(), fine.total_injected());
     EXPECT_EQ(coarse.total_packets_finished(), fine.total_packets_finished());

@@ -171,6 +171,76 @@ TEST(ServeCache, TwoSessionsShareOneResultCache) {
   EXPECT_EQ(ra.at("svg").as_string(), rb.at("svg").as_string());
 }
 
+TEST(ServeCache, ConcurrentSessionsShareOneResultCache) {
+  // Eight sessions, each on its own thread, render the same six windowed
+  // overview views. Every session must get the same bytes per view, and
+  // the shared cache must compute each distinct result once, however the
+  // sessions interleave: a session that joins an in-flight compute counts
+  // a hit, not a miss. So the fleet misses exactly as often as one session
+  // rendering the six views alone.
+  constexpr std::size_t kSessions = 8;
+  constexpr std::size_t kViews = 6;
+  ServeOptions opts = test_options();
+  opts.cache_capacity = 4096;  // no evictions: each result misses once
+  const double end = mini().run.end_time;
+  const auto view = [&](std::size_t v) {
+    auto p = render_params();
+    const double t0 = end * 0.5 * static_cast<double>(v) / kViews;
+    p.as_object()["window"] =
+        json::Value(json::Array{json::Value(t0), json::Value(t0 + end * 0.4)});
+    return p;
+  };
+  const auto misses = [](Server& server) {
+    Conn control(server);
+    return control.client->call("stats").at("cache").get_number("misses", -1);
+  };
+
+  double lone_misses = 0;
+  {
+    Server lone(opts);
+    lone.catalog().load(mini_run_path(), "mini");
+    Conn conn(lone);
+    for (std::size_t v = 0; v < kViews; ++v) {
+      conn.client->call("render", view(v));
+    }
+    lone_misses = misses(lone);
+  }
+  ASSERT_GE(lone_misses, static_cast<double>(kViews));
+
+  Server server(opts);
+  server.catalog().load(mini_run_path(), "mini");
+
+  std::vector<std::vector<std::string>> svgs(kSessions,
+                                             std::vector<std::string>(kViews));
+  {
+    std::vector<std::unique_ptr<Conn>> conns;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      conns.push_back(std::make_unique<Conn>(server));
+    }
+    std::vector<std::thread> sessions;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      sessions.emplace_back([&, s] {
+        for (std::size_t v = 0; v < kViews; ++v) {
+          try {
+            svgs[s][v] =
+                conns[s]->client->call("render", view(v)).at("svg").as_string();
+          } catch (const std::exception& e) {
+            svgs[s][v] = std::string("error: ") + e.what();
+          }
+        }
+      });
+    }
+    for (auto& t : sessions) t.join();
+  }
+  for (std::size_t v = 0; v < kViews; ++v) {
+    EXPECT_EQ(0u, svgs[0][v].rfind("<svg", 0)) << svgs[0][v].substr(0, 80);
+    for (std::size_t s = 1; s < kSessions; ++s) {
+      EXPECT_EQ(svgs[0][v], svgs[s][v]) << "session " << s << ", view " << v;
+    }
+  }
+  EXPECT_EQ(lone_misses, misses(server));
+}
+
 TEST(ServeCache, DaemonRenderIsByteIdenticalToDirectRender) {
   Server server(test_options());
   server.catalog().load(mini_run_path(), "mini");
