@@ -216,17 +216,15 @@ TEST(FlowVsPacket, SolverTelemetryIsPopulatedOnlyByTheFlowBackend) {
                                                "uniform_random"));
   EXPECT_GT(flow.flow.epochs, 0u);
   EXPECT_GT(flow.flow.solves, 0u);
-  EXPECT_EQ(flow.flow.solves,
-            flow.flow.full_solves + flow.flow.incremental_solves);
+  EXPECT_GE(flow.flow.solves, flow.flow.incremental_solves);
   EXPECT_GT(flow.flow.solver_rounds, 0u);
-  EXPECT_GT(flow.flow.drain_events, 0u);
 
   const auto packet = run_experiment(base_config(Backend::kPacket,
                                                  "uniform_random"));
   EXPECT_EQ(packet.flow.epochs, 0u);
   EXPECT_EQ(packet.flow.solves, 0u);
   EXPECT_EQ(packet.flow.solver_rounds, 0u);
-  EXPECT_EQ(packet.flow.drain_events, 0u);
+  EXPECT_EQ(packet.flow.incremental_solves, 0u);
 }
 
 TEST(FlowVsPacket, ViewPlumbingIsByteIdenticalPerBackend) {
