@@ -107,8 +107,6 @@ void shape_check(bool ok, const std::string& description) {
   std::printf("  [shape %s] %s\n", ok ? "OK      " : "MISMATCH", description.c_str());
 }
 
-int shape_failures() { return g_failures; }
-
 int footer() {
   std::printf("----------------------------------------------------------------\n");
   std::printf("shape checks: %d/%d matched the paper\n", g_checks - g_failures,
@@ -122,7 +120,7 @@ int footer() {
                     profile.counter_value("sim.events_processed")),
                 profile.wall_seconds);
   }
-  return 0;
+  return g_failures > 0 ? 1 : 0;
 }
 
 std::string out_path(const std::string& name) {

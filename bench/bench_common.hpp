@@ -56,11 +56,8 @@ void banner(const std::string& figure, const std::string& paper_claim);
 /// Records and prints one qualitative shape check.
 void shape_check(bool ok, const std::string& description);
 
-/// Number of failed shape checks so far (printed in the footer).
-int shape_failures();
-
-/// Prints the closing summary; returns 0 (benches never fail the run —
-/// mismatches are reported, not fatal). In DV_OBS_ENABLED builds it also
+/// Prints the closing summary and returns the bench's exit status: 1 when
+/// any shape check mismatched, else 0. In DV_OBS_ENABLED builds it also
 /// writes bench_out/<figure-slug>.profile.json — the observability profile
 /// accumulated across every simulation the bench ran since banner().
 int footer();

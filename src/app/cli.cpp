@@ -5,7 +5,7 @@
 //       ... --out run.dvr [--sample-dt 1000] [--scale 0.5]
 //   dragonviz render  --run run.dvr --spec spec.json --out view.svg
 //   dragonviz session --run run.json --spec spec.json --out ui.svg
-//       ... [--t0 ns --t1 ns] [--brush axis:lo:hi]
+//       ... [--window t0:t1] [--brush axis:lo:hi]
 //   dragonviz compare --run a.json --run b.json --spec spec.json --out c.svg
 //   dragonviz export  --run run.json --entity terminals --out t.csv
 //   dragonviz info    --run run.json
@@ -58,20 +58,22 @@ double parse_num(const std::string& cmd, const std::string& key,
 }
 
 /// Minimal option parser: --key value or --key=value (repeatable keys
-/// collect). Keys in kOptionalValue may appear bare; they collect "".
+/// collect). Keys optional_value() names may appear bare; they collect "".
+/// A key outside the command's table fails as it is met, before it can
+/// take the next token as its value.
 struct Args {
   std::string cmd;  ///< the subcommand, for error messages
   std::map<std::string, std::vector<std::string>> opts;
 
   static bool optional_value(const std::string& key) {
     return key == "profile" || key == "cache-stats" || key == "lazy" ||
-           key == "flow-coarsen" ||
            // `client` action flags take no value.
            key == "list" || key == "stats" || key == "render" ||
            key == "report" || key == "shutdown";
   }
 
-  static Args parse(std::string cmd, int argc, char** argv, int start) {
+  static Args parse(std::string cmd, const std::vector<std::string>& keys,
+                    int argc, char** argv, int start) {
     Args a;
     a.cmd = std::move(cmd);
     for (int i = start; i < argc; ++i) {
@@ -79,8 +81,13 @@ struct Args {
       DV_REQUIRE(starts_with(key, "--"), "expected --option, got: " + key);
       key = key.substr(2);
       const auto eq = key.find('=');
+      const std::string name = key.substr(0, eq);
+      if (name != "profile" &&
+          std::find(keys.begin(), keys.end(), name) == keys.end()) {
+        throw Error(a.cmd + ": unknown option --" + name);
+      }
       if (eq != std::string::npos) {
-        a.opts[key.substr(0, eq)].push_back(key.substr(eq + 1));
+        a.opts[name].push_back(key.substr(eq + 1));
         continue;
       }
       if (optional_value(key) &&
@@ -116,17 +123,6 @@ struct Args {
     return it == opts.end() ? std::vector<std::string>{} : it->second;
   }
 };
-
-/// Boolean flag: bare `--key`, `--key=1/true/on`, or explicit off values.
-bool flag_on(const Args& args, const std::string& key) {
-  const auto it = args.opts.find(key);
-  if (it == args.opts.end()) return false;
-  const std::string v = to_lower(trim(it->second.back()));
-  if (v.empty() || v == "1" || v == "true" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "off") return false;
-  throw Error(args.cmd + ": bad --" + key + " value: " + v +
-              " (expected on|off)");
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
@@ -238,9 +234,8 @@ void maybe_print_cache_stats(const Args& args, const core::QueryStats& s) {
 }
 
 /// The experiment flags `sim` and `sweep` share: network size, injection
-/// window, sampling, seed, backend and its flow knobs, and the
-/// fault plan with its retry tuning. Each command names its own backend
-/// default.
+/// window, sampling, seed, backend, and the fault plan with its retry
+/// tuning. Each command names its own backend default.
 ExperimentConfig parse_experiment(const Args& args, Backend default_backend) {
   ExperimentConfig cfg;
   cfg.dragonfly_p = static_cast<std::uint32_t>(args.num_or("p", 3));
@@ -249,7 +244,6 @@ ExperimentConfig parse_experiment(const Args& args, Backend default_backend) {
   cfg.seed = static_cast<std::uint64_t>(args.num_or("seed", 1));
   cfg.backend = backend_from_string(
       args.one_or("backend", to_string(default_backend)));
-  cfg.flow_coarsen = flag_on(args, "flow-coarsen");
   cfg.faults = parse_fault_args(args);
   apply_fault_params(args, cfg.params);
   return cfg;
@@ -441,15 +435,8 @@ int cmd_store(const Args& args) {
 int cmd_pack(const Args& args) {
   const std::string in = args.one("in");
   const std::string out = args.one("out");
-  // The output path decides the format (metrics::format_for_path); an
-  // explicit --format must agree with it.
+  // The output path decides the format (metrics::format_for_path).
   const auto fmt = metrics::format_for_path(out);
-  const std::string fmt_name = args.one_or("format", "");
-  DV_REQUIRE(fmt_name.empty() ||
-                 metrics::store_format_from_string(fmt_name) == fmt,
-             "pack: --format " + fmt_name + " contradicts --out " + out +
-                 " (a .json path is written as text, any other path as "
-                 "dvr)");
   auto load_phase = std::make_unique<obs::ScopedPhase>("load");
   const auto run = metrics::RunMetrics::load(in);
   load_phase.reset();
@@ -522,9 +509,6 @@ int cmd_inspect(const Args& args) {
 int cmd_session(const Args& args) {
   const auto spec = load_spec(args);
   core::AnalysisSession session{load_run_dataset(args.one("run")), spec};
-  const double t0 = args.num_or("t0", -1), t1 = args.num_or("t1", -1);
-  if (t0 >= 0 && t1 > t0) session.select_time_range(t0, t1);
-  // --window t0:t1 is shorthand for --t0/--t1.
   const std::string w = args.one_or("window", "");
   if (!w.empty()) {
     const auto win = parse_time_window(args.cmd, w);
@@ -895,7 +879,7 @@ int cmd_client(const Args& args) {
 
 /// One subcommand: its handler, the option keys it accepts (without the
 /// leading "--"; every command also takes --profile) and its --help
-/// block. run_cli rejects any other key before the handler runs.
+/// block. Args::parse rejects any other key before the handler runs.
 struct Command {
   const char* name;
   int (*fn)(const Args&);
@@ -908,7 +892,7 @@ const std::vector<Command>& commands() {
       {"sim", cmd_sim,
        {"p", "job", "out", "routing", "scale", "window", "sample-dt", "seed",
         "faults", "fault", "fault-retry-base", "fault-retry-budget",
-        "backend", "flow-coarsen"},
+        "backend"},
        "  sim      --p N --job workload[:ranks[:policy]] ... --out run.dvr\n"
        "           (--out *.json writes the text export; any other path\n"
        "           the packed .dvr format)\n"
@@ -920,14 +904,11 @@ const std::vector<Command>& commands() {
        "           [--fault-retry-base NS] [--fault-retry-budget N]\n"
        "           [--backend packet|flow]  (flow: max-min water-filling\n"
        "           fluid model — same RunMetrics schema, orders of magnitude\n"
-       "           faster; no faults)\n"
-       "           [--flow-coarsen]  (flow: one bundle per router pair —\n"
-       "           much faster under uniform-random; terminals of a router\n"
-       "           share latency/saturation attribution)\n"},
+       "           faster; no faults)\n"},
       {"sweep", cmd_sweep,
        {"store", "backend", "p", "workloads", "workload", "routings",
         "routing", "scales", "scale", "window", "seed", "sample-dt",
-        "bytes-per-rank", "flow-coarsen", "faults", "fault",
+        "bytes-per-rank", "faults", "fault",
         "fault-retry-base", "fault-retry-budget", "format", "report", "spec",
         "title"},
        "  sweep    --store DIR [--backend packet|flow] [--p N]\n"
@@ -936,7 +917,6 @@ const std::vector<Command>& commands() {
        " [--scales 0.5,1|--scale F ...]\n"
        "           [--window NS] [--seed N] [--sample-dt NS]"
        " [--bytes-per-rank B]\n"
-       "           [--flow-coarsen]\n"
        "           [--faults plan.txt] [--fault SPEC ...]\n"
        "           [--fault-retry-base NS] [--fault-retry-budget N]"
        "  (packet only)\n"
@@ -958,22 +938,21 @@ const std::vector<Command>& commands() {
        "           [--run run.dvr] [--name NAME] [--format dvr|text]\n"
        "           (add and repack default to dvr; text stores NAME.json)\n"},
       {"pack", cmd_pack,
-       {"in", "out", "format"},
-       "  pack     --in run.json --out run.dvr [--format text|dvr]\n"
+       {"in", "out"},
+       "  pack     --in run.json --out run.dvr\n"
        "           (lossless conversion between text and packed columnar\n"
        "           runs; every reader accepts both, bit-identically; --out\n"
-       "           *.json is text, any other path dvr, and --format must\n"
-       "           agree)\n"},
+       "           *.json is text, any other path dvr)\n"},
       {"inspect", cmd_inspect,
        {"run"},
        "  inspect  --run run.dvr   (header, chunk directory, zone maps —\n"
        "           reads no column payload; see docs/RUN_FORMAT.md)\n"},
       {"session", cmd_session,
-       {"run", "spec", "out", "width", "height", "t0", "t1", "window",
-        "brush", "cache-stats"},
+       {"run", "spec", "out", "width", "height", "window", "brush",
+        "cache-stats"},
        "  session  --run run.json --spec spec.json --out ui.svg\n"
        "           [--width PX] [--height PX]\n"
-       "           [--t0 NS --t1 NS | --window T0:T1] [--brush axis:lo:hi]\n"
+       "           [--window T0:T1] [--brush axis:lo:hi]\n"
        "           [--cache-stats]\n"},
       {"compare", cmd_compare,
        {"run", "spec", "out", "size"},
@@ -1063,13 +1042,7 @@ int run_cli(int argc, char** argv) {
   if (c == table.end()) {
     throw Error("unknown subcommand: " + cmd + " (try --help)");
   }
-  const Args args = Args::parse(cmd, argc, argv, 2);
-  for (const auto& [key, values] : args.opts) {
-    if (key != "profile" &&
-        std::find(c->keys.begin(), c->keys.end(), key) == c->keys.end()) {
-      throw Error(cmd + ": unknown option --" + key);
-    }
-  }
+  const Args args = Args::parse(cmd, c->keys, argc, argv, 2);
   obs::reset();  // profile this invocation only
   const int rc = c->fn(args);
   maybe_write_profile(cmd, args);

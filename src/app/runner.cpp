@@ -120,8 +120,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     messages.insert(messages.end(), mapped.begin(), mapped.end());
   }
 
-  // Both backends are built and driven the same way; only faults (packet)
-  // and epoch length and coarsening (flow) are set per backend.
+  // Both backends are built and driven the same way; only the packet
+  // backend takes a fault plan.
   auto simulate = [&](auto& net) {
     net.set_jobs(out.placement);
     net.set_labels(workload_label, cfg.placement_label(), names);
@@ -138,7 +138,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     DV_REQUIRE(cfg.faults.empty(),
                "the flow backend does not model faults; use --backend packet");
     flow::FlowNetwork net(out.topo, cfg.routing, cfg.params, cfg.seed);
-    if (cfg.flow_coarsen) net.enable_coarsening();
     simulate(net);
     out.events = net.epochs();  // the flow analog of an event count
     out.flow.epochs = net.epochs();
@@ -146,9 +145,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     out.flow.incremental_solves = net.incremental_solves();
     out.flow.solver_rounds = net.solver_rounds();
   } else {
-    DV_REQUIRE(!cfg.flow_coarsen,
-               "--flow-coarsen requires --backend flow (the packet simulator "
-               "always resolves per-terminal demand)");
     netsim::Network net(out.topo, cfg.routing, cfg.params, cfg.seed);
     if (!cfg.faults.empty()) net.set_fault_plan(cfg.faults);
     simulate(net);

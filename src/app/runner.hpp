@@ -54,12 +54,6 @@ struct ExperimentConfig {
   /// Simulation backend. The flow backend rejects non-empty `faults` (no
   /// fluid fault model).
   Backend backend = Backend::kPacket;
-  /// Flow backend: aggregate demand per (src router, dst router) instead
-  /// of per terminal pair. Big win for uniform-random-shaped demand
-  /// (O(routers^2) bundles instead of O(terminals^2)); the tradeoff is
-  /// per-terminal latency/saturation attribution (terminals of one router
-  /// share FIFO order and saturation). Rejected with --backend packet.
-  bool flow_coarsen = false;
 
   /// Human-readable placement label ("contiguous", "random_router",
   /// "hybrid(...)" when jobs differ).

@@ -36,29 +36,6 @@ core::ProjectionSpec resolve_spec(const std::string& ref) {
   return core::ProjectionSpec::parse(buf.str());
 }
 
-/// --flow-coarsen trades per-terminal latency attribution away (terminals
-/// of one router share a bundle's FIFO order), so a spec that visualizes
-/// terminal avg_latency would silently render the router-smeared stand-in.
-bool spec_uses_terminal_latency(const core::ProjectionSpec& spec) {
-  const auto hit = [](const std::string& attr) {
-    return attr == "avg_latency";
-  };
-  for (const auto& lv : spec.levels) {
-    if (lv.entity != core::Entity::kTerminal) continue;
-    if (hit(lv.vmap.color) || hit(lv.vmap.size) || hit(lv.vmap.x) ||
-        hit(lv.vmap.y)) {
-      return true;
-    }
-    for (const auto& a : lv.aggregate) {
-      if (hit(a)) return true;
-    }
-    for (const auto& f : lv.filters) {
-      if (hit(f.attr)) return true;
-    }
-  }
-  return false;
-}
-
 /// Stores finished grid points on one background thread, in grid order,
 /// while the calling thread simulates the next point. At most one finished
 /// run waits: hand_off() blocks until the previous point is stored. The
@@ -164,15 +141,6 @@ SweepResult run_sweep(const SweepConfig& cfg) {
   DV_REQUIRE(!cfg.store_dir.empty(), "sweep needs a --store directory");
   for (const double s : cfg.scales) {
     DV_REQUIRE(s > 0.0, "sweep scales must be positive");
-  }
-  if (!cfg.report_path.empty() && cfg.base.flow_coarsen) {
-    // Fail before simulating anything: the report would plot terminal
-    // latency a coarsened run cannot attribute per terminal.
-    DV_REQUIRE(!spec_uses_terminal_latency(resolve_spec(cfg.report_spec)),
-               "sweep: --flow-coarsen cannot serve spec '" + cfg.report_spec +
-                   "': it maps per-terminal avg_latency, which coarsened "
-                   "runs only attribute per router (drop --flow-coarsen or "
-                   "use a spec without terminal latency channels)");
   }
 
   metrics::RunStore store(cfg.store_dir);

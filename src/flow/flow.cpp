@@ -414,10 +414,8 @@ FlowNetwork::FlowNetwork(netsim::Fabric fabric,
   nterm_ = fabric_.num_terminals();
   nlocal_ = fabric_.num_local_links();
   nglobal_ = fabric_.num_global_links();
-  nrouters_ = fabric_.num_routers();
   const std::size_t nlinks =
       2 * static_cast<std::size_t>(nterm_) + nlocal_ + nglobal_;
-  coarse_base_ = static_cast<std::uint32_t>(nlinks);
 
   auto bandwidth = [this](const netsim::PortRef& at) {
     return fabric_.port(at.router, at.port).bandwidth;
@@ -488,26 +486,6 @@ void FlowNetwork::enable_sampling(double dt) {
   term_sat_ts_ = metrics::SampledSeries(fabric_.terminal_rows(), dt);
   prev_traffic_.assign(capacity_.size(), 0.0);
   prev_sat_.assign(capacity_.size(), 0.0);
-}
-
-void FlowNetwork::enable_coarsening() {
-  DV_REQUIRE(!ran_, "enable_coarsening after run()");
-  if (coarsen_) return;
-  coarsen_ = true;
-  // Router-level injection/ejection links carry the aggregated demand of
-  // the router's p terminals; the per-terminal edge links stay allocated
-  // (collect's schema reads them) but drop out of every path.
-  const double cap =
-      capacity_[inj_link(0)] * fabric_.shape().terminals_per_router;
-  capacity_.resize(coarse_base_ + 2 * static_cast<std::size_t>(nrouters_),
-                   cap);
-  link_traffic_.resize(capacity_.size(), 0.0);
-  link_sat_.resize(capacity_.size(), 0.0);
-  link_util_.resize(capacity_.size(), 0.0);
-  if (sample_dt_ > 0.0) {
-    prev_traffic_.resize(capacity_.size(), 0.0);
-    prev_sat_.resize(capacity_.size(), 0.0);
-  }
 }
 
 // --------------------------------------------------------------- routing
@@ -588,12 +566,6 @@ void FlowNetwork::decide_route(Bundle& b) {
   b.links.assign(chosen->links.begin(), chosen->links.end());
   b.router_hops = chosen->router_hops;
   b.path_latency = chosen->latency;
-  if (coarsen_) {
-    // build_path always brackets the route with the representative
-    // terminal's edge links; swap in the router-level aggregate links.
-    b.links.front() = coarse_inj_link(sr);
-    b.links.back() = coarse_ej_link(dr);
-  }
 }
 
 // -------------------------------------------------------------- bundles
@@ -604,24 +576,14 @@ std::vector<std::uint32_t> FlowNetwork::layout_bundles(
   std::vector<std::uint32_t> issue_bundle(order.size());
   for (std::size_t k = 0; k < order.size(); ++k) {
     const netsim::Message& m = messages_[order[k]];
-    std::uint32_t bsrc = m.src_terminal;
-    std::uint32_t bdst = m.dst_terminal;
-    if (coarsen_) {
-      // One bundle per (src router, dst router); the slot-0 terminals
-      // stand in for path building and the Valiant rng stream, so the
-      // coarse run stays deterministic in the same per-source-stream
-      // scheme.
-      bsrc = slot0_terminal(bsrc);
-      bdst = slot0_terminal(bdst);
-    }
     const std::uint64_t key =
-        (static_cast<std::uint64_t>(bsrc) << 32) | bdst;
+        (static_cast<std::uint64_t>(m.src_terminal) << 32) | m.dst_terminal;
     const auto [it, fresh] =
         index.emplace(key, static_cast<std::uint32_t>(bundles_.size()));
     if (fresh) {
       Bundle b;
-      b.src = bsrc;
-      b.dst = bdst;
+      b.src = m.src_terminal;
+      b.dst = m.dst_terminal;
       bundles_.push_back(std::move(b));
     }
     issue_bundle[k] = it->second;
@@ -638,8 +600,7 @@ std::vector<std::uint32_t> FlowNetwork::layout_bundles(
   queue_.resize(order.size());
   for (std::size_t k = 0; k < order.size(); ++k) {
     const netsim::Message& m = messages_[order[k]];
-    queue_[bundles_[issue_bundle[k]].tail++] =
-        QueuedMsg{m.time, m.bytes, m.src_terminal, m.dst_terminal};
+    queue_[bundles_[issue_bundle[k]].tail++] = QueuedMsg{m.time, m.bytes};
   }
   for (Bundle& b : bundles_) b.tail = b.head;
   return issue_bundle;
@@ -672,19 +633,12 @@ bool FlowNetwork::drain_epoch(double t0, double dt) {
       const double arrival = completion + b.path_latency;
       const auto npkts = static_cast<std::uint64_t>(
           (m.bytes + params_.packet_size - 1) / params_.packet_size);
-      term_finished_[m.dst] += npkts;
-      term_sum_latency_[m.dst] +=
+      term_finished_[b.dst] += npkts;
+      term_sum_latency_[b.dst] +=
           std::max(arrival - m.issue, b.path_latency) *
           static_cast<double>(npkts);
-      term_sum_hops_[m.dst] +=
+      term_sum_hops_[b.dst] +=
           static_cast<double>(b.router_hops) * static_cast<double>(npkts);
-      if (coarsen_) {
-        // Fan the router-level drain back out to the exact terminals: the
-        // per-terminal edge links are off the coarse path, so injected /
-        // ejected bytes attribute whole messages at completion time.
-        link_traffic_[inj_link(m.src)] += static_cast<double>(m.bytes);
-        link_traffic_[ej_link(m.dst)] += static_cast<double>(m.bytes);
-      }
       ++msgs_finished_;
       bytes_delivered_ += static_cast<double>(m.bytes);
       max_delivery_ = std::max(max_delivery_, arrival);
@@ -733,39 +687,17 @@ void FlowNetwork::push_sample_frame() {
   capture(local_link(0), nlocal_, local_traffic_ts_, local_sat_ts_);
   capture(global_link(0), nglobal_, global_traffic_ts_, global_sat_ts_);
   // Terminal frames: injected bytes, injection + ejection saturation.
-  // Coarsened runs read saturation from the shared router-level links —
-  // their prev marks update once per router, after the terminal loop.
-  {
-    float* dt = term_traffic_ts_.push_frame_raw();
-    float* ds = term_sat_ts_.push_frame_raw();
-    if (coarsen_) {
-      for (std::size_t t = 0; t < nterm_; ++t) {
-        const auto tm = static_cast<std::uint32_t>(t);
-        const std::size_t li = inj_link(tm);
-        const std::uint32_t r = fabric_.terminal_port(tm).router;
-        const std::size_t lsi = coarse_inj_link(r);
-        const std::size_t lse = coarse_ej_link(r);
-        dt[t] = static_cast<float>(link_traffic_[li] - prev_traffic_[li]);
-        ds[t] = static_cast<float>(link_sat_[lsi] - prev_sat_[lsi] +
-                                   link_sat_[lse] - prev_sat_[lse]);
-        prev_traffic_[li] = link_traffic_[li];
-      }
-      for (std::uint32_t r = 0; r < nrouters_; ++r) {
-        prev_sat_[coarse_inj_link(r)] = link_sat_[coarse_inj_link(r)];
-        prev_sat_[coarse_ej_link(r)] = link_sat_[coarse_ej_link(r)];
-      }
-    } else {
-      for (std::size_t t = 0; t < nterm_; ++t) {
-        const std::size_t li = inj_link(static_cast<std::uint32_t>(t));
-        const std::size_t le = ej_link(static_cast<std::uint32_t>(t));
-        dt[t] = static_cast<float>(link_traffic_[li] - prev_traffic_[li]);
-        ds[t] = static_cast<float>(link_sat_[li] - prev_sat_[li] +
-                                   link_sat_[le] - prev_sat_[le]);
-        prev_traffic_[li] = link_traffic_[li];
-        prev_sat_[li] = link_sat_[li];
-        prev_sat_[le] = link_sat_[le];
-      }
-    }
+  float* dt = term_traffic_ts_.push_frame_raw();
+  float* ds = term_sat_ts_.push_frame_raw();
+  for (std::size_t t = 0; t < nterm_; ++t) {
+    const std::size_t li = inj_link(static_cast<std::uint32_t>(t));
+    const std::size_t le = ej_link(static_cast<std::uint32_t>(t));
+    dt[t] = static_cast<float>(link_traffic_[li] - prev_traffic_[li]);
+    ds[t] = static_cast<float>(link_sat_[li] - prev_sat_[li] +
+                               link_sat_[le] - prev_sat_[le]);
+    prev_traffic_[li] = link_traffic_[li];
+    prev_sat_[li] = link_sat_[li];
+    prev_sat_[le] = link_sat_[le];
   }
 }
 
@@ -844,7 +776,7 @@ double FlowNetwork::next_completion_target(double t) {
     comp_scratch_.push_back(t + b.backlog / b.rate);
   }
   // Above the cap-solve threshold a single solve costs milliseconds, so
-  // the drain tail coarsens to quarter-of-active batches (a heavy run
+  // the drain tail widens to quarter-of-active batches (a heavy run
   // re-solves O(log n) times total); below it the 1/16th batches keep
   // rate redistribution fine-grained.
   const std::size_t divisor =
@@ -1075,13 +1007,7 @@ void FlowNetwork::collect(metrics::RunMetrics& out, double end) {
     trow.sum_latency = term_sum_latency_[tm];
     trow.sum_hops = term_sum_hops_[tm];
     trow.data_size = link_traffic_[inj_link(tm)];
-    // Coarsened runs never load the per-terminal edge links; a terminal's
-    // saturation is its router's aggregate — the documented attribution
-    // tradeoff of --flow-coarsen.
-    trow.sat_time = coarsen_
-                        ? link_sat_[coarse_inj_link(trow.router)] +
-                              link_sat_[coarse_ej_link(trow.router)]
-                        : link_sat_[inj_link(tm)] + link_sat_[ej_link(tm)];
+    trow.sat_time = link_sat_[inj_link(tm)] + link_sat_[ej_link(tm)];
     trow.job = term_job_[tm];
   }
 

@@ -145,17 +145,6 @@ class FlowNetwork {
   /// runs size the quantum to 1/256 of the injection span.
   void enable_sampling(double dt);
 
-  /// Aggregates demand per (src router, dst router) instead of per
-  /// terminal pair — O(routers^2) bundles instead of O(terminals^2), the
-  /// difference between uniform-random and structured traffic. Per-message
-  /// terminal attribution (packet counts, latency, injected bytes) fans
-  /// back out exactly at message completion; the tradeoff is latency and
-  /// saturation attribution: messages of one router pair drain FIFO
-  /// through a shared bundle (head-of-line across terminal pairs), and a
-  /// terminal's sat_time becomes its router's aggregate injection/ejection
-  /// saturation, identical for all terminals of the router.
-  void enable_coarsening();
-
   /// Runs to completion (all demands drained) and returns metrics with
   /// the exact netsim RunMetrics schema. May be called once.
   metrics::RunMetrics run();
@@ -174,9 +163,6 @@ class FlowNetwork {
   /// All directed links in one index space (the solver's capacity vector):
   /// [0,T) injection, [T,2T) ejection, [2T,2T+L) local, [2T+L,2T+L+G)
   /// global, where T/L/G are the fabric's terminal/local/global counts.
-  /// Coarsening appends 2R router-level injection/ejection links after the
-  /// globals (capacity p * terminal_bandwidth) and routes bundles over
-  /// those instead of the per-terminal edge links.
   std::uint32_t inj_link(std::uint32_t term) const { return term; }
   std::uint32_t ej_link(std::uint32_t term) const { return nterm_ + term; }
   std::uint32_t local_link(std::uint32_t lid) const {
@@ -185,34 +171,22 @@ class FlowNetwork {
   std::uint32_t global_link(std::uint32_t gid) const {
     return 2 * nterm_ + nlocal_ + gid;
   }
-  std::uint32_t coarse_inj_link(std::uint32_t router) const {
-    return coarse_base_ + router;
-  }
-  std::uint32_t coarse_ej_link(std::uint32_t router) const {
-    return coarse_base_ + nrouters_ + router;
-  }
-  /// The terminal in slot 0 of `term`'s router (port 0 of every terminal
-  /// router is a terminal port): a coarse bundle's representative.
-  std::uint32_t slot0_terminal(std::uint32_t term) const {
-    return fabric_.port(fabric_.terminal_port(term).router, 0).dst_terminal;
-  }
 
-  /// One issued message as completion accounting sees it.
+  /// One issued message as completion accounting sees it (its endpoints
+  /// are its bundle's).
   struct QueuedMsg {
     double issue = 0.0;          ///< application send time
     std::uint64_t bytes = 0;     ///< size (packet accounting)
-    std::uint32_t src = 0;       ///< source terminal (coarse fan-out)
-    std::uint32_t dst = 0;       ///< destination terminal (coarse fan-out)
   };
-  /// A demand bundle: every message of one (src,dst) terminal pair —
-  /// router pair under coarsening — drains FIFO through one flow. Its path
-  /// is (re)decided whenever the bundle transitions idle -> backlogged,
-  /// the flow-level analog of per-packet adaptive decisions at injection
-  /// time. The bundle's messages sit in one slice of queue_, in issue
-  /// order; [head, tail) is the FIFO of issued, undrained messages. Only
-  /// the head message is ever partly drained.
+  /// A demand bundle: every message of one (src,dst) terminal pair drains
+  /// FIFO through one flow. Its path is (re)decided whenever the bundle
+  /// transitions idle -> backlogged, the flow-level analog of per-packet
+  /// adaptive decisions at injection time. The bundle's messages sit in
+  /// one slice of queue_, in issue order; [head, tail) is the FIFO of
+  /// issued, undrained messages. Only the head message is ever partly
+  /// drained.
   struct Bundle {
-    std::uint32_t src = 0;  ///< representative terminal when coarsening
+    std::uint32_t src = 0;
     std::uint32_t dst = 0;
     double backlog = 0.0;                ///< bytes not yet drained
     double rate = 0.0;                   ///< current allocation (bytes/ns)
@@ -283,8 +257,7 @@ class FlowNetwork {
   netsim::Params params_;
   routing::NullProbe null_probe_;
 
-  std::uint32_t nterm_ = 0, nlocal_ = 0, nglobal_ = 0, nrouters_ = 0;
-  std::uint32_t coarse_base_ = 0;    ///< first router-level link index
+  std::uint32_t nterm_ = 0, nlocal_ = 0, nglobal_ = 0;
   std::vector<double> capacity_;     ///< per link, bytes/ns
   std::vector<double> link_traffic_; ///< per link, cumulative bytes
   std::vector<double> link_sat_;     ///< per link, cumulative saturated ns
@@ -327,7 +300,6 @@ class FlowNetwork {
   double bytes_delivered_ = 0.0;
   double max_delivery_ = 0.0;
   bool ran_ = false;
-  bool coarsen_ = false;
 
   // Event-engine solver state: one persistent SolverFlow per bundle
   // (rate_cap <= 0 = absent), so incremental re-solves have a stable flow

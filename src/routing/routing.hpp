@@ -158,7 +158,6 @@ class RoutePlanner final : public Policy {
   /// credits: it raises max_link_hops() for minimal routing, because a
   /// detoured "minimal" packet takes a Valiant-length path.
   void set_fault_aware(bool aware) { fault_aware_ = aware; }
-  bool fault_aware() const { return fault_aware_; }
 
   /// Grows for fault-aware minimal routing (see set_fault_aware).
   std::uint32_t max_link_hops() const override;

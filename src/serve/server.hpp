@@ -75,7 +75,6 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  const ServeOptions& options() const { return opts_; }
   RunCatalog& catalog() { return catalog_; }
 
   /// Serves one already-connected stream socket until the peer disconnects

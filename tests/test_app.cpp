@@ -172,9 +172,13 @@ TEST(Cli, SimRenderExportInfoPipeline) {
 
   const std::string ui_path = tmp("dv_cli_ui.svg");
   EXPECT_EQ(cli({"session", "--run", run_path, "--spec", spec_path, "--out",
-                 ui_path, "--t0", "0", "--t1", "10000"}),
+                 ui_path, "--window", "0:10000"}),
             0);
   ASSERT_TRUE(fs::exists(ui_path));
+  // An empty or inverted time range fails instead of rendering unranged.
+  EXPECT_THROW(cli({"session", "--run", run_path, "--spec", spec_path,
+                    "--out", ui_path, "--window", "5000:3000"}),
+               Error);
 
   for (const auto& p : {run_path, spec_path, svg_path, csv_path, ui_path}) {
     std::remove(p.c_str());
@@ -259,10 +263,6 @@ TEST(Cli, PackInspectStoreHonourProfile) {
   // A bare --profile is named after the command inside its directory.
   EXPECT_EQ(cli({"store", "--dir", store_dir, "--profile"}), 0);
   EXPECT_TRUE(fs::exists(fs::path(store_dir) / "store.profile.json"));
-  // --format must agree with the output path's format.
-  EXPECT_THROW(cli({"pack", "--in", text, "--out", packed, "--format",
-                    "text"}),
-               Error);
   fs::remove_all(store_dir);
   for (const auto& p :
        {text, packed, pack_prof, inspect_prof, store_prof}) {
@@ -487,6 +487,17 @@ TEST(Cli, UnknownOptionsFailBeforeAnyWork) {
                 .find("sim: unknown option --flow-stepping"),
             std::string::npos);
   EXPECT_NE(with({"--bogus", "1"}).find("sim: unknown option --bogus"),
+            std::string::npos);
+  // A removed bare flag fails as itself, wherever it stands, rather than
+  // taking the next token as its value.
+  EXPECT_NE(with({"--backend", "flow", "--flow-coarsen"})
+                .find("sim: unknown option --flow-coarsen"),
+            std::string::npos);
+  EXPECT_NE(cli_error({"sim", "--flow-coarsen", "--p", "2", "--out", out})
+                .find("sim: unknown option --flow-coarsen"),
+            std::string::npos);
+  EXPECT_NE(cli_error({"session", "--t0", "0", "--t1", "1"})
+                .find("session: unknown option --t0"),
             std::string::npos);
   // Keys are per command: --store belongs to sweep, not sim.
   EXPECT_NE(with({"--store", tmp("dv_cli_unknown_store")})

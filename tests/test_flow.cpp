@@ -442,16 +442,16 @@ TEST(FlowNetwork, EpochLengthDoesNotChangeTotals) {
   };
   for (const auto* ms : {&ladder, &random}) {
     SCOPED_TRACE(ms == &ladder ? "ladder" : "random");
-    const auto coarse = run_with(*ms, 0.0);  // unsampled: auto quantum
+    const auto auto_q = run_with(*ms, 0.0);  // unsampled: auto quantum
     const auto fine = run_with(*ms, 50.0);
-    EXPECT_DOUBLE_EQ(coarse.total_injected(), fine.total_injected());
-    EXPECT_EQ(coarse.total_packets_finished(), fine.total_packets_finished());
-    EXPECT_NEAR(coarse.total_local_traffic(), fine.total_local_traffic(),
-                coarse.total_local_traffic() * 1e-9 + 1.0);
-    EXPECT_NEAR(coarse.total_global_traffic(), fine.total_global_traffic(),
-                coarse.total_global_traffic() * 1e-9 + 1.0);
-    EXPECT_NEAR(coarse.total_terminal_traffic(), fine.total_terminal_traffic(),
-                coarse.total_terminal_traffic() * 1e-9 + 1.0);
+    EXPECT_DOUBLE_EQ(auto_q.total_injected(), fine.total_injected());
+    EXPECT_EQ(auto_q.total_packets_finished(), fine.total_packets_finished());
+    EXPECT_NEAR(auto_q.total_local_traffic(), fine.total_local_traffic(),
+                auto_q.total_local_traffic() * 1e-9 + 1.0);
+    EXPECT_NEAR(auto_q.total_global_traffic(), fine.total_global_traffic(),
+                auto_q.total_global_traffic() * 1e-9 + 1.0);
+    EXPECT_NEAR(auto_q.total_terminal_traffic(), fine.total_terminal_traffic(),
+                auto_q.total_terminal_traffic() * 1e-9 + 1.0);
   }
 }
 
@@ -525,135 +525,43 @@ TEST(FlowNetwork, EventSteppingMatchesClosedFormOnAlignedCompletions) {
   }
 }
 
-TEST(FlowNetwork, CoarseningConservesTrafficUnderMinimalRouting) {
-  // Coarsening changes the solver's granularity (router pairs), not what
-  // moves: under minimal routing every (src,dst) pair's path is fixed and
-  // identical for all terminals of a router pair, so per-link traffic and
-  // per-terminal delivery accounting must survive the aggregation.
-  const auto topo = topo::Dragonfly::canonical(2);
-  std::vector<netsim::Message> ms;
-  Rng rng(5, 9);
-  for (int i = 0; i < 120; ++i) {
-    const auto s =
-        static_cast<std::uint32_t>(rng.next_below(topo.num_terminals()));
-    auto d = s;
-    while (topo.terminal_router(d) == topo.terminal_router(s)) {
-      d = static_cast<std::uint32_t>(rng.next_below(topo.num_terminals()));
-    }
-    ms.push_back(msg(s, d, 1024 + 512 * i, rng.next_double() * 5e4));
-  }
-  auto run_mode = [&](bool coarse) {
-    FlowNetwork net(topo, routing::Algo::kMinimal, {}, 13);
-    net.add_messages(ms);
-    if (coarse) net.enable_coarsening();
-    auto run = net.run();
-    return std::pair<metrics::RunMetrics, std::size_t>(std::move(run),
-                                                       net.bundles());
-  };
-  const auto [fine, fine_bundles] = run_mode(false);
-  const auto [coarse, coarse_bundles] = run_mode(true);
-
-  // The whole point of coarsening: fewer solver variables.
-  EXPECT_GT(coarse_bundles, 0u);
-  EXPECT_LT(coarse_bundles, fine_bundles);
-
-  EXPECT_DOUBLE_EQ(coarse.total_injected(), fine.total_injected());
-  EXPECT_EQ(coarse.total_packets_finished(), fine.total_packets_finished());
-  ASSERT_EQ(coarse.local_links.size(), fine.local_links.size());
-  for (std::size_t i = 0; i < fine.local_links.size(); ++i) {
-    EXPECT_NEAR(coarse.local_links[i].traffic, fine.local_links[i].traffic,
-                fine.local_links[i].traffic * 1e-9 + 1e-6)
-        << "local link " << i;
-  }
-  ASSERT_EQ(coarse.global_links.size(), fine.global_links.size());
-  for (std::size_t i = 0; i < fine.global_links.size(); ++i) {
-    EXPECT_NEAR(coarse.global_links[i].traffic, fine.global_links[i].traffic,
-                fine.global_links[i].traffic * 1e-9 + 1e-6)
-        << "global link " << i;
-  }
-  // Per-terminal message attribution fans back out: delivered packet
-  // counts are per-message facts (exact); injected bytes accumulate as
-  // fractional drains in per-terminal mode, so match to FP tolerance.
-  ASSERT_EQ(coarse.terminals.size(), fine.terminals.size());
-  for (std::size_t t = 0; t < fine.terminals.size(); ++t) {
-    EXPECT_NEAR(coarse.terminals[t].data_size, fine.terminals[t].data_size,
-                fine.terminals[t].data_size * 1e-9 + 1e-6)
-        << "terminal " << t;
-    EXPECT_EQ(coarse.terminals[t].packets_finished,
-              fine.terminals[t].packets_finished)
-        << "terminal " << t;
-  }
-  EXPECT_NEAR(coarse.total_terminal_traffic(), fine.total_terminal_traffic(),
-              fine.total_terminal_traffic() * 1e-9 + 1.0);
-}
-
-TEST(FlowNetwork, CoarsenedRunIsDeterministic) {
-  const auto topo = topo::Dragonfly::canonical(2);
-  std::vector<netsim::Message> ms;
-  Rng rng(23, 1);
-  for (int i = 0; i < 64; ++i) {
-    const auto s =
-        static_cast<std::uint32_t>(rng.next_below(topo.num_terminals()));
-    auto d = s;
-    while (d == s) {
-      d = static_cast<std::uint32_t>(rng.next_below(topo.num_terminals()));
-    }
-    ms.push_back(msg(s, d, 4096 + 256 * i, rng.next_double() * 1e5));
-  }
-  auto run_once = [&] {
-    FlowNetwork net(topo, routing::Algo::kAdaptive, {}, 42);
-    net.add_messages(ms);
-    net.enable_coarsening();
-    net.enable_sampling(1000.0);
-    return net.run();
-  };
-  EXPECT_EQ(metrics::run_content_uid(run_once()),
-            metrics::run_content_uid(run_once()));
-}
-
 /// Content uids of DF(3) flow runs through run_experiment, pinned so that
 /// changes to the issue path (bundle FIFOs, route decisions) are proven
 /// output-neutral: {uniform_random, transpose} x {minimal, adaptive} and
 /// {uniform_random, nearest_neighbor} x {nonminimal, progressive
-/// adaptive}, unsampled and sampled, plus two coarsened runs.
+/// adaptive}, unsampled and sampled.
 /// nearest_neighbor under nonminimal routing reaches the intra-group
 /// Valiant draw (a proxy router); uniform_random the proxy group.
 struct PinnedUid {
   const char* workload;
   routing::Algo routing;
   double sample_dt;
-  bool coarsen;
   std::uint64_t uid;
 };
 
 TEST(FlowNetwork, ContentUidsArePinned) {
   using routing::Algo;
   const PinnedUid cases[] = {
-      {"uniform_random", Algo::kMinimal, 0.0, false, 1386960425720503912ull},
-      {"uniform_random", Algo::kAdaptive, 0.0, false, 4762891858410712882ull},
-      {"transpose", Algo::kMinimal, 0.0, false, 2154718124508855922ull},
-      {"transpose", Algo::kAdaptive, 0.0, false, 12185161646573125343ull},
-      {"uniform_random", Algo::kMinimal, 5e3, false, 17457300128060876122ull},
-      {"uniform_random", Algo::kAdaptive, 5e3, false, 10619459015603097831ull},
-      {"transpose", Algo::kMinimal, 5e3, false, 14532117436866670070ull},
-      {"transpose", Algo::kAdaptive, 5e3, false, 15351001117768683078ull},
-      {"uniform_random", Algo::kAdaptive, 5e3, true, 11124301993836624311ull},
-      {"uniform_random", Algo::kNonMinimal, 0.0, false, 7595258620831018900ull},
-      {"nearest_neighbor", Algo::kNonMinimal, 0.0, false,
-       10584092359439307399ull},
-      {"uniform_random", Algo::kProgressiveAdaptive, 0.0, false,
+      {"uniform_random", Algo::kMinimal, 0.0, 1386960425720503912ull},
+      {"uniform_random", Algo::kAdaptive, 0.0, 4762891858410712882ull},
+      {"transpose", Algo::kMinimal, 0.0, 2154718124508855922ull},
+      {"transpose", Algo::kAdaptive, 0.0, 12185161646573125343ull},
+      {"uniform_random", Algo::kMinimal, 5e3, 17457300128060876122ull},
+      {"uniform_random", Algo::kAdaptive, 5e3, 10619459015603097831ull},
+      {"transpose", Algo::kMinimal, 5e3, 14532117436866670070ull},
+      {"transpose", Algo::kAdaptive, 5e3, 15351001117768683078ull},
+      {"uniform_random", Algo::kNonMinimal, 0.0, 7595258620831018900ull},
+      {"nearest_neighbor", Algo::kNonMinimal, 0.0, 10584092359439307399ull},
+      {"uniform_random", Algo::kProgressiveAdaptive, 0.0,
        14406604972178228302ull},
-      {"nearest_neighbor", Algo::kProgressiveAdaptive, 0.0, false,
+      {"nearest_neighbor", Algo::kProgressiveAdaptive, 0.0,
        2686463933239850272ull},
-      {"uniform_random", Algo::kNonMinimal, 5e3, false, 8617846989629775613ull},
-      {"nearest_neighbor", Algo::kNonMinimal, 5e3, false,
-       5698651122591197971ull},
-      {"uniform_random", Algo::kProgressiveAdaptive, 5e3, false,
+      {"uniform_random", Algo::kNonMinimal, 5e3, 8617846989629775613ull},
+      {"nearest_neighbor", Algo::kNonMinimal, 5e3, 5698651122591197971ull},
+      {"uniform_random", Algo::kProgressiveAdaptive, 5e3,
        11819689442827915131ull},
-      {"nearest_neighbor", Algo::kProgressiveAdaptive, 5e3, false,
+      {"nearest_neighbor", Algo::kProgressiveAdaptive, 5e3,
        5207974660987016181ull},
-      {"nearest_neighbor", Algo::kNonMinimal, 5e3, true,
-       11801716709541078814ull},
   };
   for (const PinnedUid& c : cases) {
     app::ExperimentConfig cfg;
@@ -667,11 +575,10 @@ TEST(FlowNetwork, ContentUidsArePinned) {
     cfg.seed = 7;
     cfg.sample_dt = c.sample_dt;
     cfg.backend = app::Backend::kFlow;
-    cfg.flow_coarsen = c.coarsen;
     const auto res = app::run_experiment(cfg);
     EXPECT_EQ(metrics::run_content_uid(res.run), c.uid)
         << c.workload << " " << routing::to_string(c.routing)
-        << " sample_dt=" << c.sample_dt << " coarsen=" << c.coarsen;
+        << " sample_dt=" << c.sample_dt;
   }
 }
 

@@ -199,18 +199,6 @@ TEST(FlowVsPacket, LinkLoadRankCorrelates) {
   }
 }
 
-TEST(FlowVsPacket, FlowOnlyOptionsAreValidatedPerBackend) {
-  // --flow-coarsen silently doing nothing on the packet backend would
-  // invite apples-to-oranges comparisons; the runner must reject it.
-  auto cfg = base_config(Backend::kPacket, "uniform_random");
-  cfg.flow_coarsen = true;
-  EXPECT_THROW(run_experiment(cfg), Error);
-  // The same option is accepted where it means something.
-  cfg = base_config(Backend::kFlow, "uniform_random");
-  cfg.flow_coarsen = true;
-  EXPECT_GT(run_experiment(cfg).run.total_injected(), 0.0);
-}
-
 TEST(FlowVsPacket, SolverTelemetryIsPopulatedOnlyByTheFlowBackend) {
   const auto flow = run_experiment(base_config(Backend::kFlow,
                                                "uniform_random"));
