@@ -27,6 +27,7 @@
 #include "core/query.hpp"
 #include "metrics/run_store.hpp"
 #include "serve/catalog.hpp"
+#include "slice_oracle.hpp"
 
 namespace {
 
@@ -80,7 +81,7 @@ void va_gates() {
            static_cast<double>(passes * windows.size() * std::size(rings));
   };
   const double cold_ms = per_query_ms(1, [&](const core::TimeWindow& w) {
-    const core::DataSet sliced = data.slice_time(w.t0, w.t1);
+    const core::DataSet sliced = testing::slice_time(data, w.t0, w.t1);
     for (const auto& r : rings) {
       core::AggregationSpec spec;
       spec.keys = {r.key};

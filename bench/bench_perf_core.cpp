@@ -14,6 +14,7 @@
 #include "core/views.hpp"
 #include "fault/fault.hpp"
 #include "netsim/network.hpp"
+#include "slice_oracle.hpp"
 #include "workload/workload.hpp"
 
 namespace {
@@ -153,7 +154,8 @@ void BM_TimeRangeSlice(benchmark::State& state) {
   const core::DataSet data(cached_run());
   const double end = cached_run().end_time;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(data.slice_time(end * 0.25, end * 0.5));
+    benchmark::DoNotOptimize(
+        testing::slice_time(data, end * 0.25, end * 0.5));
   }
 }
 BENCHMARK(BM_TimeRangeSlice)->Unit(benchmark::kMillisecond);

@@ -12,9 +12,11 @@
 #include "app/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -54,6 +56,23 @@ double parse_num(const std::string& cmd, const std::string& key,
   }
   DV_REQUIRE(used > 0 && used == v.size(),
              cmd + ": bad --" + key + " value: " + v + " (expected a number)");
+  return x;
+}
+
+/// A whole number of type T from one option token (or compound field):
+/// decimal digits only, within T's range, so "1.9", "-1" for an unsigned
+/// T and 2^64 are rejected instead of truncated, wrapped or rounded.
+template <typename T>
+T parse_int(const std::string& cmd, const std::string& key,
+            const std::string& v) {
+  T x{};
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, x);
+  DV_REQUIRE(ec == std::errc() && ptr == end,
+             cmd + ": bad --" + key + " value: " + v +
+                 " (expected an integer in [" +
+                 std::to_string(std::numeric_limits<T>::min()) + ", " +
+                 std::to_string(std::numeric_limits<T>::max()) + "])");
   return x;
 }
 
@@ -117,6 +136,12 @@ struct Args {
   double num_or(const std::string& key, double dflt) const {
     if (opts.find(key) == opts.end()) return dflt;
     return parse_num(cmd, key, one_or(key, ""));
+  }
+  /// An integer option of the default's type (see parse_int).
+  template <typename T>
+  T int_or(const std::string& key, T dflt) const {
+    if (opts.find(key) == opts.end()) return dflt;
+    return parse_int<T>(cmd, key, one_or(key, ""));
   }
   std::vector<std::string> many(const std::string& key) const {
     const auto it = opts.find(key);
@@ -189,8 +214,21 @@ fault::FaultPlan parse_fault_args(const Args& args) {
 void apply_fault_params(const Args& args, netsim::Params& params) {
   params.fault_retry_base =
       args.num_or("fault-retry-base", params.fault_retry_base);
-  params.fault_retry_budget = static_cast<std::uint32_t>(
-      args.num_or("fault-retry-budget", params.fault_retry_budget));
+  params.fault_retry_budget =
+      args.int_or("fault-retry-budget", params.fault_retry_budget);
+}
+
+/// Every --focus ring:item, in order.
+std::vector<std::pair<std::size_t, std::size_t>> parse_focus(
+    const Args& args) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  for (const auto& f : args.many("focus")) {
+    const auto parts = split(f, ':');
+    DV_REQUIRE(parts.size() == 2, "--focus must be ring:item");
+    out.emplace_back(parse_int<std::size_t>(args.cmd, "focus", parts[0]),
+                     parse_int<std::size_t>(args.cmd, "focus", parts[1]));
+  }
+  return out;
 }
 
 /// --spec accepts either a script file path or "preset:<name>".
@@ -238,10 +276,10 @@ void maybe_print_cache_stats(const Args& args, const core::QueryStats& s) {
 /// tuning. Each command names its own backend default.
 ExperimentConfig parse_experiment(const Args& args, Backend default_backend) {
   ExperimentConfig cfg;
-  cfg.dragonfly_p = static_cast<std::uint32_t>(args.num_or("p", 3));
+  cfg.dragonfly_p = args.int_or("p", cfg.dragonfly_p);
   cfg.window = args.num_or("window", 2.0e6);
   cfg.sample_dt = args.num_or("sample-dt", 0.0);
-  cfg.seed = static_cast<std::uint64_t>(args.num_or("seed", 1));
+  cfg.seed = args.int_or("seed", cfg.seed);
   cfg.backend = backend_from_string(
       args.one_or("backend", to_string(default_backend)));
   cfg.faults = parse_fault_args(args);
@@ -261,13 +299,11 @@ int cmd_sim(const Args& args) {
     JobSpec job;
     job.workload = parts[0];
     if (parts.size() > 1 && !parts[1].empty() && parts[1] != "0") {
-      job.ranks =
-          static_cast<std::uint32_t>(parse_num(args.cmd, "job", parts[1]));
+      job.ranks = parse_int<std::uint32_t>(args.cmd, "job", parts[1]);
     }
     if (parts.size() > 2) job.policy = placement::policy_from_string(parts[2]);
     if (parts.size() > 3 && !parts[3].empty()) {
-      job.bytes =
-          static_cast<std::uint64_t>(parse_num(args.cmd, "job", parts[3]));
+      job.bytes = parse_int<std::uint64_t>(args.cmd, "job", parts[3]);
     }
     DV_REQUIRE(parts.size() <= 4, "bad --job spec: " + spec);
     cfg.jobs.push_back(job);
@@ -315,9 +351,8 @@ std::vector<std::string> axis_values(const Args& args,
 int cmd_sweep(const Args& args) {
   SweepConfig cfg;
   cfg.base = parse_experiment(args, Backend::kFlow);
-  cfg.base.synthetic_bytes_per_rank = static_cast<std::uint64_t>(
-      args.num_or("bytes-per-rank",
-                  static_cast<double>(cfg.base.synthetic_bytes_per_rank)));
+  cfg.base.synthetic_bytes_per_rank =
+      args.int_or("bytes-per-rank", cfg.base.synthetic_bytes_per_rank);
 
   cfg.workloads = axis_values(args, "workload", "workloads");
   cfg.routings = axis_values(args, "routing", "routings");
@@ -359,19 +394,16 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_render(const Args& args) {
+  const auto focus = parse_focus(args);
   const core::DataSet data = load_run_dataset(args.one("run"));
   auto spec = load_spec(args);
   maybe_apply_window(args, spec);
   core::QueryEngine engine(data);
   // --focus ring:item applies the paper's click-to-focus drill-down
   // before rendering (may be repeated for nested drill-down).
-  for (const auto& f : args.many("focus")) {
-    const auto parts = split(f, ':');
-    DV_REQUIRE(parts.size() == 2, "--focus must be ring:item");
+  for (const auto& [ring, item] : focus) {
     const core::ProjectionView overview(data, spec, nullptr, &engine);
-    spec = overview.drill_down(
-        static_cast<std::size_t>(parse_num(args.cmd, "focus", parts[0])),
-        static_cast<std::size_t>(parse_num(args.cmd, "focus", parts[1])));
+    spec = overview.drill_down(ring, item);
   }
   auto build_phase = std::make_unique<obs::ScopedPhase>("build");
   const core::ProjectionView view(data, spec, nullptr, &engine);
@@ -602,12 +634,12 @@ int cmd_report(const Args& args) {
 int cmd_trace_record(const Args& args) {
   const std::string workload = args.one("workload");
   workload::Config cfg;
-  cfg.ranks = static_cast<std::uint32_t>(args.num_or("ranks", 0));
+  cfg.ranks = args.int_or("ranks", std::uint32_t{0});
+  cfg.total_bytes = args.int_or("bytes", std::uint64_t{0});
   DV_REQUIRE(cfg.ranks > 0, "--ranks required");
-  cfg.total_bytes = static_cast<std::uint64_t>(args.num_or("bytes", 0));
   DV_REQUIRE(cfg.total_bytes > 0, "--bytes required");
   cfg.window = args.num_or("window", 2.0e6);
-  cfg.seed = static_cast<std::uint64_t>(args.num_or("seed", 1));
+  cfg.seed = args.int_or("seed", std::uint64_t{1});
   const auto t =
       trace::record(workload, cfg.ranks, workload::generate(workload, cfg));
   const std::string out = args.one("out");
@@ -636,12 +668,12 @@ int cmd_trace_info(const Args& args) {
 }
 
 int cmd_trace_replay(const Args& args) {
+  const auto p = args.int_or("p", std::uint32_t{3});
+  const auto seed = args.int_or("seed", std::uint64_t{1});
   const auto t = trace::load_binary(args.one("trace"));
-  const auto p = static_cast<std::uint32_t>(args.num_or("p", 3));
   const auto topo = topo::Dragonfly::canonical(p);
   const auto policy =
       placement::policy_from_string(args.one_or("placement", "contiguous"));
-  const auto seed = static_cast<std::uint64_t>(args.num_or("seed", 1));
   const auto placement =
       placement::place_jobs(topo, {{t.app, t.ranks, policy}}, seed);
   netsim::Params params;
@@ -715,16 +747,11 @@ void handle_stop_signal(int) {
 int cmd_serve(const Args& args) {
   serve::ServeOptions opts;
   opts.listen = args.one_or("listen", opts.listen);
-  opts.workers = static_cast<std::size_t>(
-      args.num_or("workers", static_cast<double>(opts.workers)));
-  opts.max_queue = static_cast<std::size_t>(
-      args.num_or("max-queue", static_cast<double>(opts.max_queue)));
-  opts.max_sessions = static_cast<std::size_t>(
-      args.num_or("max-sessions", static_cast<double>(opts.max_sessions)));
-  opts.cache_capacity = static_cast<std::size_t>(args.num_or(
-      "cache-capacity", static_cast<double>(opts.cache_capacity)));
-  opts.cache_shards = static_cast<std::size_t>(
-      args.num_or("cache-shards", static_cast<double>(opts.cache_shards)));
+  opts.workers = args.int_or("workers", opts.workers);
+  opts.max_queue = args.int_or("max-queue", opts.max_queue);
+  opts.max_sessions = args.int_or("max-sessions", opts.max_sessions);
+  opts.cache_capacity = args.int_or("cache-capacity", opts.cache_capacity);
+  opts.cache_shards = args.int_or("cache-shards", opts.cache_shards);
   opts.ready_file = args.one_or("ready-file", "");
 
   serve::Server server(opts);
@@ -786,12 +813,9 @@ int cmd_client(const Args& args) {
     window = {json::Value(win.t0), json::Value(win.t1)};
   }
   json::Array focus;
-  for (const auto& f : args.many("focus")) {
-    const auto parts = split(f, ':');
-    DV_REQUIRE(parts.size() == 2, "--focus must be ring:item");
-    focus.push_back(json::Value(
-        json::Array{json::Value(parse_num(args.cmd, "focus", parts[0])),
-                    json::Value(parse_num(args.cmd, "focus", parts[1]))}));
+  for (const auto& [ring, item] : parse_focus(args)) {
+    focus.push_back(
+        json::Value(json::Array{json::Value(ring), json::Value(item)}));
   }
 
   auto client = serve::Client::connect(

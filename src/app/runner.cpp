@@ -44,13 +44,13 @@ std::string ExperimentConfig::placement_label() const {
 }
 
 core::DataSet load_run_dataset(const std::string& path) {
-  std::unique_ptr<metrics::RunMetrics> run;
+  metrics::RunMetrics run;
   {
     obs::ScopedPhase phase("load");
-    run = std::make_unique<metrics::RunMetrics>(metrics::RunMetrics::load(path));
+    run = metrics::RunMetrics::load(path);
   }
   obs::ScopedPhase phase("dataset");
-  return core::DataSet(*run);
+  return core::DataSet(std::move(run));
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {

@@ -37,7 +37,6 @@ void DataTable::add_column(const std::string& name,
   names_.push_back(name);
   extents_.push_back(column_extent(values));
   columns_.push_back(std::move(values));
-  ++version_;
 }
 
 void DataTable::set_column(const std::string& name,
@@ -48,7 +47,6 @@ void DataTable::set_column(const std::string& name,
     if (names_[i] == name) {
       extents_[i] = column_extent(values);
       columns_[i] = std::move(values);
-      ++version_;
       return;
     }
   }
@@ -119,8 +117,8 @@ std::string to_string(Entity e) {
 
 // ----------------------------------------------------------------- DataSet
 
-DataSet::DataSet(const metrics::RunMetrics& run)
-    : run_(std::make_shared<metrics::RunMetrics>(run)) {
+DataSet::DataSet(metrics::RunMetrics run)
+    : run_(std::make_shared<const metrics::RunMetrics>(std::move(run))) {
   build();
 }
 
@@ -129,29 +127,10 @@ std::uint64_t DataSet::next_uid() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-DataSet::DataSet(const DataSet& other)
-    : run_(other.run_),
-      slabs_(other.slabs_),
-      routers_(other.routers_),
-      local_links_(other.local_links_),
-      global_links_(other.global_links_),
-      terminals_(other.terminals_) {}
-
-DataSet& DataSet::operator=(const DataSet& other) {
-  if (this == &other) return *this;
-  run_ = other.run_;
-  slabs_ = other.slabs_;
-  routers_ = other.routers_;
-  local_links_ = other.local_links_;
-  global_links_ = other.global_links_;
-  terminals_ = other.terminals_;
-  uid_ = next_uid();
-  return *this;
-}
-
 void DataSet::build() {
   const metrics::RunMetrics& run = *run_;
   const std::uint32_t a = run.routers_per_group;
+  auto tables = std::make_shared<Tables>();
 
   // Per-router job: the job owning the router's terminals (majority when
   // mixed, -1 when none). Used for job-level link bundling (Fig. 13, where
@@ -197,19 +176,19 @@ void DataSet::build() {
       retries[i] = static_cast<double>(routers[i].retries);
       drops[i] = static_cast<double>(routers[i].pkts_dropped);
     }
-    routers_ = DataTable(n);
-    routers_.add_column("router", std::move(id));
-    routers_.add_column("group_id", std::move(grp));
-    routers_.add_column("router_rank", std::move(rank));
-    routers_.add_column("global_traffic", std::move(gt));
-    routers_.add_column("global_sat_time", std::move(gs));
-    routers_.add_column("local_traffic", std::move(lt));
-    routers_.add_column("local_sat_time", std::move(ls));
-    routers_.add_column("job", router_job);
-    routers_.add_column("downtime", std::move(down));
-    routers_.add_column("downtime_frac", std::move(dfrac));
-    routers_.add_column("retries", std::move(retries));
-    routers_.add_column("pkts_dropped", std::move(drops));
+    tables->routers = DataTable(n);
+    tables->routers.add_column("router", std::move(id));
+    tables->routers.add_column("group_id", std::move(grp));
+    tables->routers.add_column("router_rank", std::move(rank));
+    tables->routers.add_column("global_traffic", std::move(gt));
+    tables->routers.add_column("global_sat_time", std::move(gs));
+    tables->routers.add_column("local_traffic", std::move(lt));
+    tables->routers.add_column("local_sat_time", std::move(ls));
+    tables->routers.add_column("job", router_job);
+    tables->routers.add_column("downtime", std::move(down));
+    tables->routers.add_column("downtime_frac", std::move(dfrac));
+    tables->routers.add_column("retries", std::move(retries));
+    tables->routers.add_column("pkts_dropped", std::move(drops));
   }
 
   auto build_links = [a, &router_job, &frac](
@@ -257,8 +236,8 @@ void DataSet::build() {
     t.add_column("pkts_dropped", std::move(drops));
     return t;
   };
-  local_links_ = build_links(run.local_links);
-  global_links_ = build_links(run.global_links);
+  tables->local_links = build_links(run.local_links);
+  tables->global_links = build_links(run.global_links);
 
   {
     const std::size_t n = run.terminals.size();
@@ -284,24 +263,25 @@ void DataSet::build() {
       down[i] = t.downtime;
       dfrac[i] = frac(t.downtime);
     }
-    terminals_ = DataTable(n);
-    terminals_.add_column("terminal", std::move(id));
-    terminals_.add_column("router", std::move(router));
-    terminals_.add_column("group_id", std::move(grp));
-    terminals_.add_column("router_rank", std::move(rank));
-    terminals_.add_column("router_port", std::move(port));
-    terminals_.add_column("data_size", std::move(data));
-    terminals_.add_column("sat_time", std::move(sat));
-    terminals_.add_column("packets_finished", std::move(pkts));
-    terminals_.add_column("avg_latency", std::move(lat));
-    terminals_.add_column("avg_hops", std::move(hops));
-    terminals_.add_column("workload", std::move(job));
-    terminals_.add_column("pkts_dropped", std::move(dropped));
-    terminals_.add_column("rerouted", std::move(rerouted));
-    terminals_.add_column("rerouted_frac", std::move(rfrac));
-    terminals_.add_column("downtime", std::move(down));
-    terminals_.add_column("downtime_frac", std::move(dfrac));
+    tables->terminals = DataTable(n);
+    tables->terminals.add_column("terminal", std::move(id));
+    tables->terminals.add_column("router", std::move(router));
+    tables->terminals.add_column("group_id", std::move(grp));
+    tables->terminals.add_column("router_rank", std::move(rank));
+    tables->terminals.add_column("router_port", std::move(port));
+    tables->terminals.add_column("data_size", std::move(data));
+    tables->terminals.add_column("sat_time", std::move(sat));
+    tables->terminals.add_column("packets_finished", std::move(pkts));
+    tables->terminals.add_column("avg_latency", std::move(lat));
+    tables->terminals.add_column("avg_hops", std::move(hops));
+    tables->terminals.add_column("workload", std::move(job));
+    tables->terminals.add_column("pkts_dropped", std::move(dropped));
+    tables->terminals.add_column("rerouted", std::move(rerouted));
+    tables->terminals.add_column("rerouted_frac", std::move(rfrac));
+    tables->terminals.add_column("downtime", std::move(down));
+    tables->terminals.add_column("downtime_frac", std::move(dfrac));
   }
+  tables_ = std::move(tables);
 
   if (run.has_time_series()) {
     auto slabs = std::make_shared<TimeSlabs>();
@@ -317,42 +297,12 @@ void DataSet::build() {
 
 const DataTable& DataSet::table(Entity e) const {
   switch (e) {
-    case Entity::kRouter: return routers_;
-    case Entity::kLocalLink: return local_links_;
-    case Entity::kGlobalLink: return global_links_;
-    case Entity::kTerminal: return terminals_;
+    case Entity::kRouter: return tables_->routers;
+    case Entity::kLocalLink: return tables_->local_links;
+    case Entity::kGlobalLink: return tables_->global_links;
+    case Entity::kTerminal: return tables_->terminals;
   }
   throw Error("bad entity");
-}
-
-DataSet DataSet::slice_time(double t0, double t1) const {
-  DV_REQUIRE(run_->has_time_series(),
-             "time-range selection requires a sampled run");
-  DV_REQUIRE(t0 < t1, "empty time range");
-  // Windowed values go through the same PrefixSeries deltas as
-  // windowed_table, so from-scratch slicing and incremental re-windowing
-  // are bit-exact with each other.
-  const TimeSlabs& sl = slabs();
-  metrics::RunMetrics sliced = *run_;
-  auto apply = [&](std::vector<metrics::LinkMetrics>& links,
-                   const metrics::PrefixSeries& traffic_ps,
-                   const metrics::PrefixSeries& sat_ps) {
-    const auto [f0, f1] = traffic_ps.frame_range(t0, t1);
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      links[i].traffic = traffic_ps.range_sum(i, f0, f1);
-      links[i].sat_time = sat_ps.range_sum(i, f0, f1);
-    }
-  };
-  apply(sliced.local_links, sl.local_traffic, sl.local_sat);
-  apply(sliced.global_links, sl.global_traffic, sl.global_sat);
-  {
-    const auto [f0, f1] = sl.term_traffic.frame_range(t0, t1);
-    for (std::size_t i = 0; i < sliced.terminals.size(); ++i) {
-      sliced.terminals[i].data_size = sl.term_traffic.range_sum(i, f0, f1);
-      sliced.terminals[i].sat_time = sl.term_sat.range_sum(i, f0, f1);
-    }
-  }
-  return DataSet(sliced);
 }
 
 const TimeSlabs& DataSet::slabs() const {
@@ -424,8 +374,8 @@ DataTable DataSet::windowed_table(Entity e, double t0, double t1) const {
       break;
     case Entity::kRouter: {
       // Re-accumulate per-router sums from the windowed links in the exact
-      // order of RunMetrics::derive_routers, for bit-exactness with
-      // slice_time().table(kRouter).
+      // order of RunMetrics::derive_routers, for bit-exactness with a
+      // DataSet rebuilt from the sliced run.
       const std::size_t n = t.rows();
       std::vector<double> lt(n, 0.0), ls(n, 0.0), gt(n, 0.0), gs(n, 0.0);
       auto accumulate = [&](const std::vector<metrics::LinkMetrics>& links,
@@ -450,31 +400,6 @@ DataTable DataSet::windowed_table(Entity e, double t0, double t1) const {
     }
   }
   return t;
-}
-
-std::uint64_t DataSet::version() const {
-  return routers_.version() + local_links_.version() +
-         global_links_.version() + terminals_.version();
-}
-
-DataTable& DataSet::table_mut(Entity e) {
-  switch (e) {
-    case Entity::kRouter: return routers_;
-    case Entity::kLocalLink: return local_links_;
-    case Entity::kGlobalLink: return global_links_;
-    case Entity::kTerminal: return terminals_;
-  }
-  throw Error("bad entity");
-}
-
-void DataSet::add_derived_column(Entity e, const std::string& name,
-                                 std::vector<double> values) {
-  DataTable& t = table_mut(e);
-  if (t.has_column(name)) {
-    t.set_column(name, std::move(values));
-  } else {
-    t.add_column(name, std::move(values));
-  }
 }
 
 }  // namespace dv::core

@@ -29,15 +29,11 @@ class DataTable {
   /// Adds a column (must match the row count; a table with 0 rows adopts
   /// the column's length).
   void add_column(const std::string& name, std::vector<double> values);
-  /// Replaces an existing column (same length); bumps version().
+  /// Replaces an existing column (same length).
   void set_column(const std::string& name, std::vector<double> values);
   bool has_column(const std::string& name) const;
   const std::vector<double>& column(const std::string& name) const;  // throws
   const std::vector<std::string>& column_names() const { return names_; }
-
-  /// Mutation counter: bumped by every add_column / set_column. Cached
-  /// query results keyed on it are invalidated by any table change.
-  std::uint64_t version() const { return version_; }
 
   double at(const std::string& name, std::size_t row) const;
 
@@ -51,7 +47,6 @@ class DataTable {
 
  private:
   std::size_t rows_ = 0;
-  std::uint64_t version_ = 0;
   std::vector<std::string> names_;
   std::vector<std::vector<double>> columns_;
   std::vector<std::pair<double, double>> extents_;  // parallel to columns_
@@ -75,9 +70,12 @@ struct TimeSlabs {
 
 /// A full run as a set of linked entity tables, plus the topology shape
 /// needed to resolve references and time series for range re-aggregation.
+/// Immutable once built: a copy shares the run, tables, slabs and uid(),
+/// and therefore every cache entry keyed on them.
 class DataSet {
  public:
-  /// Builds all entity tables from a simulation result. Columns:
+  /// Builds all entity tables from a simulation result (pass an rvalue to
+  /// move the run in instead of copying it). Columns:
   ///  routers:      router, group_id, router_rank, global_traffic,
   ///                global_sat_time, local_traffic, local_sat_time
   ///  local_links / global_links:
@@ -86,25 +84,13 @@ class DataSet {
   ///  terminals:    terminal, router, group_id, router_rank, router_port,
   ///                data_size, sat_time, packets_finished, avg_latency
   ///                (alias: avg_packet_latency), avg_hops, workload (job id)
-  explicit DataSet(const metrics::RunMetrics& run);
-
-  // Copies are independently mutable (add_derived_column), so they take a
-  // fresh uid(); moves keep the source's identity.
-  DataSet(const DataSet& other);
-  DataSet& operator=(const DataSet& other);
-  DataSet(DataSet&&) = default;
-  DataSet& operator=(DataSet&&) = default;
+  explicit DataSet(metrics::RunMetrics run);
 
   const DataTable& table(Entity e) const;
   const metrics::RunMetrics& run() const { return *run_; }
 
   std::uint32_t groups() const { return run_->groups; }
   std::uint32_t routers_per_group() const { return run_->routers_per_group; }
-
-  /// Restricts metric columns (traffic / sat_time / data_size) to a time
-  /// range [t0, t1) using the run's sampled series; returns a new DataSet.
-  /// Requires the run to have time series.
-  DataSet slice_time(double t0, double t1) const;
 
   bool has_time_series() const { return run_->has_time_series(); }
   /// The prefix slabs backing windowed reduction (requires time series).
@@ -119,37 +105,32 @@ class DataSet {
   const metrics::PrefixSeries& prefix_for(Entity e,
                                           const std::string& attr) const;
 
-  /// Copy of table(e) with every windowable column restricted to [t0, t1).
-  /// Router columns are re-accumulated from the windowed links in the same
-  /// order as metrics::RunMetrics::derive_routers, so the result is
-  /// bit-exact with slice_time(t0, t1).table(e).
+  /// Copy of table(e) with every windowable column restricted to [t0, t1),
+  /// the values a DataSet rebuilt from the run sliced to [t0, t1) would
+  /// hold. Router columns are re-accumulated from the windowed links in the
+  /// same order as metrics::RunMetrics::derive_routers, so they are
+  /// bit-exact with such a rebuild too. QueryEngine::table caches these.
   DataTable windowed_table(Entity e, double t0, double t1) const;
 
-  /// Monotonic mutation counter over all entity tables (cache key input).
-  std::uint64_t version() const;
-
-  /// Process-unique dataset identity (assigned at construction, never
-  /// reused). Cache keys combine uid() with version() so one ResultCache
-  /// can be shared across many datasets — e.g. the serve daemon's catalog —
+  /// Process-unique dataset identity (assigned at construction, shared by
+  /// copies, never reused). Cache keys embed it so one ResultCache can be
+  /// shared across many datasets — e.g. the serve daemon's catalog —
   /// without key collisions between runs.
   std::uint64_t uid() const { return uid_; }
 
-  /// Appends (or replaces) a derived column on one entity table. Bumps
-  /// version(), invalidating cached query results.
-  void add_derived_column(Entity e, const std::string& name,
-                          std::vector<double> values);
-
  private:
-  DataSet() = default;
+  struct Tables {
+    DataTable routers, local_links, global_links, terminals;
+  };
+
   void build();
-  DataTable& table_mut(Entity e);
 
   static std::uint64_t next_uid();
 
   std::shared_ptr<const metrics::RunMetrics> run_;
   std::shared_ptr<const TimeSlabs> slabs_;
+  std::shared_ptr<const Tables> tables_;
   std::uint64_t uid_ = next_uid();
-  DataTable routers_, local_links_, global_links_, terminals_;
 };
 
 }  // namespace dv::core

@@ -1,7 +1,6 @@
 #include "core/query.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "obs/obs.hpp"
@@ -242,7 +241,6 @@ std::shared_ptr<const DataTable> QueryEngine::table(Entity e, TimeWindow w) {
   h.u64(f0);
   h.u64(f1);
   h.u64(data_->uid());
-  h.u64(data_->version());
   auto v = cache_->get_or_compute(h.h, [&] {
     ResultCache::Entry en;
     en.key = h.h;
@@ -270,7 +268,6 @@ std::shared_ptr<const Aggregation> QueryEngine::aggregate(
     h.u64(0);
   }
   h.u64(data_->uid());
-  h.u64(data_->version());
   auto v = cache_->get_or_compute(h.h, [&] {
     ResultCache::Entry en;
     en.key = h.h;
@@ -288,7 +285,6 @@ std::shared_ptr<const QueryEngine::GroupSlab> QueryEngine::group_slab(
   hash_spec(h, e, spec);
   h.str(attr);
   h.u64(data_->uid());
-  h.u64(data_->version());
   auto v = cache_->get_or_compute(h.h, [&] {
     DV_OBS_PHASE("query/slab_build");
     auto agg = aggregate(e, spec);  // window-independent grouping
@@ -350,7 +346,6 @@ std::shared_ptr<const std::vector<double>> QueryEngine::reduce(
     h.u64(0);
   }
   h.u64(data_->uid());
-  h.u64(data_->version());
 
   auto v = cache_->get_or_compute(h.h, [&] {
     ResultCache::Entry en;
@@ -395,10 +390,6 @@ void QueryEngine::clear() { cache_->clear(); }
 namespace {
 
 std::size_t va_threads() {
-  if (const char* env = std::getenv("DV_VA_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return std::min<std::size_t>(4, hw ? hw : 1);
 }

@@ -11,9 +11,9 @@
 //     a sampled attribute, a per-(grouping, attr) prefix array over groups
 //     is built once; every subsequent window is an O(groups) delta.
 //  3. A result cache keyed by a canonical 64-bit hash of (kind, entity,
-//     spec, filters, quantized window, dataset version) with LRU eviction.
-//     Mutating the dataset (add_derived_column) bumps the version, so stale
-//     entries can never be returned; they age out of the LRU.
+//     spec, filters, quantized window, dataset uid) with LRU eviction. A
+//     DataSet is immutable, so an entry never goes stale; entries of
+//     datasets that are gone simply age out of the LRU.
 //
 // Determinism contract: the evaluation path for a query is a pure function
 // of the query itself (never of cache state), so a cached result is
@@ -56,11 +56,11 @@ struct QueryStats {
   std::size_t entries = 0;        ///< live cache entries
 };
 
-/// Sharded, version-invalidated LRU result cache — the concurrency substrate
+/// Sharded LRU result cache — the concurrency substrate
 /// the QueryEngine (and the serve daemon's shared catalog) computes through.
 ///
-/// Keys are canonical 64-bit hashes (FNV-1a over dataset uid, version and
-/// the query description); values are type-erased shared_ptrs. The cache is
+/// Keys are canonical 64-bit hashes (FNV-1a over the dataset uid and the
+/// query description); values are type-erased shared_ptrs. The cache is
 /// safe for concurrent use: each shard has its own mutex + LRU list, and a
 /// key maps to exactly one shard. Identical concurrent computations are
 /// coalesced — the second caller blocks on the first's in-flight compute and
@@ -139,13 +139,15 @@ class QueryEngine {
   explicit QueryEngine(const DataSet& data, std::size_t capacity = 128);
 
   /// Shares `cache` with other engines (the serve daemon: one sharded cache
-  /// across every loaded run and session). Keys embed the dataset's uid and
-  /// version, so engines over different datasets never collide.
+  /// across every loaded run and session). Keys embed the dataset's uid, so
+  /// engines over different datasets never collide.
   QueryEngine(const DataSet& data, std::shared_ptr<ResultCache> cache);
 
   const DataSet& data() const { return *data_; }
 
-  /// The entity table restricted to `w` (the base table when inactive).
+  /// The entity table restricted to `w`: DataSet::windowed_table, cached
+  /// per quantized frame range. An inactive window returns the base table
+  /// itself (an aliasing pointer: no copy, no cache entry).
   std::shared_ptr<const DataTable> table(Entity e, TimeWindow w);
 
   /// Grouping for `spec`. Built over the windowed table only when a key or
@@ -199,8 +201,8 @@ class QueryEngine {
 /// on a small shared worker pool. Exceptions thrown by tasks are captured
 /// and the first one is rethrown on the caller after all tasks finish.
 /// Nested calls from inside a pool task degrade to sequential execution
-/// (the pool's barrier is not reentrant). Thread count: DV_VA_THREADS env
-/// var, default min(4, hardware_concurrency).
+/// (the pool's barrier is not reentrant). Thread count:
+/// min(4, hardware_concurrency).
 void run_parallel(std::vector<std::function<void()>> tasks);
 
 }  // namespace core

@@ -16,6 +16,11 @@ namespace {
 const Rgb kAxisColor{120, 120, 120};
 const Rgb kHighlight{255, 215, 0};
 
+/// A non-owning pointer to a table the caller keeps alive.
+std::shared_ptr<const DataTable> borrow(const DataTable& t) {
+  return std::shared_ptr<const DataTable>(std::shared_ptr<const void>(), &t);
+}
+
 /// Simple framed scatter plot of two table columns.
 void render_scatter(SvgDocument& doc, const DataTable& t,
                     const std::string& xattr, const std::string& yattr,
@@ -47,15 +52,36 @@ void render_scatter(SvgDocument& doc, const DataTable& t,
 // ----------------------------------------------------------------- Detail
 
 DetailView::DetailView(const DataSet& data, std::vector<std::string> pc_axes)
-    : data_(&data), pc_axes_(std::move(pc_axes)) {
+    : terminals_(borrow(data.table(Entity::kTerminal))),
+      local_links_(borrow(data.table(Entity::kLocalLink))),
+      global_links_(borrow(data.table(Entity::kGlobalLink))),
+      pc_axes_(std::move(pc_axes)) {
   if (pc_axes_.empty()) {
     pc_axes_ = {"data_size", "sat_time",   "packets_finished",
                 "avg_latency", "avg_hops", "workload"};
   }
-  const DataTable& t = data_->table(Entity::kTerminal);
   for (const auto& a : pc_axes_) {
-    DV_REQUIRE(t.has_column(a), "parallel-coordinates axis not found: " + a);
+    DV_REQUIRE(terminals_->has_column(a),
+               "parallel-coordinates axis not found: " + a);
   }
+}
+
+DetailView::DetailView(QueryEngine& engine, TimeWindow window,
+                       std::vector<std::string> pc_axes)
+    : DetailView(engine.data(), std::move(pc_axes)) {
+  terminals_ = engine.table(Entity::kTerminal, window);
+  local_links_ = engine.table(Entity::kLocalLink, window);
+  global_links_ = engine.table(Entity::kGlobalLink, window);
+}
+
+const DataTable& DetailView::table(Entity e) const {
+  switch (e) {
+    case Entity::kTerminal: return *terminals_;
+    case Entity::kLocalLink: return *local_links_;
+    case Entity::kGlobalLink: return *global_links_;
+    case Entity::kRouter: break;
+  }
+  throw Error("the detail view has no " + to_string(e) + " table");
 }
 
 void DetailView::brush(const std::string& axis, double lo, double hi) {
@@ -77,10 +103,9 @@ void DetailView::clear_brushes() { brushes_.clear(); }
 
 std::vector<std::uint32_t> DetailView::selected_terminals() const {
   if (explicit_selection_) return *explicit_selection_;
-  const DataTable& t = data_->table(Entity::kTerminal);
   AggregationSpec spec;
   spec.filters = brushes_;
-  return Aggregation(t, spec).filtered_rows();
+  return Aggregation(*terminals_, spec).filtered_rows();
 }
 
 void DetailView::select_terminals(std::vector<std::uint32_t> rows) {
@@ -92,12 +117,11 @@ std::vector<std::uint32_t> DetailView::associated_links(
   DV_REQUIRE(link_entity == Entity::kLocalLink ||
                  link_entity == Entity::kGlobalLink,
              "associated_links needs a link entity");
-  const DataTable& terms = data_->table(Entity::kTerminal);
-  const auto& term_router = terms.column("router");
+  const auto& term_router = terminals_->column("router");
   std::unordered_set<double> routers;
   for (std::uint32_t r : selected_terminals()) routers.insert(term_router[r]);
 
-  const DataTable& links = data_->table(link_entity);
+  const DataTable& links = table(link_entity);
   const auto& src = links.column("src_router");
   const auto& dst = links.column("dst_router");
   std::vector<std::uint32_t> out;
@@ -124,18 +148,17 @@ void DetailView::render(SvgDocument& doc, double x, double y, double w,
 
   const double scatter_w = w * 0.27;
   const double gap = w * 0.02;
-  render_scatter(doc, data_->table(Entity::kGlobalLink), "traffic",
-                 "sat_time", hi_global, x, y, scatter_w, h, "Global links");
-  render_scatter(doc, data_->table(Entity::kLocalLink), "traffic", "sat_time",
-                 hi_local, x + scatter_w + gap, y, scatter_w, h,
-                 "Local links");
+  render_scatter(doc, *global_links_, "traffic", "sat_time", hi_global, x, y,
+                 scatter_w, h, "Global links");
+  render_scatter(doc, *local_links_, "traffic", "sat_time", hi_local,
+                 x + scatter_w + gap, y, scatter_w, h, "Local links");
 
   // Parallel coordinates of all terminals.
   const double pc_x = x + 2 * (scatter_w + gap);
   const double pc_w = w - 2 * (scatter_w + gap);
   doc.rect(pc_x, y, pc_w, h, Style::stroked(kAxisColor, 0.8));
   doc.text(pc_x + 4, y + 12, "Terminals", 10, Rgb{60, 60, 60});
-  const DataTable& t = data_->table(Entity::kTerminal);
+  const DataTable& t = *terminals_;
   const std::size_t n_axes = pc_axes_.size();
   const double pad = 14.0;
   std::vector<LinearScale> scales;
@@ -227,11 +250,6 @@ void TimelineView::select_range(double t0, double t1) {
 
 void TimelineView::clear_range() { t0_ = t1_ = 0.0; }
 
-DataSet TimelineView::slice() const {
-  if (!has_selection()) return *data_;
-  return data_->slice_time(t0_, t1_);
-}
-
 void TimelineView::render(SvgDocument& doc, double x, double y, double w,
                           double h) const {
   struct Panel {
@@ -302,27 +320,15 @@ AnalysisSession::AnalysisSession(DataSet data, ProjectionSpec spec)
 
 void AnalysisSession::rebuild() {
   DV_OBS_PHASE("session/rebuild");
-  const bool windowed = sel_t0_ < sel_t1_;
-
-  // The detail view plots raw per-entity values, so it reads a sliced copy
-  // of the dataset; memoize it on the selected range so brush changes do
-  // not re-slice.
-  if (!windowed) {
-    current_data_.reset();
-  } else if (!current_data_ || slice_t0_ != sel_t0_ || slice_t1_ != sel_t1_) {
-    current_data_ = data_.slice_time(sel_t0_, sel_t1_);
-    slice_t0_ = sel_t0_;
-    slice_t1_ = sel_t1_;
-  }
-  const DataSet& detail_data = windowed ? *current_data_ : data_;
+  // The selected time range becomes the projection spec's window and the
+  // detail view's table window, so both re-aggregate through the engine
+  // (prefix slabs, cached windowed tables) instead of a dataset rebuild.
+  const TimeWindow window{sel_t0_, sel_t1_};
 
   // Apply detail brushes as terminal-entity filters on the projection
-  // (paper: brushing updates the projection to the selected data). The
-  // selected time range becomes the spec window, so the projection
-  // re-aggregates through the engine's prefix slabs instead of a fresh
-  // dataset rebuild.
+  // (paper: brushing updates the projection to the selected data).
   ProjectionSpec spec = spec_;
-  if (windowed) spec.window = TimeWindow{sel_t0_, sel_t1_};
+  if (window.active()) spec.window = window;
   if (detail_) {
     for (auto& lvl : spec.levels) {
       if (lvl.entity != Entity::kTerminal) continue;
@@ -333,11 +339,11 @@ void AnalysisSession::rebuild() {
   if (detail_) saved_brushes = detail_->brushes();
 
   projection_.emplace(data_, spec, nullptr, &*engine_);
-  detail_.emplace(detail_data);
+  detail_.emplace(*engine_, window);
   for (const auto& b : saved_brushes) detail_->brush(b.attr, b.lo, b.hi);
   if (data_.run().has_time_series()) {
     timeline_.emplace(data_);
-    if (sel_t0_ < sel_t1_) timeline_->select_range(sel_t0_, sel_t1_);
+    if (window.active()) timeline_->select_range(sel_t0_, sel_t1_);
   }
 }
 

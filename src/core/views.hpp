@@ -9,10 +9,11 @@
 // AnalysisSession wires the three interactions together exactly as the
 // paper describes: brushing filters the projection, selecting a visual
 // aggregate highlights entities in the detail view, selecting terminals
-// highlights their associated links, and a time range rebuilds everything
-// from the sampled series.
+// highlights their associated links, and a time range re-aggregates every
+// view through the session's QueryEngine.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,8 +31,15 @@ class DetailView {
   /// packets_finished, avg_latency, avg_hops, workload.
   explicit DetailView(const DataSet& data,
                       std::vector<std::string> pc_axes = {});
+  /// Reads the terminal and link tables through `engine`, restricted to
+  /// `window` (the dataset's own tables, uncopied, when it is inactive).
+  DetailView(QueryEngine& engine, TimeWindow window,
+             std::vector<std::string> pc_axes = {});
 
   const std::vector<std::string>& axes() const { return pc_axes_; }
+  /// The table plotted for the terminal or a link entity (throws for
+  /// routers).
+  const DataTable& table(Entity e) const;
 
   /// Brushes one parallel-coordinate axis to [lo, hi] (inclusive);
   /// brushing the same axis again replaces the range.
@@ -56,7 +64,7 @@ class DetailView {
   std::string to_svg(double w = 900, double h = 360) const;
 
  private:
-  const DataSet* data_;
+  std::shared_ptr<const DataTable> terminals_, local_links_, global_links_;
   std::vector<std::string> pc_axes_;
   std::vector<AttrFilter> brushes_;
   std::optional<std::vector<std::uint32_t>> explicit_selection_;
@@ -81,9 +89,6 @@ class TimelineView {
   double t0() const { return t0_; }
   double t1() const { return t1_; }
 
-  /// The dataset restricted to the selected range (whole run if none).
-  DataSet slice() const;
-
   /// Renders stacked traffic/saturation timelines with the selection band.
   void render(SvgDocument& doc, double x, double y, double w, double h) const;
   std::string to_svg(double w = 900, double h = 220) const;
@@ -95,9 +100,10 @@ class TimelineView {
 
 /// The full linked-view analysis session of Fig. 6.
 ///
-/// The session owns a QueryEngine over its dataset: time-range selections
-/// become spec windows, so re-brushing the timeline re-aggregates through
-/// cached prefix slabs instead of rebuilding the dataset from scratch.
+/// The session owns a QueryEngine over its dataset: a time-range selection
+/// becomes the projection spec's window and the detail view's table
+/// window, so re-brushing the timeline re-aggregates through cached prefix
+/// slabs and windowed tables instead of rebuilding the dataset.
 class AnalysisSession {
  public:
   AnalysisSession(DataSet data, ProjectionSpec spec);
@@ -144,10 +150,6 @@ class AnalysisSession {
   std::optional<ProjectionView> projection_;
   std::optional<DetailView> detail_;
   std::optional<TimelineView> timeline_;
-  // The detail view shows raw windowed values, so it reads a sliced copy;
-  // memoized on the selected range and kept alive alongside the views.
-  std::optional<DataSet> current_data_;
-  double slice_t0_ = 0.0, slice_t1_ = 0.0;
   double sel_t0_ = 0.0, sel_t1_ = 0.0;
 };
 

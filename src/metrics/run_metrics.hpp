@@ -124,9 +124,9 @@ class SampledSeries {
 /// Prefix-summed view of a SampledSeries: P[f][e] accumulates the frames
 /// [0, f) of entity e, so the windowed sum over frames [f0, f1) is the O(1)
 /// delta P[f1][e] - P[f0][e] instead of an O(f1-f0) scan. The VA layer's
-/// query engine and DataSet::slice_time both reduce through one PrefixSeries
-/// per sampled metric, which makes incremental re-windowing and from-scratch
-/// slicing bit-exact with each other.
+/// windowed tables and the tests' from-scratch slicing oracle both reduce
+/// through one PrefixSeries per sampled metric, which makes them bit-exact
+/// with each other.
 class PrefixSeries {
  public:
   PrefixSeries() = default;

@@ -44,9 +44,8 @@ std::shared_ptr<const LoadedRun> RunCatalog::load(const std::string& path,
   if (name.empty()) name = derive_name(path);
   // Parse + dataset build happen outside the catalog lock: loading a big
   // run must not stall sessions querying already-loaded ones.
-  const metrics::RunMetrics run = metrics::RunMetrics::load(path);
   auto loaded = std::make_shared<const LoadedRun>(
-      name, path, core::DataSet(run), cache_);
+      name, path, core::DataSet(metrics::RunMetrics::load(path)), cache_);
   {
     std::lock_guard<std::mutex> lock(mu_);
     runs_[name] = loaded;
@@ -88,9 +87,9 @@ std::shared_ptr<const LoadedRun> RunCatalog::get(
   // concurrent getters of the same pending run onto one load.
   std::lock_guard<std::mutex> entry_lock(p->mu);
   if (p->done == nullptr) {
-    const metrics::RunMetrics run = metrics::RunMetrics::load(p->path);
-    p->done = std::make_shared<const LoadedRun>(name, p->path,
-                                                core::DataSet(run), cache_);
+    p->done = std::make_shared<const LoadedRun>(
+        name, p->path, core::DataSet(metrics::RunMetrics::load(p->path)),
+        cache_);
     DV_OBS_COUNT("serve.catalog.lazy_loads", 1);
   }
   {

@@ -453,11 +453,13 @@ TEST(Cli, NumericFlagsNameTheFlagAndRejectBadValues) {
     return cli_error(args);
   };
   EXPECT_NE(with({"--p", "abc"})
-                .find("sim: bad --p value: abc (expected a number)"),
+                .find("sim: bad --p value: abc (expected an integer in [0, "
+                      "4294967295])"),
             std::string::npos);
   // The whole token must parse: no trailing garbage.
   EXPECT_NE(with({"--p", "2x"})
-                .find("sim: bad --p value: 2x (expected a number)"),
+                .find("sim: bad --p value: 2x (expected an integer in [0, "
+                      "4294967295])"),
             std::string::npos);
   EXPECT_NE(with({"--p", "2", "--p", "3"}).find("--p given multiple times"),
             std::string::npos);
@@ -532,6 +534,56 @@ TEST(Cli, HelpBlocksListExactlyTheAcceptedKeys) {
   }
 }
 
+// The ranges parse_int names for 32- and 64-bit unsigned flags.
+const std::string kU32 = "an integer in [0, 4294967295]";
+const std::string kU64 = "an integer in [0, 18446744073709551615]";
+
+TEST(Cli, IntegerFlagsParseAsIntegers) {
+  const std::string out = tmp("dv_cli_int.dvr");
+  std::remove(out.c_str());
+  const std::vector<std::string> sim = {"sim", "--job", "uniform_random",
+                                        "--window", "1e4", "--out", out};
+  const std::vector<std::string> record = {"trace-record", "--workload",
+                                           "uniform_random", "--out", out};
+  const struct {
+    std::vector<std::string> base;
+    std::string key, value, expected;
+  } cases[] = {
+      {sim, "p", "1.9", kU32},
+      {sim, "p", "-1", kU32},
+      {sim, "p", "1e1", kU32},
+      {sim, "seed", "18446744073709551616", kU64},
+      {sim, "fault-retry-budget", "4294967296", kU32},
+      {record, "ranks", "8.9", kU32},
+      {record, "bytes", "1e6", kU64},
+      {{"sweep", "--store", tmp("dv_cli_int_store")}, "bytes-per-rank",
+       "-4096", kU64},
+      {{"render", "--run", out, "--spec", "preset:overview", "--out", out},
+       "focus", "0:1.5", kU64},
+      {sim, "job", "uniform_random:8.9", kU32},
+  };
+  for (const auto& c : cases) {
+    std::vector<std::string> args = c.base;
+    args.push_back("--" + c.key);
+    args.push_back(c.value);
+    // A compound flag's error names the bad field, not the whole token.
+    const std::string field = c.value.substr(c.value.rfind(':') + 1);
+    const std::string want = args[0] + ": bad --" + c.key + " value: " +
+                             field + " (expected " + c.expected + ")";
+    EXPECT_NE(cli_error(args).find(want), std::string::npos)
+        << "wanted: " << want;
+  }
+  EXPECT_FALSE(fs::exists(out)) << "a rejected command still did its work";
+  EXPECT_FALSE(fs::exists(tmp("dv_cli_int_store")));
+
+  // A seed above 2^53 survives exactly (a double would round it to even).
+  ASSERT_EQ(cli({"sim", "--p", "2", "--job", "uniform_random", "--window",
+                 "1e4", "--seed", "9007199254740993", "--out", out}),
+            0);
+  EXPECT_EQ(metrics::RunMetrics::load(out).seed, 9007199254740993ull);
+  std::remove(out.c_str());
+}
+
 TEST(Cli, CompoundFlagsParseWholeNumbers) {
   const std::string run = tmp("dv_cli_compound.dvr");
   const std::string svg = tmp("dv_cli_compound.svg");
@@ -540,10 +592,12 @@ TEST(Cli, CompoundFlagsParseWholeNumbers) {
   ASSERT_EQ(cli({"sim", "--p", "2", "--job", "uniform_random", "--window",
                  "2e4", "--sample-dt", "1000", "--out", run}),
             0);
+  // `expected` names the field's kind: "a number" or an integer range.
   auto expect_bad = [](std::vector<std::string> args, const std::string& key,
-                       const std::string& v) {
-    const std::string want =
-        args[0] + ": bad --" + key + " value: " + v + " (expected a number)";
+                       const std::string& v,
+                       const std::string& expected = "a number") {
+    const std::string want = args[0] + ": bad --" + key + " value: " + v +
+                             " (expected " + expected + ")";
     const std::string got = cli_error(args);
     EXPECT_NE(got.find(want), std::string::npos)
         << "wanted: " << want << "\ngot: " << got;
@@ -560,8 +614,8 @@ TEST(Cli, CompoundFlagsParseWholeNumbers) {
   for (const std::string v : {"abc", "4x"}) {
     SCOPED_TRACE(v);
     // --job workload:ranks[:policy[:bytes]]
-    expect_bad(sim_job("uniform_random:" + v), "job", v);
-    expect_bad(sim_job("uniform_random:8:contiguous:" + v), "job", v);
+    expect_bad(sim_job("uniform_random:" + v), "job", v, kU32);
+    expect_bad(sim_job("uniform_random:8:contiguous:" + v), "job", v, kU64);
     // --window t0:t1 on every command that takes it.
     expect_bad({"render", "--run", run, "--spec", "preset:overview",
                 "--window", v + ":2e4", "--out", svg},
@@ -586,11 +640,11 @@ TEST(Cli, CompoundFlagsParseWholeNumbers) {
     // --focus ring:item
     expect_bad({"render", "--run", run, "--spec", "preset:overview",
                 "--focus", "0:" + v, "--out", svg},
-               "focus", v);
+               "focus", v, kU64);
     expect_bad({"client", "--connect", "unix:/nonexistent/dv.sock",
                 "--render", "--spec", "preset:overview", "--focus",
                 v + ":0", "--out", svg},
-               "focus", v);
+               "focus", v, kU64);
     // --brush axis:lo:hi
     expect_bad({"session", "--run", run, "--spec", "preset:overview",
                 "--brush", "latency:" + v + ":10", "--out", svg},

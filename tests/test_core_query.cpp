@@ -1,6 +1,6 @@
-// QueryEngine: windowed tables vs slice_time, cache semantics (hit / miss /
-// LRU eviction / version invalidation), bit-exact cached results, the
-// group-slab fast path, and run_parallel behavior.
+// QueryEngine: windowed tables vs the slice_time oracle, cache semantics
+// (hit / miss / LRU eviction), bit-exact cached results, the group-slab
+// fast path, and run_parallel behavior.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 #include "core/query.hpp"
 #include "core/spec.hpp"
 #include "helpers.hpp"
+#include "slice_oracle.hpp"
 
 namespace dv {
 namespace {
@@ -41,7 +42,7 @@ TEST(QueryWindow, WindowedTableMatchesSliceTimeBitExact) {
   const DataSet data(mini().run);
   const double end = mini().run.end_time;
   const double t0 = end * 0.25, t1 = end * 0.7;
-  const DataSet sliced = data.slice_time(t0, t1);
+  const DataSet sliced = dv::testing::slice_time(data, t0, t1);
   for (const auto& [e, attr] : windowable_attrs()) {
     const core::DataTable wt = data.windowed_table(e, t0, t1);
     const auto& want = sliced.table(e).column(attr);
@@ -147,27 +148,6 @@ TEST(QueryCache, LruEvictsWhenOverCapacity) {
   EXPECT_GT(s.evictions, 0u);
 }
 
-TEST(QueryCache, MutatingDatasetInvalidatesByVersion) {
-  DataSet data(mini().run);
-  QueryEngine eng(data);
-  AggregationSpec spec;
-  spec.keys = {"group_id"};
-  const auto before = eng.reduce(Entity::kTerminal, spec, "data_size");
-  const auto v0 = data.version();
-
-  // Derive a new column; the version bump re-keys every future query.
-  std::vector<double> doubled = data.table(Entity::kTerminal).column("data_size");
-  for (double& v : doubled) v *= 2.0;
-  data.add_derived_column(Entity::kTerminal, "data_size_x2", std::move(doubled));
-  EXPECT_GT(data.version(), v0);
-
-  const auto after = eng.reduce(Entity::kTerminal, spec, "data_size_x2");
-  ASSERT_EQ(before->size(), after->size());
-  for (std::size_t g = 0; g < before->size(); ++g) {
-    EXPECT_DOUBLE_EQ((*after)[g], 2.0 * (*before)[g]);
-  }
-}
-
 TEST(QueryCache, ClearDropsEntriesButKeepsCounting) {
   const DataSet data(mini().run);
   QueryEngine eng(data);
@@ -196,7 +176,7 @@ TEST(QueryReduce, SlabPathMatchesSliceThenAggregate) {
   EXPECT_GE(eng.stats().slab_builds, 1u);
   EXPECT_GE(eng.stats().slab_reduces, 1u);
 
-  const DataSet sliced = data.slice_time(end * 0.2, end * 0.6);
+  const DataSet sliced = dv::testing::slice_time(data, end * 0.2, end * 0.6);
   AggregationSpec plain;
   plain.keys = {"group_id"};
   const core::Aggregation agg(sliced.table(Entity::kGlobalLink), plain);
@@ -220,7 +200,7 @@ TEST(QueryReduce, WindowedNonSlabPathIsBitExactWithSliceThenAggregate) {
   spec.window = TimeWindow{end * 0.1, end * 0.8};
   const auto got = eng.reduce(Entity::kLocalLink, spec, "traffic", Reducer::kMax);
 
-  const DataSet sliced = data.slice_time(end * 0.1, end * 0.8);
+  const DataSet sliced = dv::testing::slice_time(data, end * 0.1, end * 0.8);
   AggregationSpec plain;
   plain.keys = {"router_rank"};
   const core::Aggregation agg(sliced.table(Entity::kLocalLink), plain);
@@ -245,7 +225,7 @@ TEST(QueryReduce, WindowDependentGroupingFiltersWindowedValues) {
   spec.window = TimeWindow{end * 0.3, end * 0.5};
   const auto agg = eng.aggregate(Entity::kGlobalLink, spec);
 
-  const DataSet sliced = data.slice_time(end * 0.3, end * 0.5);
+  const DataSet sliced = dv::testing::slice_time(data, end * 0.3, end * 0.5);
   AggregationSpec plain;
   plain.filters = {f};
   const core::Aggregation want(sliced.table(Entity::kGlobalLink), plain);

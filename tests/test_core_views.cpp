@@ -1,10 +1,12 @@
 // Detail/timeline/linked-session tests (the Fig. 6 interactions).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "core/views.hpp"
 #include "helpers.hpp"
+#include "slice_oracle.hpp"
 
 namespace dv::core {
 namespace {
@@ -109,9 +111,10 @@ TEST(TimelineView, SliceRespectsSelection) {
   EXPECT_FALSE(tv.has_selection());
   tv.select_range(0.0, mini.run.end_time / 4);
   ASSERT_TRUE(tv.has_selection());
-  const DataSet sliced = tv.slice();
+  const DataTable windowed =
+      data.windowed_table(Entity::kTerminal, tv.t0(), tv.t1());
   const auto& full = data.table(Entity::kTerminal).column("data_size");
-  const auto& part = sliced.table(Entity::kTerminal).column("data_size");
+  const auto& part = windowed.column("data_size");
   double sum_full = 0, sum_part = 0;
   for (std::size_t i = 0; i < full.size(); ++i) {
     sum_full += full[i];
@@ -232,6 +235,45 @@ TEST(Session, SelectAggregateHighlightsAssociatedLinks) {
     highlighted_terms += it.highlighted;
   }
   EXPECT_EQ(highlighted_terms, 1u);
+}
+
+TEST(Session, DetailViewWindowsThroughTheEngine) {
+  const auto mini = dv::testing::make_mini_run();
+  const DataSet data(mini.run);
+  AnalysisSession session(data, simple_spec());
+  const double t0 = mini.run.end_time * 0.2, t1 = mini.run.end_time * 0.7;
+  session.select_time_range(t0, t1);
+
+  // Every detail-view column equals a dataset rebuilt from the sliced run,
+  // bit for bit, and so does the rendered panel.
+  const DataSet sliced = dv::testing::slice_time(data, t0, t1);
+  for (Entity e :
+       {Entity::kTerminal, Entity::kLocalLink, Entity::kGlobalLink}) {
+    SCOPED_TRACE(to_string(e));
+    const DataTable& got = session.detail().table(e);
+    const DataTable& want = sliced.table(e);
+    ASSERT_EQ(got.column_names(), want.column_names());
+    for (const auto& name : want.column_names()) {
+      const auto& g = got.column(name);
+      const auto& w = want.column(name);
+      ASSERT_EQ(g.size(), w.size()) << name;
+      EXPECT_EQ(std::memcmp(g.data(), w.data(), g.size() * sizeof(double)), 0)
+          << name;
+    }
+  }
+  EXPECT_EQ(session.detail().to_svg(), DetailView(sliced).to_svg());
+  EXPECT_THROW(session.detail().table(Entity::kRouter), Error);
+
+  // Re-selecting the same window is answered from the engine's cache.
+  const auto misses = session.query_stats().misses;
+  session.select_time_range(t0, t1);
+  EXPECT_EQ(session.query_stats().misses, misses);
+
+  // With no window the detail view reads the dataset's own tables, which
+  // the session's copy of the dataset shares.
+  session.clear_time_range();
+  EXPECT_EQ(&session.detail().table(Entity::kTerminal),
+            &data.table(Entity::kTerminal));
 }
 
 TEST(Session, FullUiSvg) {

@@ -11,6 +11,7 @@
 #include "core/query.hpp"
 #include "core/views.hpp"
 #include "helpers.hpp"
+#include "slice_oracle.hpp"
 #include "netsim/network.hpp"
 #include "workload/workload.hpp"
 
@@ -208,7 +209,7 @@ TEST(Pipeline, SessionSliceEqualsManualSlice) {
     session_total += it.size_value;
   }
   const core::DataSet manual =
-      core::DataSet(mini.run).slice_time(end * 0.2, end * 0.6);
+      dv::testing::slice_time(core::DataSet(mini.run), end * 0.2, end * 0.6);
   const auto& col = manual.table(core::Entity::kLocalLink).column("traffic");
   const double manual_total = std::accumulate(col.begin(), col.end(), 0.0);
   EXPECT_NEAR(session_total, manual_total, 1e-6 + manual_total * 1e-9);
