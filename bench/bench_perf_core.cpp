@@ -62,9 +62,11 @@ core::ProjectionSpec default_spec() {
 }
 
 /// One medium uniform-random netsim run. `faulted` adds a transient cable
-/// outage plus a transient router outage inside the injection window.
-/// Returns events processed.
-std::uint64_t run_netsim_once(bool faulted = false) {
+/// outage plus a transient router outage inside the injection window;
+/// `msg_bytes` sets the message granularity (the default 16 KiB gives one
+/// message per terminal, 342). Returns events processed.
+std::uint64_t run_netsim_once(bool faulted = false,
+                              std::uint32_t msg_bytes = 16 * 1024) {
   const auto topo = topo::Dragonfly::canonical(3);
   netsim::Network net(topo, routing::Algo::kAdaptive, {}, 3);
   workload::Config cfg;
@@ -72,6 +74,7 @@ std::uint64_t run_netsim_once(bool faulted = false) {
   cfg.total_bytes = 8u << 20;
   cfg.window = 5.0e4;
   cfg.seed = 3;
+  cfg.msg_bytes = msg_bytes;
   const auto placement = placement::place_jobs(
       topo, {{"ur", topo.num_terminals(), placement::Policy::kContiguous}}, 3);
   net.add_messages(workload::map_to_terminals(
@@ -106,6 +109,19 @@ void BM_SimulatorEventRateFaulted(benchmark::State& state) {
 // liveness checks, retries, detours). Compare against BM_SimulatorEventRate
 // to see the overhead; the no-fault path itself stays branch-gated.
 BENCHMARK(BM_SimulatorEventRateFaulted)->Unit(benchmark::kMillisecond);
+
+void BM_SimulatorEventRateManyMessages(benchmark::State& state) {
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    events += run_netsim_once(/*faulted=*/false, /*msg_bytes=*/256);
+  }
+  state.counters["events/s"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kIsRate);
+}
+// The same 8 MiB in 256-byte messages (95 per terminal, 32,490 in all):
+// the scheduler's cost under message-heavy traffic, where every message is
+// one packet. Not part of BENCH_perf.json.
+BENCHMARK(BM_SimulatorEventRateManyMessages)->Unit(benchmark::kMillisecond);
 
 void BM_DataSetBuild(benchmark::State& state) {
   const auto& run = cached_run();

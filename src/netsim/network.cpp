@@ -1,6 +1,7 @@
 #include "netsim/network.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "obs/obs.hpp"
 
@@ -617,6 +618,7 @@ void Network::take_sample(SimTime now) {
 void Network::on_event(pdes::Simulator&, const pdes::Event& ev) {
   switch (ev.kind) {
     case kEvMsgStart: {
+      if (ev.data1 + 1 < start_order_.size()) schedule_start(ev.data1 + 1);
       const Message& m = messages_[ev.data0];
       terminals_[m.src_terminal].pending.push_back(
           MsgProgress{m.dst_terminal, m.bytes, m.job, sim_.now()});
@@ -694,6 +696,12 @@ void Network::on_event(pdes::Simulator&, const pdes::Event& ev) {
 
 // ----------------------------------------------------------------- run
 
+void Network::schedule_start(std::size_t pos) {
+  const std::uint32_t i = start_order_[pos];
+  sim_.schedule(messages_[i].time, 0, kEvMsgStart, i, pos,
+                pri_key(kEvMsgStart, i));
+}
+
 metrics::RunMetrics Network::run() {
   DV_REQUIRE(!ran_, "a Network can only run once");
   ran_ = true;
@@ -706,10 +714,22 @@ metrics::RunMetrics Network::run() {
                     pri_key(kEvFaultWake, router));
     }
   }
-  for (std::size_t i = 0; i < messages_.size(); ++i) {
-    sim_.schedule(messages_[i].time, 0, kEvMsgStart, i, 0,
-                  pri_key(kEvMsgStart, i));
-  }
+  // Message starts stream: sorted once by (time, index), only the first
+  // is scheduled, and each start schedules the next. A start's pri is
+  // unique, so seq never orders one against another event and events pop
+  // exactly as if every start had been scheduled here, while the
+  // pending-event set holds one start instead of one per message.
+  DV_REQUIRE(messages_.size() <= std::numeric_limits<std::uint32_t>::max(),
+             "too many messages");
+  start_order_.resize(messages_.size());
+  std::iota(start_order_.begin(), start_order_.end(), 0u);
+  std::sort(start_order_.begin(), start_order_.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              const SimTime ta = messages_[a].time;
+              const SimTime tb = messages_[b].time;
+              return ta != tb ? ta < tb : a < b;
+            });
+  if (!start_order_.empty()) schedule_start(0);
 
   // Sampling is orchestrated from here (not via self-rescheduling events):
   // the engine runs to each tick and the sampler reads link state between

@@ -145,6 +145,8 @@ class Network final : public pdes::LogicalProcess,
   void on_event(pdes::Simulator& sim, const pdes::Event& ev) override;
 
   std::uint64_t events_processed() const { return sim_.events_processed(); }
+  /// Largest pending-event count seen (0 in DV_OBS_ENABLED=OFF builds).
+  std::size_t queue_high_water() const { return sim_.queue_high_water(); }
   std::uint64_t packets_injected() const { return packets_injected_; }
   std::uint64_t packets_delivered() const { return packets_delivered_; }
 
@@ -219,7 +221,7 @@ class Network final : public pdes::LogicalProcess,
 
   // ---- event kinds ---------------------------------------------------
   enum : std::uint32_t {
-    kEvMsgStart,      // data0 = message index
+    kEvMsgStart,      // data0 = message index, data1 = its start_order_ slot
     kEvInjectorFree,  // data0 = terminal
     kEvPktAtRouter,   // data0 = packet, data1 = router
     kEvPktAtTerminal, // data0 = packet, data1 = terminal
@@ -244,6 +246,8 @@ class Network final : public pdes::LogicalProcess,
   /// Packets live in one vector; freed ids are reused last-in first-out.
   /// No Packet& is held across an alloc_packet, so growth is safe.
   std::uint32_t alloc_packet();
+  /// Schedules the start of message start_order_[pos].
+  void schedule_start(std::size_t pos);
   void free_packet(std::uint32_t pid) { free_packets_.push_back(pid); }
   Packet& packet(std::uint32_t pid) { return packets_[pid]; }
   OutPort& port(std::uint32_t router, std::uint32_t p);
@@ -286,6 +290,8 @@ class Network final : public pdes::LogicalProcess,
   pdes::Simulator sim_;
 
   std::vector<Message> messages_;
+  // Message indices sorted by (time, index): the order starts fire in.
+  std::vector<std::uint32_t> start_order_;
   std::vector<TerminalState> terminals_;
   std::vector<OutPort> ports_;       // router-major, as in fabric_
   std::uint32_t ports_per_router_ = 0;

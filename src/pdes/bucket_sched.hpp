@@ -26,11 +26,19 @@
 // zero delays are legal everywhere: a push into the already-sorted active
 // bucket does an ordered insert (binary search + move), preserving the
 // drain order.
+//
+// Bucket storage is recycled last-in first-out: when a bucket drains, its
+// vector (capacity intact) goes onto a spare stack, and the next bucket to
+// receive its first push takes the most recently freed one. Pushes
+// therefore land in memory that was touched moments ago, not in a vector
+// last used one horizon earlier, and only the buckets holding events (plus
+// the spares) own storage.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "pdes/event_heap.hpp"
@@ -53,6 +61,7 @@ class BucketSched {
     DV_REQUIRE(buckets >= 2, "need at least two buckets");
     width_ = width;
     buckets_.clear();
+    spare_.clear();
     if (width_ > 0.0) {
       inv_width_ = 1.0 / width_;
       buckets_.resize(buckets);
@@ -98,8 +107,12 @@ class BucketSched {
     EventT* bm = bucket_min();
     if (bm != nullptr && (heap_.empty() || before(*bm, heap_.top()))) {
       out = *bm;
-      buckets_[cur_].pop_back();
+      std::vector<EventT>& vec = buckets_[cur_];
+      vec.pop_back();
       --nbucketed_;
+      // A moved-from vector is empty with no storage, which is how
+      // push_bucket recognises a bucket that needs a spare.
+      if (vec.empty()) spare_.push_back(std::move(vec));
       return;
     }
     heap_.pop_into(out);
@@ -132,12 +145,21 @@ class BucketSched {
     if (a.pri != b.pri) return a.pri < b.pri;
     return a.seq < b.seq;
   }
-  /// Descending comparator — buckets drain from the back.
-  static bool after(const EventT& a, const EventT& b) { return before(b, a); }
+  /// Descending comparator — buckets drain from the back. A function
+  /// object, so std::sort and std::upper_bound inline the comparison.
+  struct After {
+    bool operator()(const EventT& a, const EventT& b) const {
+      return before(b, a);
+    }
+  };
 
   void push_bucket(std::size_t b, const EventT& ev) {
     ++nbucketed_;
     std::vector<EventT>& vec = buckets_[b];
+    if (vec.capacity() == 0 && !spare_.empty()) {
+      vec = std::move(spare_.back());
+      spare_.pop_back();
+    }
     if (b < cur_) {
       // A pop from the fallback heap moved `now` behind the drain cursor
       // (an old far-future event re-entered the window); all buckets below
@@ -151,7 +173,7 @@ class BucketSched {
       // Sub-width delay into the bucket being drained: ordered insert
       // keeps it drainable from the back. Rare when the bucket width is
       // at most the model's minimum scheduling delay.
-      vec.insert(std::upper_bound(vec.begin(), vec.end(), ev, after), ev);
+      vec.insert(std::upper_bound(vec.begin(), vec.end(), ev, After{}), ev);
       return;
     }
     vec.push_back(ev);
@@ -169,7 +191,7 @@ class BucketSched {
     }
     std::vector<EventT>& vec = buckets_[cur_];
     if (!sorted_) {
-      std::sort(vec.begin(), vec.end(), after);
+      std::sort(vec.begin(), vec.end(), After{});
       sorted_ = true;
     }
     return &vec.back();
@@ -177,6 +199,7 @@ class BucketSched {
 
   EventHeap<EventT> heap_;                   // far-future fallback
   std::vector<std::vector<EventT>> buckets_; // fixed-width time buckets
+  std::vector<std::vector<EventT>> spare_;   // drained storage, LIFO
   double width_ = 0.0;                       // 0 = bucket layer disabled
   double inv_width_ = 0.0;
   double base_ = 0.0;        // time at the start of bucket 0

@@ -156,6 +156,82 @@ TEST(PdesSched, ConfigureRequiresEmptyScheduler) {
   EXPECT_THROW(sched.configure(1.0), Error);
 }
 
+/// Drives a scheduler and the reference queue in bursts: each phase pushes
+/// a batch of events, pops them all (each pop may schedule a follow-up, as
+/// a handler would) until both are empty, then jumps the clock. Fully
+/// drained buckets hand their storage to the spare stack and later
+/// buckets take it back; a jump past the horizon re-anchors the window
+/// through the fallback heap.
+class BurstDriver {
+ public:
+  BurstDriver(BucketSched<Event>& sched, std::uint64_t seed)
+      : sched_(sched), ref_(ref_after), rng_(seed, 0) {}
+
+  void phases(int count, int max_burst, double span, double max_gap) {
+    for (int p = 0; p < count; ++p) {
+      const auto n = 1 + rng_.next_below(static_cast<std::uint64_t>(max_burst));
+      for (std::uint64_t i = 0; i < n; ++i) push(rng_.next_double() * span);
+      while (!ref_.empty()) {
+        pop_and_compare();
+        if (::testing::Test::HasFatalFailure()) return;
+        if (rng_.next_double() < 0.3) push(rng_.next_double() * span * 0.1);
+      }
+      ASSERT_TRUE(sched_.empty());
+      now_ += rng_.next_double() * max_gap;
+    }
+  }
+
+ private:
+  void push(double delay) {
+    const Event ev{.time = now_ + delay, .pri = rng_.next_below(50),
+                   .seq = seq_++};
+    sched_.push(ev);
+    ref_.push(ev);
+  }
+
+  void pop_and_compare() {
+    const Event want = ref_.top();
+    ref_.pop();
+    ASSERT_FALSE(sched_.empty());
+    Event got;
+    sched_.pop_into(got);
+    ASSERT_EQ(got.time, want.time);
+    ASSERT_EQ(got.pri, want.pri);
+    ASSERT_EQ(got.seq, want.seq);
+    now_ = got.time;
+  }
+
+  BucketSched<Event>& sched_;
+  RefQueue ref_;
+  Rng rng_;
+  double now_ = 0.0;
+  std::uint64_t seq_ = 0;
+};
+
+TEST(PdesSched, MatchesReferenceAcrossDrainsAndRefills) {
+  BucketSched<Event> sched;
+  sched.configure(1.0, 16);
+  BurstDriver drive(sched, 12);
+  // Gaps up to 4x the 16-unit horizon: many phases start beyond it and
+  // re-anchor, others refill buckets in the same window.
+  drive.phases(/*count=*/300, /*max_burst=*/200, /*span=*/24.0,
+               /*max_gap=*/64.0);
+}
+
+TEST(PdesSched, ConfigureAfterDrainStartsClean) {
+  BucketSched<Event> sched;
+  sched.configure(1.0, 8);
+  BurstDriver(sched, 13).phases(50, 100, 12.0, 30.0);
+  ASSERT_TRUE(sched.empty());
+  // Storage freed under the old layout must not leak into the new one.
+  sched.configure(0.25, 64);
+  BurstDriver(sched, 14).phases(50, 100, 20.0, 40.0);
+  sched.configure(0.0);
+  BurstDriver(sched, 15).phases(20, 100, 20.0, 40.0);
+  EXPECT_GT(sched.pushes_bucketed(), 0u);
+  EXPECT_GT(sched.pushes_heap(), 0u);
+}
+
 /// The same model run with and without bucketing must produce the same
 /// event trace — set_bucket_granularity is a pure scheduling-cost knob.
 class TraceLp : public LogicalProcess {
