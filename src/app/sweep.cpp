@@ -1,15 +1,11 @@
 #include "app/sweep.hpp"
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <exception>
 #include <fstream>
+#include <future>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <sstream>
-#include <thread>
 
 #include "core/comparison.hpp"
 #include "core/datatable.hpp"
@@ -36,94 +32,15 @@ core::ProjectionSpec resolve_spec(const std::string& ref) {
   return core::ProjectionSpec::parse(buf.str());
 }
 
-/// Stores finished grid points on one background thread, in grid order,
-/// while the calling thread simulates the next point. At most one finished
-/// run waits: hand_off() blocks until the previous point is stored. The
-/// writer is the only thread that touches the store until it is joined.
-class PointWriter {
- public:
-  PointWriter(metrics::RunStore& store, metrics::StoreFormat format)
-      : store_(store), format_(format), thread_([this] { loop(); }) {}
-
-  /// Stores whatever was handed off, then joins. Runs on unwinding too, so
-  /// a failed simulation leaves every earlier point stored and indexed.
-  ~PointWriter() { close(); }
-
-  PointWriter(const PointWriter&) = delete;
-  PointWriter& operator=(const PointWriter&) = delete;
-
-  /// Queues `run` to be stored as `point` (whose uid the writer fills
-  /// in). Rethrows the error of a failed earlier store.
-  void hand_off(metrics::RunMetrics run, SweepPoint& point) {
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_.wait(lock, [this] { return !job_; });
-    if (error_) std::rethrow_exception(error_);
-    job_.emplace(Job{std::move(run), &point});
-    lock.unlock();
-    ready_.notify_one();
-  }
-
-  /// Stores the last point and joins; rethrows a store error.
-  void finish() {
-    close();
-    if (error_) std::rethrow_exception(error_);
-  }
-
- private:
-  struct Job {
-    metrics::RunMetrics run;
-    SweepPoint* point;
-  };
-
-  void loop() {
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        ready_.wait(lock, [this] { return job_ || closing_; });
-        if (!job_) return;
-      }
-      std::exception_ptr error;
-      try {
-        store(job_->run, *job_->point);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      job_.reset();
-      error_ = error;
-      idle_.notify_one();
-      if (error) return;
-    }
-  }
-
-  void store(const metrics::RunMetrics& run, SweepPoint& p) {
-    // Replace (not suffix) so re-sweeping the same grid is idempotent.
-    if (store_.contains(p.name)) store_.remove(p.name);
-    const std::string stored = store_.add(run, p.name, format_);
-    DV_CHECK(stored == p.name, "sweep point name collided in the store");
-    p.uid = store_.info(p.name).uid;
-  }
-
-  void close() {
-    if (!thread_.joinable()) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closing_ = true;
-    }
-    ready_.notify_one();
-    thread_.join();
-  }
-
-  metrics::RunStore& store_;
-  const metrics::StoreFormat format_;
-  std::mutex mu_;
-  std::condition_variable ready_;  ///< a job was handed off, or closing
-  std::condition_variable idle_;   ///< the job slot emptied
-  std::optional<Job> job_;         ///< handed off, not yet stored
-  std::exception_ptr error_;
-  bool closing_ = false;
-  std::thread thread_;  ///< last: starts once the state above exists
-};
+/// Stores `run` as grid point `p` and fills in its uid. Replaces (not
+/// suffixes) an entry of the same name, so re-sweeping a grid is idempotent.
+void store_point(metrics::RunStore& store, metrics::StoreFormat format,
+                 const metrics::RunMetrics& run, SweepPoint& p) {
+  if (store.contains(p.name)) store.remove(p.name);
+  const std::string stored = store.add(run, p.name, format);
+  DV_CHECK(stored == p.name, "sweep point name collided in the store");
+  p.uid = store.info(p.name).uid;
+}
 
 }  // namespace
 
@@ -159,10 +76,15 @@ SweepResult run_sweep(const SweepConfig& cfg) {
   }
   const auto sweep_t0 = std::chrono::steady_clock::now();
 
-  // Point i is stored while point i+1 simulates. out.points is complete
-  // before the writer starts, so the SweepPoint it fills in never moves.
+  // Point i is stored on its own thread while point i+1 simulates, in grid
+  // order: the store of point i-1 is awaited (and its error rethrown)
+  // before point i is handed off, so at most one finished run waits and
+  // only one thread touches the store at a time. out.points is complete
+  // before the first hand-off, so the SweepPoint a store fills in never
+  // moves. When a point throws, `stored`'s destructor waits for the store
+  // in flight, so every earlier point is stored and indexed.
   {
-    PointWriter writer(store, cfg.format);
+    std::future<void> stored;
     for (SweepPoint& p : out.points) {
       ExperimentConfig point = cfg.base;
       point.jobs.clear();
@@ -177,9 +99,17 @@ SweepResult run_sweep(const SweepConfig& cfg) {
       p.end_time = res.run.end_time;
       p.wall_seconds = res.wall_seconds;
       p.flow = res.flow;
-      writer.hand_off(std::move(res.run), p);
+      if (stored.valid()) stored.get();
+      stored = std::async(
+          std::launch::async,
+          [&store, &cfg, &p, run = std::move(res.run)]() mutable {
+            // Freed here, not when the future goes: the next point's
+            // simulation should not share the heap with this run.
+            const metrics::RunMetrics done = std::move(run);
+            store_point(store, cfg.format, done, p);
+          });
     }
-    writer.finish();
+    if (stored.valid()) stored.get();
   }
 
   if (!cfg.report_path.empty()) {

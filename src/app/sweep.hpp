@@ -61,8 +61,8 @@ std::string sweep_point_name(const std::string& workload,
 
 /// Runs the whole grid. Existing store entries with a grid point's name are
 /// replaced, not suffixed, so a re-run converges to the same store state.
-/// Points simulate on the calling thread; one writer thread stores each
-/// finished point, in grid order, while the next one simulates. The store
+/// Points simulate on the calling thread; each finished point is stored on
+/// a thread of its own, in grid order, while the next one simulates. The store
 /// ends byte-identical to a serial sweep's. When a point throws, every
 /// earlier point is stored and indexed before the error is rethrown.
 SweepResult run_sweep(const SweepConfig& cfg);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <latch>
 
 #include "obs/obs.hpp"
 #include "util/threadpool.hpp"
@@ -399,8 +400,9 @@ ThreadPool& va_pool() {
   return pool;
 }
 
-// The pool's wait_idle barrier is not reentrant: a pool task blocking on it
-// would deadlock. Nested run_parallel calls run their tasks inline instead.
+// A pool task that waited on a nested batch would hold a worker while its
+// own tasks queue behind it; with every worker so held the pool deadlocks.
+// Nested run_parallel calls run their tasks inline instead.
 thread_local bool t_in_va_pool = false;
 
 }  // namespace
@@ -411,19 +413,24 @@ void run_parallel(std::vector<std::function<void()>> tasks) {
     for (auto& t : tasks) t();
     return;
   }
+  // The latch counts this batch only: other callers' tasks on the shared
+  // pool never hold this call up.
   std::vector<std::exception_ptr> errors(tasks.size());
-  parallel_for(
-      va_pool(), tasks.size(),
-      [&](std::size_t i) {
-        t_in_va_pool = true;
-        try {
-          tasks[i]();
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-        t_in_va_pool = false;
-      },
-      1);
+  std::latch done(static_cast<std::ptrdiff_t>(tasks.size()));
+  ThreadPool& pool = va_pool();
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    pool.submit([&tasks, &errors, &done, i] {
+      t_in_va_pool = true;
+      try {
+        tasks[i]();
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+      t_in_va_pool = false;
+      done.count_down();
+    });
+  }
+  done.wait();
   for (auto& err : errors) {
     if (err) std::rethrow_exception(err);
   }

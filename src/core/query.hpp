@@ -200,9 +200,9 @@ class QueryEngine {
 /// Runs independent view-pipeline tasks (projection rings, report panels)
 /// on a small shared worker pool. Exceptions thrown by tasks are captured
 /// and the first one is rethrown on the caller after all tasks finish.
-/// Nested calls from inside a pool task degrade to sequential execution
-/// (the pool's barrier is not reentrant). Thread count:
-/// min(4, hardware_concurrency).
+/// Each call waits only for its own tasks, so concurrent callers (daemon
+/// renders) do not wait on each other. Nested calls from inside a pool
+/// task run sequentially. Thread count: min(4, hardware_concurrency).
 void run_parallel(std::vector<std::function<void()>> tasks);
 
 }  // namespace core

@@ -169,11 +169,12 @@ Network::Network(Fabric fabric, std::unique_ptr<routing::Policy> policy,
   sim_.add_lp(this);
   if (params_.event_budget) sim_.set_event_budget(params_.event_budget);
   // The lookahead is the model's minimum physical delay, the natural
-  // bucket width; the rare shorter delay (serialization of a short
-  // tail packet) takes the bucket layer's ordered-insert slow path. 512
-  // buckets (a ~10 us horizon at default latencies) measured fastest on
-  // bench_perf_core: a wider horizon spreads the same events over more,
-  // colder buckets, a narrower one spills too many pushes to the heap.
+  // bucket width; shorter delays (port-free serialization) take the
+  // bucket layer's ordered-insert path, 7.7% of bucketed pushes on the
+  // Fig. 4 DF(6) run. 512 buckets (a ~10 us horizon at default
+  // latencies) measured fastest on bench_perf_core: a wider horizon
+  // spreads the same events over more, colder buckets, a narrower one
+  // spills too many pushes to the heap.
   sim_.set_bucket_granularity(lookahead(), 512);
   if constexpr (obs::kEnabled) {
     sim_.set_kind_label(kEvMsgStart, "msg_start");

@@ -15,10 +15,12 @@
 // Choosing the bucket width: any positive width is *correct* (pops always
 // come out in strict (time, pri, seq) order; the fallback heap and the
 // buckets are merged through the same comparator). The width is *fast*
-// when it is at most the model's minimum scheduling delay — then a push
-// can (almost) never land in the bucket currently being drained, so the
-// ordered-insert slow path stays cold. The netsim model uses its
-// lookahead (min link/credit latency).
+// when it is at most the model's minimum scheduling delay — then only
+// pushes with a shorter delay land in the bucket currently being drained
+// and take the ordered-insert path. The netsim model uses its lookahead
+// (min link/credit latency); its shorter serialization delays still send
+// 7.7% of bucketed pushes through the ordered insert on the Fig. 4 DF(6)
+// run, into sorted buckets of ~650 events on average.
 //
 // Horizon advance: when every bucket has drained and the next event comes
 // out of the fallback heap, the window re-anchors at that event's time, so
@@ -171,8 +173,8 @@ class BucketSched {
     }
     if (b == cur_ && sorted_) {
       // Sub-width delay into the bucket being drained: ordered insert
-      // keeps it drainable from the back. Rare when the bucket width is
-      // at most the model's minimum scheduling delay.
+      // keeps it drainable from the back. Not rare: 7.7% of the bucketed
+      // pushes of the Fig. 4 DF(6) packet run land here.
       vec.insert(std::upper_bound(vec.begin(), vec.end(), ev, After{}), ev);
       return;
     }

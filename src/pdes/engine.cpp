@@ -53,7 +53,8 @@ void Simulator::publish_obs(double loop_seconds) {
 #ifdef DV_OBS_ENABLED
   const std::uint64_t delta = events_processed_ - events_published_;
   events_published_ = events_processed_;
-  obs::counter("sim.events_processed").add(delta);
+  obs::Counter& processed = obs::counter("sim.events_processed");
+  processed.add(delta);
   if (kind_published_.size() < kind_counts_.size()) {
     kind_published_.resize(kind_counts_.size(), 0);
   }
@@ -76,10 +77,13 @@ void Simulator::publish_obs(double loop_seconds) {
       .add(queue_.pushes_heap() - sched_heap_published_);
   sched_bucketed_published_ = queue_.pushes_bucketed();
   sched_heap_published_ = queue_.pushes_heap();
-  obs::gauge("sim.run_seconds").add(loop_seconds);
-  if (loop_seconds > 0.0 && delta > 0) {
+  // The rate is cumulative (every segment since the last obs reset), so a
+  // sampled run reports its whole run's rate, not its final tick's.
+  obs::Gauge& run_seconds = obs::gauge("sim.run_seconds");
+  run_seconds.add(loop_seconds);
+  if (run_seconds.value() > 0.0) {
     obs::gauge("sim.events_per_sec")
-        .set(static_cast<double>(delta) / loop_seconds);
+        .set(static_cast<double>(processed.value()) / run_seconds.value());
   }
 #else
   (void)loop_seconds;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <future>
 #include <limits>
 
 #include "core/comparison.hpp"
@@ -107,20 +108,11 @@ Server::Server(ServeOptions opts)
       started_(std::chrono::steady_clock::now()) {
   DV_REQUIRE(::pipe(stop_pipe_) == 0, "cannot create stop pipe");
   tune_allocator_for_serving();
-  workers_.reserve(opts_.workers);
-  for (std::size_t i = 0; i < opts_.workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
+  if (opts_.workers > 0) pool_ = std::make_unique<ThreadPool>(opts_.workers);
 }
 
 Server::~Server() {
   stop();
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    pool_stop_ = true;
-  }
-  pool_cv_.notify_all();
-  for (auto& w : workers_) w.join();
   close_fd(stop_pipe_[0]);
   close_fd(stop_pipe_[1]);
 }
@@ -132,45 +124,30 @@ void Server::stop() {
   [[maybe_unused]] const auto n = ::write(stop_pipe_[1], &byte, 1);
 }
 
-void Server::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(pool_mu_);
-      pool_cv_.wait(lock, [&] { return pool_stop_ || !pool_queue_.empty(); });
-      if (pool_stop_ && pool_queue_.empty()) return;
-      job = std::move(pool_queue_.front());
-      pool_queue_.pop_front();
-      DV_OBS_GAUGE_SET("serve.queue_depth",
-                       static_cast<double>(pool_queue_.size()));
-    }
-    job();
-  }
-}
-
 json::Value Server::run_on_pool(const std::function<json::Value()>& job) {
-  if (workers_.empty()) return job();  // workers=0: execute inline
+  if (!pool_) return job();  // workers=0: execute inline
   // The worker hands back the result, or the error's code and message, as
-  // plain values published under the slot's mutex; run_on_pool rethrows
-  // on the calling thread, so no exception object crosses threads.
-  struct Slot {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
+  // plain values through a promise; run_on_pool rethrows on the calling
+  // thread, so no exception object crosses threads.
+  struct Outcome {
     json::Value result;
     bool failed = false;
     ErrorCode code = ErrorCode::kInternal;
     std::string message;
   };
-  auto slot = std::make_shared<Slot>();
-  auto task = [slot, job] {
+  auto promise = std::make_shared<std::promise<Outcome>>();
+  std::future<Outcome> outcome = promise->get_future();
+  ThreadPool& pool = *pool_;
+  auto task = [&pool, promise, job] {
+    DV_OBS_GAUGE_SET("serve.queue_depth", static_cast<double>(pool.queued()));
+    Outcome out;
     const auto fail = [&](ErrorCode code, const char* message) {
-      slot->failed = true;
-      slot->code = code;
-      slot->message = message;
+      out.failed = true;
+      out.code = code;
+      out.message = message;
     };
     try {
-      slot->result = job();
+      out.result = job();
     } catch (const VerbError& e) {
       fail(e.code, e.what());
     } catch (const Error& e) {
@@ -180,27 +157,17 @@ json::Value Server::run_on_pool(const std::function<json::Value()>& job) {
     } catch (...) {
       fail(ErrorCode::kInternal, "unknown failure on a worker thread");
     }
-    std::lock_guard<std::mutex> lock(slot->mu);
-    slot->done = true;
-    slot->cv.notify_one();
+    promise->set_value(std::move(out));
   };
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    if (pool_queue_.size() >= opts_.max_queue) {
-      throw VerbError(ErrorCode::kOverloaded,
-                      "request queue full (" +
-                          std::to_string(opts_.max_queue) +
-                          " pending); retry later");
-    }
-    pool_queue_.emplace_back(std::move(task));
-    DV_OBS_GAUGE_SET("serve.queue_depth",
-                     static_cast<double>(pool_queue_.size()));
+  if (!pool.try_submit(std::move(task), opts_.max_queue)) {
+    throw VerbError(ErrorCode::kOverloaded,
+                    "request queue full (" + std::to_string(opts_.max_queue) +
+                        " pending); retry later");
   }
-  pool_cv_.notify_one();
-  std::unique_lock<std::mutex> lock(slot->mu);
-  slot->cv.wait(lock, [&] { return slot->done; });
-  if (slot->failed) throw VerbError(slot->code, slot->message);
-  return std::move(slot->result);
+  DV_OBS_GAUGE_SET("serve.queue_depth", static_cast<double>(pool.queued()));
+  Outcome out = outcome.get();
+  if (out.failed) throw VerbError(out.code, out.message);
+  return std::move(out.result);
 }
 
 void Server::record_latency(const std::string& verb, double seconds) {
@@ -502,10 +469,7 @@ json::Value Server::stats_json(const Session* session) const {
     }
     server["active_brushes"] = json::Value(brushes);
   }
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    server["queue_depth"] = json::Value(pool_queue_.size());
-  }
+  server["queue_depth"] = json::Value(pool_ ? pool_->queued() : 0);
   server["workers"] = json::Value(opts_.workers);
   server["max_queue"] = json::Value(opts_.max_queue);
   server["runs"] = json::Value(catalog_.size());

@@ -20,9 +20,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -35,6 +33,7 @@
 #include "serve/catalog.hpp"
 #include "serve/protocol.hpp"
 #include "serve/session.hpp"
+#include "util/threadpool.hpp"
 
 namespace dv::serve {
 
@@ -139,14 +138,6 @@ class Server {
   std::atomic<bool> stopping_{false};
   int stop_pipe_[2] = {-1, -1};  // [read, write]
 
-  // Worker pool (bounded queue; admission control).
-  std::vector<std::thread> workers_;
-  mutable std::mutex pool_mu_;
-  std::condition_variable pool_cv_;
-  std::deque<std::function<void()>> pool_queue_;
-  bool pool_stop_ = false;
-  void worker_loop();
-
   // Session registry (teardown accounting + stats).
   mutable std::mutex sessions_mu_;
   std::map<std::uint64_t, const Session*> sessions_;
@@ -168,6 +159,11 @@ class Server {
   std::atomic<std::uint64_t> total_requests_{0};
   std::atomic<std::uint64_t> total_errors_{0};
   std::chrono::steady_clock::time_point started_;
+
+  /// Heavy verbs run here, admission-bounded by max_queue; null when
+  /// workers == 0 (heavy verbs then run inline). Declared last, so it is
+  /// destroyed, its workers joined, before the state they use.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace dv::serve

@@ -129,40 +129,4 @@ TraceSummary summarize(const Trace& t) {
   return s;
 }
 
-json::Value to_json(const Trace& t) {
-  json::Object o;
-  o["app"] = json::Value(t.app);
-  o["ranks"] = json::Value(t.ranks);
-  json::Array msgs;
-  msgs.reserve(t.messages.size());
-  for (const auto& m : t.messages) {
-    json::Array row;
-    row.emplace_back(m.src_rank);
-    row.emplace_back(m.dst_rank);
-    row.emplace_back(static_cast<double>(m.bytes));
-    row.emplace_back(m.time);
-    msgs.emplace_back(std::move(row));
-  }
-  o["messages"] = json::Value(std::move(msgs));
-  return json::Value(std::move(o));
-}
-
-Trace from_json(const json::Value& v) {
-  Trace t;
-  t.app = v.at("app").as_string();
-  t.ranks = static_cast<std::uint32_t>(v.at("ranks").as_int());
-  for (const auto& rowv : v.at("messages").as_array()) {
-    const auto& row = rowv.as_array();
-    DV_REQUIRE(row.size() == 4, "bad trace message row");
-    workload::RankMsg m;
-    m.src_rank = static_cast<std::uint32_t>(row[0].as_int());
-    m.dst_rank = static_cast<std::uint32_t>(row[1].as_int());
-    m.bytes = static_cast<std::uint64_t>(row[2].as_number());
-    m.time = row[3].as_number();
-    t.messages.push_back(m);
-  }
-  validate(t);
-  return t;
-}
-
 }  // namespace dv::trace

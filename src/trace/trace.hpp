@@ -2,10 +2,10 @@
 // MPI trace path in the paper's toolchain (Fig. 1 "Application Traces").
 //
 // A trace is a rank-level message list plus metadata. The binary format is
-// little-endian, versioned, and validated on load; a JSON form exists for
-// inspection and interchange. Replaying a trace through a placement yields
-// exactly the messages the original workload generator produced, so the
-// trace-driven and generator-driven paths are interchangeable.
+// little-endian, versioned, and validated on load. Replaying a trace
+// through a placement yields exactly the messages the original workload
+// generator produced, so the trace-driven and generator-driven paths are
+// interchangeable.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +33,6 @@ Trace record(const std::string& app, std::uint32_t ranks,
 /// Binary serialization (magic "DVTR", version 1).
 void save_binary(const Trace& t, const std::string& path);
 Trace load_binary(const std::string& path);
-
-/// JSON serialization.
-json::Value to_json(const Trace& t);
-Trace from_json(const json::Value& v);
 
 /// Validates invariants (ranks in range, bytes > 0, times >= 0); throws.
 void validate(const Trace& t);

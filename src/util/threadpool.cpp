@@ -1,16 +1,16 @@
 #include "util/threadpool.hpp"
 
-#include <algorithm>
+#include <limits>
 
 #include "util/common.hpp"
 
 namespace dv {
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  DV_REQUIRE(threads > 0, "a thread pool needs at least one thread");
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this] { work(); });
   }
 }
 
@@ -24,21 +24,27 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
+  try_submit(std::move(task), std::numeric_limits<std::size_t>::max());
+}
+
+bool ThreadPool::try_submit(std::function<void()> task,
+                            std::size_t max_queued) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     DV_REQUIRE(!stop_, "submit on stopped pool");
+    if (queue_.size() >= max_queued) return false;
     queue_.push(std::move(task));
-    ++in_flight_;
   }
   cv_task_.notify_one();
+  return true;
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
+std::size_t ThreadPool::queued() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return queue_.size();
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::work() {
   for (;;) {
     std::function<void()> task;
     {
@@ -49,26 +55,7 @@ void ThreadPool::worker_loop() {
       queue_.pop();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
-    }
   }
-}
-
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain) {
-  if (n == 0) return;
-  if (grain == 0) grain = std::max<std::size_t>(1, n / (pool.size() * 4));
-  for (std::size_t begin = 0; begin < n; begin += grain) {
-    const std::size_t end = std::min(n, begin + grain);
-    pool.submit([begin, end, &fn] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    });
-  }
-  pool.wait_idle();
 }
 
 }  // namespace dv

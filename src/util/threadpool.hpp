@@ -1,6 +1,7 @@
-// Minimal fixed-size thread pool plus a blocking parallel_for, used by the
-// aggregation layer and by benchmark harnesses that run independent
-// simulations concurrently.
+// Minimal fixed-size thread pool: the query layer's run_parallel batches
+// and the serve daemon's heavy verbs run on one. Callers wait on their own
+// completion signal (a latch, a future); the pool has no global barrier,
+// so one caller never waits for another caller's tasks.
 #pragma once
 
 #include <condition_variable>
@@ -15,8 +16,9 @@ namespace dv {
 
 class ThreadPool {
  public:
-  /// threads == 0 picks hardware_concurrency (at least 1).
-  explicit ThreadPool(std::size_t threads = 0);
+  /// Starts exactly `threads` worker threads (at least 1).
+  explicit ThreadPool(std::size_t threads);
+  /// Runs every queued task, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -27,25 +29,22 @@ class ThreadPool {
   /// Enqueues a task; tasks must not throw (std::terminate otherwise).
   void submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished.
-  void wait_idle();
+  /// Admission-bounded submit: enqueues the task and returns true unless
+  /// `max_queued` tasks already wait for a worker, in which case the task
+  /// is dropped and false is returned.
+  bool try_submit(std::function<void()> task, std::size_t max_queued);
+
+  /// Tasks waiting for a worker (not counting those running).
+  std::size_t queued() const;
 
  private:
-  void worker_loop();
+  void work();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
 };
-
-/// Runs fn(i) for i in [0, n) across the pool in contiguous chunks and
-/// blocks until done. fn must be safe to call concurrently for distinct i.
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain = 0);
 
 }  // namespace dv

@@ -3,7 +3,10 @@
 // fast path, and run_parallel behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
 #include <thread>
 
@@ -377,6 +380,41 @@ TEST(QueryParallel, NestedRunParallelFallsBackToInline) {
   }
   core::run_parallel(std::move(outer));
   EXPECT_EQ(inner.load(), 16);
+}
+
+TEST(QueryParallel, ConcurrentCallersWaitOnlyForTheirOwnTasks) {
+  // Caller A's batch holds a pool thread on a gate; caller B's trivial
+  // batch must finish on the other threads without waiting for A's.
+  if (std::min(4u, std::thread::hardware_concurrency()) < 2) {
+    GTEST_SKIP() << "run_parallel runs inline below 2 threads";
+  }
+  std::promise<void> a_started;
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+  std::thread caller_a([&] {
+    std::vector<std::function<void()>> tasks;
+    tasks.push_back([&] {
+      a_started.set_value();
+      open.wait();
+    });
+    tasks.push_back([] {});
+    core::run_parallel(std::move(tasks));
+  });
+  a_started.get_future().wait();
+
+  std::atomic<int> b_ran{0};
+  auto caller_b = std::async(std::launch::async, [&] {
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < 4; ++i) tasks.push_back([&b_ran] { b_ran++; });
+    core::run_parallel(std::move(tasks));
+  });
+  const bool b_done =
+      caller_b.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  gate.set_value();  // release A whatever happened, so nothing hangs
+  caller_b.get();
+  caller_a.join();
+  if (!b_done) FAIL() << "caller B waited for caller A's blocked task";
+  EXPECT_EQ(b_ran.load(), 4);
 }
 
 }  // namespace

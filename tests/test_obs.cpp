@@ -100,13 +100,14 @@ TEST_F(ObsTest, CountersAreThreadSafeUnderThreadPool) {
   constexpr std::size_t kTasks = 64;
   constexpr std::uint64_t kPerTask = 10'000;
   obs::Counter& c = obs::counter("test.mt");
-  ThreadPool pool(8);
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    pool.submit([&c] {
-      for (std::uint64_t n = 0; n < kPerTask; ++n) c.add();
-    });
+  {
+    ThreadPool pool(8);  // joined, every task run, at scope end
+    for (std::size_t i = 0; i < kTasks; ++i) {
+      pool.submit([&c] {
+        for (std::uint64_t n = 0; n < kPerTask; ++n) c.add();
+      });
+    }
   }
-  pool.wait_idle();
   EXPECT_EQ(c.value(), kTasks * kPerTask);
 }
 
@@ -169,6 +170,19 @@ TEST_F(ObsTest, ExperimentProfileHasCountersAndPhases) {
   bool saw_sim = false;
   for (const auto& ph : p.phases) saw_sim |= ph.path == "sim";
   EXPECT_TRUE(saw_sim);
+}
+
+TEST_F(ObsTest, EventRateIsCumulativeOverASampledRun) {
+  // A sampled run steps the engine once per sample tick; the rate covers
+  // every tick, not just the last one.
+  const auto result = app::run_experiment(small_config());
+  const obs::RunProfile& p = result.profile;
+  ASSERT_GT(result.run.global_traffic_ts.frames(), 2u);
+  const double seconds = p.gauge_value("sim.run_seconds");
+  ASSERT_GT(seconds, 0.0);
+  EXPECT_DOUBLE_EQ(
+      p.gauge_value("sim.events_per_sec"),
+      static_cast<double>(p.counter_value("sim.events_processed")) / seconds);
 }
 
 TEST_F(ObsTest, FlowSimPhasesCoverTheSimulation) {

@@ -1,8 +1,8 @@
 // Sweep orchestrator tests: a small grid lands one packed run per point in
 // the store, uids are distinct per point and reproducible across re-runs,
 // re-sweeping is idempotent, the comparison report references every
-// stored run, and the background writer stores exactly what a serial
-// simulate-then-add loop would, failure included.
+// stored run, and storing each point while the next one simulates leaves
+// exactly what a serial simulate-then-add loop would, failures included.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -121,6 +121,39 @@ TEST(Sweep, FailedPointRethrowsAndKeepsEarlierPointsStored) {
   EXPECT_EQ(store.load(first).workload, "uniform_random");
   EXPECT_EQ(file_names(dir),
             (std::set<std::string>{first + ".dvr", "index.json"}));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Sweep, StoreFailureRethrowsAndKeepsEarlierPointsStored) {
+  // The second of three points simulates fine but cannot be stored: a
+  // directory sits where its temporary file would go. The sweep must
+  // rethrow the store's error and leave the first point stored and
+  // indexed; the third point is never stored.
+  const auto dir = temp_dir("dv_sweep_test_store_fail");
+  auto cfg = grid_config(dir);
+  cfg.workloads = {"uniform_random", "nearest_neighbor", "bisection"};
+  cfg.scales = {1.0};
+  const std::string first =
+      sweep_point_name("uniform_random", "adaptive", 1.0, Backend::kFlow);
+  const std::string second =
+      sweep_point_name("nearest_neighbor", "adaptive", 1.0, Backend::kFlow);
+  std::filesystem::create_directories(std::filesystem::path(dir) /
+                                      (second + ".dvr.tmp"));
+  try {
+    run_sweep(cfg);
+    FAIL() << "the unwritable point must fail the sweep";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(second + ".dvr.tmp"),
+              std::string::npos)
+        << e.what();
+  }
+  metrics::RunStore store(dir);
+  ASSERT_EQ(store.size(), 1u);
+  ASSERT_TRUE(store.contains(first));
+  EXPECT_EQ(store.load(first).workload, "uniform_random");
+  EXPECT_EQ(file_names(dir), (std::set<std::string>{
+                                 first + ".dvr", second + ".dvr.tmp",
+                                 "index.json"}));
   std::filesystem::remove_all(dir);
 }
 

@@ -40,13 +40,6 @@ TEST(Trace, BinaryRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(Trace, JsonRoundTrip) {
-  const Trace t =
-      record("amr_boxlib", 32, workload::generate_amr_boxlib(cfg()));
-  const Trace back = from_json(to_json(t));
-  EXPECT_EQ(back, t);
-}
-
 TEST(Trace, ReplayEqualsDirectGeneration) {
   // The trace-driven path must produce byte-identical netsim messages.
   const auto topo = topo::Dragonfly::canonical(2);

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <future>
 #include <limits>
 #include <set>
 
@@ -351,24 +352,42 @@ TEST(Csv, UnterminatedQuoteThrows) {
 
 // ----------------------------------------------------------------- pool
 
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, hits.size(), [&](std::size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForEmpty) {
-  ThreadPool pool(2);
-  parallel_for(pool, 0, [](std::size_t) { FAIL(); });
-}
-
-TEST(ThreadPool, ManySmallTasks) {
-  ThreadPool pool(3);
+TEST(ThreadPool, DestructorRunsEveryQueuedTask) {
   std::atomic<int> n{0};
-  for (int i = 0; i < 500; ++i) pool.submit([&] { n++; });
-  pool.wait_idle();
+  {
+    ThreadPool pool(3);
+    EXPECT_EQ(pool.size(), 3u);
+    for (int i = 0; i < 500; ++i) pool.submit([&] { n++; });
+  }
   EXPECT_EQ(n.load(), 500);
+}
+
+TEST(ThreadPool, TrySubmitRejectsWhenMaxQueuedTasksWait) {
+  std::promise<void> started;
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(1);
+    pool.submit([&] {
+      started.set_value();
+      open.wait();
+    });
+    started.get_future().wait();  // the only worker is busy; queue empty
+    EXPECT_EQ(pool.queued(), 0u);
+    EXPECT_TRUE(pool.try_submit([&] { ran++; }, 2));
+    EXPECT_TRUE(pool.try_submit([&] { ran++; }, 2));
+    EXPECT_EQ(pool.queued(), 2u);
+    EXPECT_FALSE(pool.try_submit([&] { ran += 100; }, 2));
+    EXPECT_FALSE(pool.try_submit([&] { ran += 100; }, 0));
+    EXPECT_EQ(pool.queued(), 2u);
+    gate.set_value();
+  }
+  EXPECT_EQ(ran.load(), 2);  // the rejected tasks never ran
+}
+
+TEST(ThreadPool, ZeroThreadsIsRejected) {
+  EXPECT_THROW(ThreadPool(0), Error);
 }
 
 // ----------------------------------------------------------------- RingQueue
