@@ -5,7 +5,8 @@
 //            answers vs one slice_time per brush + a fresh Aggregation
 //            per ring; one slab build per ring;
 //   store  — 50 DF(2) runs: attach the packed store + render preset:fig4
-//            vs load the text store eagerly; SVGs must be byte-identical;
+//            vs load the same runs' text exports eagerly; SVGs must be
+//            byte-identical;
 //   flow   — DF(3) uniform random at 60x, minimal routing: flow wall
 //            clock vs packet, median of 5 each (skipped below 4 usable
 //            CPUs, where a wall-clock ratio is too noisy to gate).
@@ -114,39 +115,47 @@ void store_gates(const std::filesystem::path& dir) {
   cfg.routing = routing::Algo::kAdaptive;
   cfg.window = 2.0e4;
   cfg.sample_dt = 400.0;
-  const std::string text_dir = (dir / "text").string();
+  // The text side is plain DIR/text/NAME.json exports (a store holds
+  // .dvr only); the packed side is a RunStore.
+  const auto text_dir = dir / "text";
   const std::string packed_dir = (dir / "packed").string();
+  std::vector<std::string> names;
   {
-    metrics::RunStore text_store(text_dir);
+    std::filesystem::create_directories(text_dir);
     metrics::RunStore packed_store(packed_dir);
     for (int i = 0; i < 50; ++i) {
       cfg.seed = 100 + i;
       const auto run = app::run_experiment(cfg).run;
-      const auto name = "sweep_" + std::to_string(i);
-      text_store.add(run, name, metrics::StoreFormat::kText);
-      packed_store.add(run, name, metrics::StoreFormat::kPacked);
+      names.push_back("sweep_" + std::to_string(i));
+      run.save((text_dir / (names.back() + ".json")).string());
+      packed_store.add(run, names.back());
     }
   }
 
   const auto spec = core::preset_from_ref("preset:fig4");
-  // Opens the store's catalog (eagerly or attached) and renders sweep_25.
-  const auto first_render = [&](const std::string& store_dir, bool eager,
-                                std::string& svg) {
+  // Loads the text runs eagerly or attaches the packed store, then renders
+  // sweep_25.
+  const auto first_render = [&](bool eager, std::string& svg) {
     serve::RunCatalog catalog;
-    const metrics::RunStore store(store_dir);
-    for (const auto& info : store.list()) {
-      if (eager) catalog.load(store.path(info.name), info.name);
-      else catalog.attach(store.path(info.name), info.name);
+    if (eager) {
+      for (const auto& name : names) {
+        catalog.load((text_dir / (name + ".json")).string(), name);
+      }
+    } else {
+      const metrics::RunStore store(packed_dir);
+      for (const auto& info : store.list()) {
+        catalog.attach(store.path(info.name), info.name);
+      }
     }
     const auto lr = catalog.get("sweep_25");
     svg = core::ProjectionView(lr->data, spec, nullptr, &lr->engine)
               .to_svg(800, "store bench");
   };
   std::string text_svg, packed_svg;
-  const double text_eager_s = bench::median_seconds(
-      3, [&] { first_render(text_dir, true, text_svg); });
-  const double packed_lazy_s = bench::median_seconds(
-      3, [&] { first_render(packed_dir, false, packed_svg); });
+  const double text_eager_s =
+      bench::median_seconds(3, [&] { first_render(true, text_svg); });
+  const double packed_lazy_s =
+      bench::median_seconds(3, [&] { first_render(false, packed_svg); });
 
   gate("store.packed_lazy_vs_text", text_eager_s / packed_lazy_s, true, 3.0);
   gate("store.svg_identical", text_svg == packed_svg ? 1.0 : 0.0, true, 1.0);

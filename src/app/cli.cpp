@@ -372,8 +372,6 @@ int cmd_sweep(const Args& args) {
   if (cfg.scales.empty()) cfg.scales = {1.0};
 
   cfg.store_dir = args.one("store");
-  cfg.format =
-      metrics::store_format_from_string(args.one_or("format", "dvr"));
   cfg.report_path = args.one_or("report", "");
   cfg.report_spec = args.one_or("spec", "preset:overview");
   cfg.report_title = args.one_or("title", "dragonviz sweep");
@@ -425,15 +423,12 @@ int cmd_store(const Args& args) {
   metrics::RunStore store(args.one("dir"));
   const std::string action = args.one_or("action", "list");
   if (action == "add") {
-    const auto fmt =
-        metrics::store_format_from_string(args.one_or("format", "dvr"));
     auto load_phase = std::make_unique<obs::ScopedPhase>("load");
     const auto run = metrics::RunMetrics::load(args.one("run"));
     load_phase.reset();
     obs::ScopedPhase phase("write");
-    const auto name = store.add(run, args.one_or("name", ""), fmt);
-    std::printf("stored as '%s' (%s)\n", name.c_str(),
-                metrics::to_string(fmt).c_str());
+    const auto name = store.add(run, args.one_or("name", ""));
+    std::printf("stored as '%s' (dvr)\n", name.c_str());
     return 0;
   }
   if (action == "remove") {
@@ -441,23 +436,13 @@ int cmd_store(const Args& args) {
     std::printf("removed '%s'\n", args.one("name").c_str());
     return 0;
   }
-  if (action == "repack") {
-    const auto fmt =
-        metrics::store_format_from_string(args.one_or("format", "dvr"));
-    store.repack(args.one("name"), fmt);
-    std::printf("repacked '%s' as %s\n", args.one("name").c_str(),
-                metrics::to_string(fmt).c_str());
-    return 0;
-  }
-  DV_REQUIRE(action == "list",
-             "store action must be list|add|remove|repack");
-  std::printf("%-36s %-20s %-12s %-18s %9s %5s %16s\n", "name", "workload",
-              "routing", "placement", "terminals", "fmt", "uid");
+  DV_REQUIRE(action == "list", "store action must be list|add|remove");
+  std::printf("%-36s %-20s %-12s %-18s %9s %16s\n", "name", "workload",
+              "routing", "placement", "terminals", "uid");
   for (const auto& info : store.list()) {
-    std::printf("%-36s %-20s %-12s %-18s %9u %5s %016llx\n",
-                info.name.c_str(), info.workload.c_str(),
-                info.routing.c_str(), info.placement.c_str(), info.terminals,
-                metrics::to_string(info.format).c_str(),
+    std::printf("%-36s %-20s %-12s %-18s %9u %016llx\n", info.name.c_str(),
+                info.workload.c_str(), info.routing.c_str(),
+                info.placement.c_str(), info.terminals,
                 static_cast<unsigned long long>(info.uid));
   }
   std::printf("%zu run(s) in %s\n", store.size(), store.dir().c_str());
@@ -933,8 +918,7 @@ const std::vector<Command>& commands() {
        {"store", "backend", "p", "workloads", "workload", "routings",
         "routing", "scales", "scale", "window", "seed", "sample-dt",
         "bytes-per-rank", "faults", "fault",
-        "fault-retry-base", "fault-retry-budget", "format", "report", "spec",
-        "title"},
+        "fault-retry-base", "fault-retry-budget", "report", "spec", "title"},
        "  sweep    --store DIR [--backend packet|flow] [--p N]\n"
        "           [--workloads a,b|--workload W ...]\n"
        "           [--routings a,b|--routing R ...]"
@@ -944,8 +928,7 @@ const std::vector<Command>& commands() {
        "           [--faults plan.txt] [--fault SPEC ...]\n"
        "           [--fault-retry-base NS] [--fault-retry-budget N]"
        "  (packet only)\n"
-       "           [--format text|dvr] [--report out.html]"
-       " [--spec S] [--title T]\n"
+       "           [--report out.html] [--spec S] [--title T]\n"
        "           (fans the grid, one packed run per point, deterministic\n"
        "           content uids; report = side-by-side shared-scale panels)\n"},
       {"render", cmd_render,
@@ -957,10 +940,10 @@ const std::vector<Command>& commands() {
        "           [--window T0:T1]      (time-window the aggregation, ns)\n"
        "           [--cache-stats]\n"},
       {"store", cmd_store,
-       {"dir", "action", "run", "name", "format"},
-       "  store    --dir runs/ [--action list|add|remove|repack]\n"
-       "           [--run run.dvr] [--name NAME] [--format dvr|text]\n"
-       "           (add and repack default to dvr; text stores NAME.json)\n"},
+       {"dir", "action", "run", "name"},
+       "  store    --dir runs/ [--action list|add|remove]\n"
+       "           [--run run.dvr|run.json] [--name NAME]\n"
+       "           (add stores the run packed, as DIR/NAME.dvr)\n"},
       {"pack", cmd_pack,
        {"in", "out"},
        "  pack     --in run.json --out run.dvr\n"

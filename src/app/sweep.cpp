@@ -34,10 +34,10 @@ core::ProjectionSpec resolve_spec(const std::string& ref) {
 
 /// Stores `run` as grid point `p` and fills in its uid. Replaces (not
 /// suffixes) an entry of the same name, so re-sweeping a grid is idempotent.
-void store_point(metrics::RunStore& store, metrics::StoreFormat format,
-                 const metrics::RunMetrics& run, SweepPoint& p) {
+void store_point(metrics::RunStore& store, const metrics::RunMetrics& run,
+                 SweepPoint& p) {
   if (store.contains(p.name)) store.remove(p.name);
-  const std::string stored = store.add(run, p.name, format);
+  const std::string stored = store.add(run, p.name);
   DV_CHECK(stored == p.name, "sweep point name collided in the store");
   p.uid = store.info(p.name).uid;
 }
@@ -56,6 +56,9 @@ SweepResult run_sweep(const SweepConfig& cfg) {
   DV_REQUIRE(!cfg.routings.empty(), "sweep needs at least one routing");
   DV_REQUIRE(!cfg.scales.empty(), "sweep needs at least one scale");
   DV_REQUIRE(!cfg.store_dir.empty(), "sweep needs a --store directory");
+  DV_REQUIRE(cfg.format == metrics::StoreFormat::kPacked,
+             "sweep stores .dvr runs only (SweepConfig::format must be "
+             "kPacked)");
   for (const double s : cfg.scales) {
     DV_REQUIRE(s > 0.0, "sweep scales must be positive");
   }
@@ -106,7 +109,7 @@ SweepResult run_sweep(const SweepConfig& cfg) {
             // Freed here, not when the future goes: the next point's
             // simulation should not share the heap with this run.
             const metrics::RunMetrics done = std::move(run);
-            store_point(store, cfg.format, done, p);
+            store_point(store, done, p);
           });
     }
     if (stored.valid()) stored.get();

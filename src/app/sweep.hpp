@@ -38,6 +38,9 @@ struct SweepConfig {
   std::vector<double> scales;
 
   std::string store_dir;  ///< required: RunStore directory for the points
+  /// Must be kPacked (a store holds .dvr runs only; run_sweep rejects kText
+  /// before it simulates). Stays only until analyst_bench drops its
+  /// `format = kPacked` assignment.
   metrics::StoreFormat format = metrics::StoreFormat::kPacked;
 
   /// When non-empty, writes a comparison report over every point.

@@ -99,12 +99,6 @@ std::string to_string(StoreFormat f) {
   return f == StoreFormat::kPacked ? "dvr" : "text";
 }
 
-StoreFormat store_format_from_string(const std::string& s) {
-  if (s == "text" || s == "json") return StoreFormat::kText;
-  if (s == "dvr" || s == "packed") return StoreFormat::kPacked;
-  throw Error("unknown store format '" + s + "' (want text|dvr)");
-}
-
 StoreFormat format_for_path(const std::string& path) {
   return path.ends_with(".json") ? StoreFormat::kText : StoreFormat::kPacked;
 }

@@ -163,7 +163,6 @@ class PrefixSeries {
 enum class StoreFormat { kText, kPacked };
 
 std::string to_string(StoreFormat f);
-StoreFormat store_format_from_string(const std::string& s);  // throws
 
 /// The one rule every run writer follows: a path ending in ".json" is the
 /// text export, every other path is written packed.
@@ -214,10 +213,10 @@ struct RunMetrics {
   // format_for_path: a ".json" path gets the text export, any other path
   // the packed .dvr format of dvr.hpp (save_dvr). load() sniffs the
   // on-disk magic, not the extension, and accepts either, so every
-  // consumer (CLI, store, serve catalog) reads both and old text runs
-  // still open. Text parse errors are rethrown with the file path and the
-  // offending line number; a UTF-8 BOM, CRLF line endings and trailing
-  // whitespace are tolerated. Either format is published atomically
+  // reader (CLI, serve catalog, `store --action add`) takes both and old
+  // text runs still open. Text parse errors are rethrown with the file
+  // path and the offending line number; a UTF-8 BOM, CRLF line endings and
+  // trailing whitespace are tolerated. Either format is published atomically
   // (tmp + fsync + rename), so a reader never sees a torn file, and
   // save() returns the run's content uid (run_content_uid in dvr.hpp).
   json::Value to_json() const;

@@ -18,10 +18,8 @@ RunStore::RunStore(std::string dir) : dir_(std::move(dir)) {
   load_index();
 }
 
-std::string RunStore::path_of(const std::string& name,
-                              StoreFormat format) const {
-  const char* ext = format == StoreFormat::kPacked ? ".dvr" : ".json";
-  return (fs::path(dir_) / (name + ext)).string();
+std::string RunStore::path_of(const std::string& name) const {
+  return (fs::path(dir_) / (name + ".dvr")).string();
 }
 
 bool RunStore::contains(const std::string& name) const {
@@ -39,12 +37,10 @@ const RunInfo& RunStore::info(const std::string& name) const {
 }
 
 std::string RunStore::path(const std::string& name) const {
-  const RunInfo& i = info(name);
-  return path_of(i.name, i.format);
+  return path_of(info(name).name);
 }
 
-std::string RunStore::add(const RunMetrics& run, std::string name,
-                          StoreFormat format) {
+std::string RunStore::add(const RunMetrics& run, std::string name) {
   if (name.empty()) {
     name = run.workload + "_" + run.routing + "_" + run.placement;
     for (auto& c : name) {
@@ -58,7 +54,7 @@ std::string RunStore::add(const RunMetrics& run, std::string name,
   for (int suffix = 2; contains(final_name); ++suffix) {
     final_name = name + "_" + std::to_string(suffix);
   }
-  const std::uint64_t uid = run.save(path_of(final_name, format));
+  const std::uint64_t uid = run.save(path_of(final_name));
   RunInfo info;
   info.name = final_name;
   info.workload = run.workload;
@@ -68,7 +64,6 @@ std::string RunStore::add(const RunMetrics& run, std::string name,
       run.groups * run.routers_per_group * run.terminals_per_router;
   info.end_time = run.end_time;
   info.sampled = run.has_time_series();
-  info.format = format;
   info.uid = uid;
   index_.push_back(info);
   save_index();
@@ -83,37 +78,9 @@ void RunStore::remove(const std::string& name) {
   const auto it = std::find_if(index_.begin(), index_.end(),
                                [&](const RunInfo& i) { return i.name == name; });
   DV_REQUIRE(it != index_.end(), "run store has no run named '" + name + "'");
-  fs::remove(path_of(it->name, it->format));
+  fs::remove(path_of(it->name));
   index_.erase(it);
   save_index();
-}
-
-void RunStore::repack(const std::string& name, StoreFormat format) {
-  const auto it = std::find_if(index_.begin(), index_.end(),
-                               [&](const RunInfo& i) { return i.name == name; });
-  DV_REQUIRE(it != index_.end(), "run store has no run named '" + name + "'");
-  if (it->format == format) return;
-  const RunMetrics run = RunMetrics::load(path_of(it->name, it->format));
-  // Write the new file before dropping the old one: a failure mid-repack
-  // leaves the run readable in its original format.
-  const std::uint64_t uid = run.save(path_of(it->name, format));
-  fs::remove(path_of(it->name, it->format));
-  it->format = format;
-  if (it->uid == 0) it->uid = uid;
-  save_index();
-}
-
-std::vector<std::string> RunStore::find(const std::string& workload,
-                                        const std::string& routing,
-                                        const std::string& placement) const {
-  std::vector<std::string> out;
-  for (const auto& info : index_) {
-    if (!workload.empty() && info.workload != workload) continue;
-    if (!routing.empty() && info.routing != routing) continue;
-    if (!placement.empty() && info.placement != placement) continue;
-    out.push_back(info.name);
-  }
-  return out;
 }
 
 void RunStore::save_index() const {
@@ -127,7 +94,9 @@ void RunStore::save_index() const {
     o["terminals"] = json::Value(info.terminals);
     o["end_time"] = json::Value(info.end_time);
     o["sampled"] = json::Value(info.sampled);
-    o["format"] = json::Value(to_string(info.format));
+    // Constant, so older binaries that read a per-entry format still open
+    // the store.
+    o["format"] = json::Value("dvr");
     // uid as a decimal string: 64-bit values don't round-trip through a
     // JSON double.
     o["uid"] = json::Value(std::to_string(info.uid));
@@ -158,7 +127,18 @@ void RunStore::load_index() {
         static_cast<std::uint32_t>(entry.get_number("terminals", 0));
     info.end_time = entry.get_number("end_time", 0.0);
     info.sampled = entry.get_bool("sampled", false);
-    info.format = store_format_from_string(entry.get_string("format", "text"));
+    // Older binaries could store text runs (NAME.json), and an entry with
+    // no format was one of them.
+    const json::Value* format = entry.find("format");
+    if (format == nullptr || !format->is_string() ||
+        format->as_string() != "dvr") {
+      throw Error(path + ": entry '" + info.name + "' is not a packed run " +
+                  "(format " + (format ? json::dump(*format) : "missing") +
+                  ", want \"dvr\"); re-add it to a new store with " +
+                  "`dragonviz store --dir NEW --action add --run " +
+                  (fs::path(dir_) / (info.name + ".json")).string() +
+                  " --name " + info.name + "`");
+    }
     info.uid = std::stoull(entry.get_string("uid", "0"));
     index_.push_back(info);
   }

@@ -3,9 +3,10 @@
 // The system "effectively processes and manages simulation data to provide
 // not only interactive exploration but also quick comparison between
 // simulation runs of different network configurations". A RunStore is a
-// directory of saved RunMetrics files plus an index of their
+// directory of packed .dvr runs (NAME.dvr) plus an index of their
 // configurations, so runs can be listed, reloaded, and selected for
-// comparison without parsing every result file.
+// comparison without parsing every result file. A store holds packed runs
+// only; a text run enters it through add(), which writes it packed.
 #pragma once
 
 #include <string>
@@ -24,7 +25,6 @@ struct RunInfo {
   std::uint32_t terminals = 0;
   double end_time = 0.0;
   bool sampled = false;
-  StoreFormat format = StoreFormat::kText;
   /// Content uid (run_content_uid) — stable across formats and paths, so
   /// index consumers can key persistent artifacts on it.
   std::uint64_t uid = 0;
@@ -35,6 +35,7 @@ struct RunInfo {
 class RunStore {
  public:
   /// Opens (creating if needed) the store directory and loads its index.
+  /// Throws if an index entry is not a packed run.
   explicit RunStore(std::string dir);
 
   const std::string& dir() const { return dir_; }
@@ -43,31 +44,20 @@ class RunStore {
   bool contains(const std::string& name) const;
   const RunInfo& info(const std::string& name) const;  // throws if missing
 
-  /// Saves a run under `name` (derived from its configuration when empty;
-  /// suffixed when taken) in the given on-disk format. Returns the final
+  /// Saves a run as DIR/NAME.dvr under `name` (derived from its
+  /// configuration when empty; suffixed when taken). Returns the final
   /// name.
-  std::string add(const RunMetrics& run, std::string name = "",
-                  StoreFormat format = StoreFormat::kPacked);
+  std::string add(const RunMetrics& run, std::string name = "");
 
   RunMetrics load(const std::string& name) const;  // throws if missing
   void remove(const std::string& name);            // throws if missing
 
-  /// Rewrites a stored run in another on-disk format (no-op when it is
-  /// already stored that way). The content uid is unchanged by design.
-  void repack(const std::string& name, StoreFormat format);
-
-  /// Full path of a stored run's file (throws if missing) — what serve's
-  /// lazy catalog and `dragonviz inspect` hand to format-aware readers.
+  /// Full path of a stored run's .dvr file (throws if missing) — what
+  /// serve's lazy catalog and `dragonviz inspect` open.
   std::string path(const std::string& name) const;
 
-  /// Names of runs whose metadata matches all non-empty filters. Goes
-  /// through the loaded index only — no file is opened or parsed.
-  std::vector<std::string> find(const std::string& workload,
-                                const std::string& routing = "",
-                                const std::string& placement = "") const;
-
  private:
-  std::string path_of(const std::string& name, StoreFormat format) const;
+  std::string path_of(const std::string& name) const;  // DIR/NAME.dvr
   void save_index() const;  // atomic + durable: tmp + fsync + rename
   void load_index();
 

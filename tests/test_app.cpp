@@ -374,7 +374,7 @@ TEST(Cli, StoreAndFocusWorkflow) {
                  run_path, "--name", "probe"}),
             0);
   EXPECT_EQ(cli({"store", "--dir", store_dir}), 0);  // list
-  // add stores packed unless --format text asks for the text export.
+  // add stores the text run packed: a store holds .dvr runs only.
   const auto stored = (fs::path(store_dir) / "probe.dvr").string();
   ASSERT_TRUE(fs::exists(stored));
   EXPECT_TRUE(metrics::is_dvr_file(stored));
@@ -506,11 +506,34 @@ TEST(Cli, UnknownOptionsFailBeforeAnyWork) {
                 .find("sim: unknown option --store"),
             std::string::npos);
   EXPECT_FALSE(fs::exists(out)) << "a rejected command still simulated";
+  // Stores and sweeps write .dvr only: their removed --format fails before
+  // the store directory is created.
+  const std::string store_dir = tmp("dv_cli_unknown_format_store");
+  fs::remove_all(store_dir);
+  EXPECT_NE(cli_error({"store", "--dir", store_dir, "--format", "text"})
+                .find("store: unknown option --format"),
+            std::string::npos);
+  EXPECT_NE(cli_error({"sweep", "--store", store_dir, "--format", "text"})
+                .find("sweep: unknown option --format"),
+            std::string::npos);
+  EXPECT_FALSE(fs::exists(store_dir)) << "a rejected command opened a store";
   // --profile is accepted by every command.
   EXPECT_EQ(with({"--profile", profile}), "");
   EXPECT_TRUE(fs::exists(out));
   std::remove(out.c_str());
   std::remove(profile.c_str());
+}
+
+TEST(Cli, StoreRepackIsABadAction) {
+  const std::string store_dir = tmp("dv_cli_repack_store");
+  fs::remove_all(store_dir);
+  const std::string err = cli_error(
+      {"store", "--dir", store_dir, "--action", "repack", "--name", "probe"});
+  EXPECT_NE(err.find("store action must be list|add|remove"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(err.find("repack"), std::string::npos) << err;
+  fs::remove_all(store_dir);
 }
 
 TEST(Cli, HelpBlocksListExactlyTheAcceptedKeys) {

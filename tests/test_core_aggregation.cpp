@@ -27,7 +27,7 @@ DataTable make_table(std::size_t n, std::size_t stride) {
 
 TEST(Aggregation, GroupsByKeyInOrder) {
   const auto t = make_table(20, 5);
-  const Aggregation agg(t, {{"key"}, 0, {}});
+  const Aggregation agg(t, {{"key"}, 0, {}, {}});
   ASSERT_EQ(agg.size(), 4u);
   for (std::size_t g = 0; g < 4; ++g) {
     EXPECT_DOUBLE_EQ(agg.groups()[g].keys[0], static_cast<double>(g));
@@ -140,7 +140,7 @@ TEST(Aggregation, Reducers) {
   DataTable t;
   t.add_column("k", {0, 0, 0});
   t.add_column("v", {1.0, 2.0, 6.0});
-  const Aggregation agg(t, {{"k"}, 0, {}});
+  const Aggregation agg(t, {{"k"}, 0, {}, {}});
   EXPECT_DOUBLE_EQ(agg.reduce("v", Reducer::kSum)[0], 9.0);
   EXPECT_DOUBLE_EQ(agg.reduce("v", Reducer::kMean)[0], 3.0);
   EXPECT_DOUBLE_EQ(agg.reduce("v", Reducer::kMax)[0], 6.0);
@@ -155,7 +155,7 @@ TEST(Aggregation, MeanIsWeightedByPacketsFinished) {
   t.add_column("k", {0, 0});
   t.add_column("avg_latency", {10.0, 100.0});
   t.add_column("packets_finished", {9.0, 1.0});
-  const Aggregation agg(t, {{"k"}, 0, {}});
+  const Aggregation agg(t, {{"k"}, 0, {}, {}});
   const double weighted = agg.reduce("avg_latency", Reducer::kMean)[0];
   EXPECT_DOUBLE_EQ(weighted, (9.0 * 10.0 + 1.0 * 100.0) / 10.0);
 }

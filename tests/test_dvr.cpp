@@ -424,40 +424,26 @@ TEST(DvrTextLoader, ParseErrorsCarryPathAndLine) {
 
 // ------------------------------------------------------- store satellites
 
-TEST(DvrStore, PackedAddRepackAndAtomicIndex) {
+TEST(DvrStore, PackedAddUidRoundTripAndAtomicIndex) {
   const auto dir = temp_path("dv_dvr_store_test");
   std::filesystem::remove_all(dir);
   const auto run = dvr_sample_run(false);
   const auto uid = metrics::run_content_uid(run);
   {
     metrics::RunStore store(dir);
-    const auto name = store.add(run, "packed_run",
-                                metrics::StoreFormat::kPacked);
+    const auto name = store.add(run, "packed_run");
     EXPECT_EQ(name, "packed_run");
+    EXPECT_EQ(store.path(name),
+              (std::filesystem::path(dir) / "packed_run.dvr").string());
     EXPECT_TRUE(metrics::is_dvr_file(store.path(name)));
-    EXPECT_EQ(store.info(name).format, metrics::StoreFormat::kPacked);
     EXPECT_EQ(store.info(name).uid, uid);
-    // find() answers from the index alone.
-    EXPECT_EQ(store.find("uniform_random").size(), 1u);
-    // load() dispatches on the stored format transparently.
     EXPECT_EQ(metrics::run_content_uid(store.load(name)), uid);
   }
   {
-    // Reopen: the index round-trips format + uid.
+    // Reopen: the index round-trips the uid.
     metrics::RunStore store(dir);
-    EXPECT_EQ(store.info("packed_run").format,
-              metrics::StoreFormat::kPacked);
     EXPECT_EQ(store.info("packed_run").uid, uid);
-    store.repack("packed_run", metrics::StoreFormat::kText);
-    EXPECT_FALSE(metrics::is_dvr_file(store.path("packed_run")));
     EXPECT_EQ(metrics::run_content_uid(store.load("packed_run")), uid);
-    store.repack("packed_run", metrics::StoreFormat::kPacked);
-    EXPECT_TRUE(metrics::is_dvr_file(store.path("packed_run")));
-    EXPECT_EQ(metrics::run_content_uid(store.load("packed_run")), uid);
-    // add() writes packed unless asked for text.
-    const auto dflt = store.add(run, "default_run");
-    EXPECT_TRUE(metrics::is_dvr_file(store.path(dflt)));
-    EXPECT_EQ(store.info(dflt).format, metrics::StoreFormat::kPacked);
   }
   // The atomic index publish never leaves a temp file behind.
   EXPECT_FALSE(

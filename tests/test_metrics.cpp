@@ -3,6 +3,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "metrics/dvr.hpp"
 #include "metrics/run_metrics.hpp"
@@ -155,8 +159,6 @@ TEST(RunStore, AddListLoadRemove) {
     // The index persists across store instances.
     RunStore reopened(dir);
     EXPECT_EQ(reopened.size(), 2u);
-    EXPECT_EQ(reopened.find("uniform_random").size(), 2u);
-    EXPECT_EQ(reopened.find("uniform_random", "minimal").size(), 0u);
     reopened.remove("uniform_random_adaptive_contiguous_2");
     EXPECT_EQ(reopened.size(), 1u);
     EXPECT_THROW(reopened.load("gone"), Error);
@@ -181,6 +183,52 @@ TEST(RunStore, CustomNameAndMetadata) {
   EXPECT_TRUE(info.sampled);
   EXPECT_GT(info.end_time, 0.0);
   std::filesystem::remove_all(dir);
+}
+
+/// The error opening a store whose index.json holds `entry`, or "" when it
+/// opens.
+std::string open_error(const std::string& dir, const std::string& entry) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::ofstream((std::filesystem::path(dir) / "index.json").string())
+      << "[\n" << entry << "\n]\n";
+  try {
+    RunStore store(dir);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RunStore, OpenRejectsAnEntryThatIsNotPacked) {
+  const auto root = dv::testing::test_temp_dir();
+  // Older binaries wrote "format": "text" for NAME.json runs, and read an
+  // entry with no format as text.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"format_text",
+       R"({"name": "old_run", "workload": "uniform_random", )"
+       R"("format": "text", "uid": "1"})"},
+      {"format_missing",
+       R"({"name": "old_run", "workload": "uniform_random", "uid": "1"})"},
+  };
+  for (const auto& [sub, entry] : cases) {
+    const auto dir = (root / ("dv_run_store_open_" + sub)).string();
+    const std::string err = open_error(dir, entry);
+    const std::filesystem::path base(dir);
+    const auto index = (base / "index.json").string();
+    const auto text_run = (base / "old_run.json").string();
+    EXPECT_EQ(err.rfind(index + ": ", 0), 0u) << sub << ": " << err;
+    EXPECT_NE(err.find("entry 'old_run'"), std::string::npos) << err;
+    EXPECT_NE(err.find("dragonviz store --dir NEW --action add --run " +
+                       text_run + " --name old_run"),
+              std::string::npos)
+        << err;
+    std::filesystem::remove_all(dir);
+  }
+  // The format every store writes opens.
+  const auto ok = (root / "dv_run_store_open_dvr").string();
+  EXPECT_EQ(open_error(ok, R"({"name": "new_run", "format": "dvr"})"), "");
+  std::filesystem::remove_all(ok);
 }
 
 TEST(Metrics, TerminalAverages) {

@@ -13,6 +13,7 @@
 
 #include "app/sweep.hpp"
 #include "metrics/run_store.hpp"
+#include "obs/obs.hpp"
 #include "helpers.hpp"
 
 namespace dv::app {
@@ -157,33 +158,46 @@ TEST(Sweep, StoreFailureRethrowsAndKeepsEarlierPointsStored) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(Sweep, ResweepReplacesATextEntryOfTheSameName) {
+TEST(Sweep, FailsBeforeSimulatingOnATextStoreOrTextFormat) {
   const auto dir = temp_dir("dv_sweep_test_text_entry");
   auto cfg = grid_config(dir);
   cfg.workloads = {"uniform_random"};
   cfg.scales = {1.0};
   const std::string name =
       sweep_point_name("uniform_random", "adaptive", 1.0, Backend::kFlow);
-  {
-    // A text-format entry under the grid point's name, with other
-    // content (another seed) than the sweep will produce.
-    ExperimentConfig other = cfg.base;
-    other.jobs[0].workload = "uniform_random";
-    other.seed = 99;
-    metrics::RunStore store(dir);
-    store.add(run_experiment(other).run, name, metrics::StoreFormat::kText);
-  }
-  ASSERT_TRUE(std::filesystem::exists(std::filesystem::path(dir) /
-                                      (name + ".json")));
+  // A store an older binary left with a text entry under the grid point's
+  // name: NAME.json, indexed with "format": "text".
+  std::filesystem::create_directories(dir);
+  const auto index = std::filesystem::path(dir) / "index.json";
+  std::ofstream(index) << "[{\"name\": \"" << name
+                       << "\", \"format\": \"text\", \"uid\": \"1\"}]\n";
+  std::ofstream(std::filesystem::path(dir) / (name + ".json")) << "{}\n";
+  const auto before = file_names(dir);
+  const std::string index_before = file_bytes(index);
 
-  const auto res = run_sweep(cfg);
-  ASSERT_EQ(res.points.size(), 1u);
-  metrics::RunStore store(dir);
-  ASSERT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.info(name).format, metrics::StoreFormat::kPacked);
-  EXPECT_EQ(store.info(name).uid, res.points[0].uid);
-  EXPECT_EQ(file_names(dir),
-            (std::set<std::string>{name + ".dvr", "index.json"}));
+  const std::uint64_t epochs = obs::counter("flow.epochs").value();
+  try {
+    run_sweep(cfg);
+    ADD_FAILURE() << "a store with a text entry must fail the sweep";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(index.string() + ": ", 0), 0u)
+        << e.what();
+  }
+  EXPECT_EQ(obs::counter("flow.epochs").value(), epochs)
+      << "the sweep simulated before it opened the store";
+  EXPECT_EQ(file_names(dir), before);
+  EXPECT_EQ(file_bytes(index), index_before);
+  EXPECT_EQ(file_bytes(std::filesystem::path(dir) / (name + ".json")),
+            "{}\n");
+
+  // A sweep stores .dvr only: kText is refused before the store is opened.
+  const auto fresh = temp_dir("dv_sweep_test_text_format");
+  auto text = grid_config(fresh);
+  text.format = metrics::StoreFormat::kText;
+  EXPECT_THROW(run_sweep(text), Error);
+  EXPECT_EQ(obs::counter("flow.epochs").value(), epochs);
+  EXPECT_FALSE(std::filesystem::exists(fresh));
+  std::filesystem::remove_all(fresh);
   std::filesystem::remove_all(dir);
 }
 

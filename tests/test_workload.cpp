@@ -128,8 +128,8 @@ TEST(Workload, MinifeIsManyToMany) {
 
 TEST(Workload, DemandMatrixConservesBytesAndHasZeroDiagonal) {
   const auto c = cfg(32);
-  for (const std::string& name : {"uniform_random", "nearest_neighbor",
-                                  "transpose"}) {
+  for (const char* name : {"uniform_random", "nearest_neighbor",
+                           "transpose"}) {
     const auto msgs = generate(name, c);
     const auto dm = demand_matrix(msgs, c.ranks);
     ASSERT_EQ(dm.size(), std::size_t{32} * 32);
