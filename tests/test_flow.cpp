@@ -539,6 +539,32 @@ struct PinnedUid {
   std::uint64_t uid;
 };
 
+/// FatTree(8) sampled: netsim's fat_tree_net() fixture on the flow
+/// backend. Pins the padded terminal rows (agg and core switches have no
+/// hosts) and fat-tree sampling.
+metrics::RunMetrics fat_tree_flow_run() {
+  netsim::Params p;
+  p.packet_size = 512;
+  p.local_latency = 100.0;
+  p.global_latency = 100.0;
+  p.global_bandwidth = p.local_bandwidth;
+  FlowNetwork net(topo::FatTree(8), p, 4);
+  const std::uint32_t hosts = topo::FatTree(8).num_hosts();
+  Rng rng(13);
+  for (int i = 0; i < 600; ++i) {
+    const auto src = static_cast<std::uint32_t>(rng.next_below(hosts));
+    auto dst = src;
+    while (dst == src) dst = static_cast<std::uint32_t>(rng.next_below(hosts));
+    const std::uint64_t bytes = 256 + rng.next_below(8192);
+    net.add_message(msg(src, dst, bytes, rng.next_double() * 20000.0, 0));
+  }
+  for (std::uint32_t s = 1; s < 40; s += 3) {
+    net.add_message(msg(s, 0, 8192, 50.0 * s, 0));
+  }
+  net.enable_sampling(5000.0);
+  return net.run();
+}
+
 TEST(FlowNetwork, ContentUidsArePinned) {
   using routing::Algo;
   const PinnedUid cases[] = {
@@ -580,6 +606,9 @@ TEST(FlowNetwork, ContentUidsArePinned) {
         << c.workload << " " << routing::to_string(c.routing)
         << " sample_dt=" << c.sample_dt;
   }
+  EXPECT_EQ(metrics::run_content_uid(fat_tree_flow_run()),
+            3468083078817772114ull)
+      << "fat tree";
 }
 
 }  // namespace
