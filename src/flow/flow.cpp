@@ -409,7 +409,7 @@ FlowNetwork::FlowNetwork(netsim::Fabric fabric,
       policy_(std::move(policy)),
       algo_(algo),
       params_(params),
-      seed_(seed) {
+      recorder_(fabric_, seed) {
   params_.validate();
   nterm_ = fabric_.num_terminals();
   nlocal_ = fabric_.num_local_links();
@@ -439,53 +439,6 @@ FlowNetwork::FlowNetwork(netsim::Fabric fabric,
   for (std::uint32_t t = 0; t < nterm_; ++t) {
     term_rng_.emplace_back(seed, (1ULL << 32) + t);
   }
-  term_finished_.assign(nterm_, 0);
-  term_sum_latency_.assign(nterm_, 0.0);
-  term_sum_hops_.assign(nterm_, 0.0);
-  term_job_.assign(nterm_, -1);
-}
-
-void FlowNetwork::add_message(const netsim::Message& m) {
-  DV_REQUIRE(!ran_, "add_message after run()");
-  DV_REQUIRE(m.src_terminal < nterm_ && m.dst_terminal < nterm_,
-             "message endpoint outside the topology");
-  DV_REQUIRE(m.src_terminal != m.dst_terminal,
-             "message to self never enters the network");
-  DV_REQUIRE(m.bytes > 0, "empty message");
-  DV_REQUIRE(m.time >= 0.0, "negative injection time");
-  messages_.push_back(m);
-}
-
-void FlowNetwork::add_messages(const std::vector<netsim::Message>& ms) {
-  for (const auto& m : ms) add_message(m);
-}
-
-void FlowNetwork::set_labels(std::string workload, std::string placement,
-                             std::vector<std::string> job_names) {
-  workload_label_ = std::move(workload);
-  placement_label_ = std::move(placement);
-  job_names_ = std::move(job_names);
-}
-
-void FlowNetwork::set_jobs(const placement::Placement& placement) {
-  DV_REQUIRE(placement.job_of.size() == term_job_.size(),
-             "placement size mismatch");
-  term_job_ = placement.job_of;
-}
-
-void FlowNetwork::enable_sampling(double dt) {
-  DV_REQUIRE(!ran_, "enable_sampling after run()");
-  DV_REQUIRE(dt > 0.0, "sampling interval must be positive");
-  sample_dt_ = dt;
-  local_traffic_ts_ = metrics::SampledSeries(nlocal_, dt);
-  local_sat_ts_ = metrics::SampledSeries(nlocal_, dt);
-  global_traffic_ts_ = metrics::SampledSeries(nglobal_, dt);
-  global_sat_ts_ = metrics::SampledSeries(nglobal_, dt);
-  // One column per RunMetrics terminal row; padding rows stay zero.
-  term_traffic_ts_ = metrics::SampledSeries(fabric_.terminal_rows(), dt);
-  term_sat_ts_ = metrics::SampledSeries(fabric_.terminal_rows(), dt);
-  prev_traffic_.assign(capacity_.size(), 0.0);
-  prev_sat_.assign(capacity_.size(), 0.0);
 }
 
 // --------------------------------------------------------------- routing
@@ -575,7 +528,7 @@ std::vector<std::uint32_t> FlowNetwork::layout_bundles(
   std::unordered_map<std::uint64_t, std::uint32_t> index;
   std::vector<std::uint32_t> issue_bundle(order.size());
   for (std::size_t k = 0; k < order.size(); ++k) {
-    const netsim::Message& m = messages_[order[k]];
+    const netsim::Message& m = recorder_.messages()[order[k]];
     const std::uint64_t key =
         (static_cast<std::uint64_t>(m.src_terminal) << 32) | m.dst_terminal;
     const auto [it, fresh] =
@@ -599,7 +552,7 @@ std::vector<std::uint32_t> FlowNetwork::layout_bundles(
   }
   queue_.resize(order.size());
   for (std::size_t k = 0; k < order.size(); ++k) {
-    const netsim::Message& m = messages_[order[k]];
+    const netsim::Message& m = recorder_.messages()[order[k]];
     queue_[bundles_[issue_bundle[k]].tail++] = QueuedMsg{m.time, m.bytes};
   }
   for (Bundle& b : bundles_) b.tail = b.head;
@@ -633,12 +586,11 @@ bool FlowNetwork::drain_epoch(double t0, double dt) {
       const double arrival = completion + b.path_latency;
       const auto npkts = static_cast<std::uint64_t>(
           (m.bytes + params_.packet_size - 1) / params_.packet_size);
-      term_finished_[b.dst] += npkts;
-      term_sum_latency_[b.dst] +=
+      recorder_.deliver(
+          b.dst, npkts,
           std::max(arrival - m.issue, b.path_latency) *
-          static_cast<double>(npkts);
-      term_sum_hops_[b.dst] +=
-          static_cast<double>(b.router_hops) * static_cast<double>(npkts);
+              static_cast<double>(npkts),
+          static_cast<double>(b.router_hops) * static_cast<double>(npkts));
       ++msgs_finished_;
       bytes_delivered_ += static_cast<double>(m.bytes);
       max_delivery_ = std::max(max_delivery_, arrival);
@@ -670,36 +622,24 @@ bool FlowNetwork::drain_epoch(double t0, double dt) {
   return !drained_.empty();
 }
 
-void FlowNetwork::push_sample_frame() {
-  auto capture = [this](std::uint32_t base, std::size_t n,
-                        metrics::SampledSeries& traffic_ts,
-                        metrics::SampledSeries& sat_ts) {
-    float* dt = traffic_ts.push_frame_raw();
-    float* ds = sat_ts.push_frame_raw();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t l = base + i;
-      dt[i] = static_cast<float>(link_traffic_[l] - prev_traffic_[l]);
-      ds[i] = static_cast<float>(link_sat_[l] - prev_sat_[l]);
-      prev_traffic_[l] = link_traffic_[l];
-      prev_sat_[l] = link_sat_[l];
-    }
-  };
-  capture(local_link(0), nlocal_, local_traffic_ts_, local_sat_ts_);
-  capture(global_link(0), nglobal_, global_traffic_ts_, global_sat_ts_);
-  // Terminal frames: injected bytes, injection + ejection saturation.
-  float* dt = term_traffic_ts_.push_frame_raw();
-  float* ds = term_sat_ts_.push_frame_raw();
-  for (std::size_t t = 0; t < nterm_; ++t) {
-    const std::size_t li = inj_link(static_cast<std::uint32_t>(t));
-    const std::size_t le = ej_link(static_cast<std::uint32_t>(t));
-    dt[t] = static_cast<float>(link_traffic_[li] - prev_traffic_[li]);
-    ds[t] = static_cast<float>(link_sat_[li] - prev_sat_[li] +
-                               link_sat_[le] - prev_sat_[le]);
-    prev_traffic_[li] = link_traffic_[li];
-    prev_sat_[li] = link_sat_[li];
-    prev_sat_[le] = link_sat_[le];
+struct FlowNetwork::Cumulative {
+  const FlowNetwork& net;
+
+  netsim::Totals at(std::uint32_t l) const {
+    return {net.link_traffic_[l], net.link_sat_[l]};
   }
-}
+  netsim::Totals local(std::uint32_t lid) const {
+    return at(net.local_link(lid));
+  }
+  netsim::Totals global(std::uint32_t gid) const {
+    return at(net.global_link(gid));
+  }
+  netsim::SplitTotals terminal(std::uint32_t t) const {
+    const std::uint32_t li = net.inj_link(t);
+    return {net.link_traffic_[li], net.link_sat_[li],
+            net.link_sat_[net.ej_link(t)]};
+  }
+};
 
 // ----------------------------------------------------------- event engine
 
@@ -789,7 +729,7 @@ double FlowNetwork::next_completion_target(double t) {
 
 double FlowNetwork::run_event(const std::vector<std::uint32_t>& issue_bundle,
                               double dt) {
-  const bool sampled = sample_dt_ > 0.0;
+  const bool sampled = recorder_.sampled();
   const std::size_t total = issue_bundle.size();
   std::size_t next = 0;  // issue-order position of the next message
   std::uint32_t issued_bundles = 0;  // ids are in first-issue order
@@ -828,7 +768,7 @@ double FlowNetwork::run_event(const std::vector<std::uint32_t>& issue_bundle,
 
     if (sampled && t == frame_next) {
       obs::ScopedPhase ph("ev.sample");
-      push_sample_frame();
+      recorder_.push_frame(Cumulative{*this});
       frame_next += dt;
     }
 
@@ -920,7 +860,7 @@ double FlowNetwork::run_event(const std::vector<std::uint32_t>& issue_bundle,
   if (sampled) {
     obs::ScopedPhase ph("ev.sample");
     while (frame_next - dt < max_delivery_) {
-      push_sample_frame();
+      recorder_.push_frame(Cumulative{*this});
       frame_next += dt;
     }
     return frame_next - dt;
@@ -931,16 +871,16 @@ double FlowNetwork::run_event(const std::vector<std::uint32_t>& issue_bundle,
 // ------------------------------------------------------------------- run
 
 metrics::RunMetrics FlowNetwork::run() {
-  DV_REQUIRE(!ran_, "run() already called");
-  ran_ = true;
+  recorder_.start();
+  const std::vector<netsim::Message>& messages = recorder_.messages();
 
   // Deterministic processing order, independent of add_message order.
-  std::vector<std::uint32_t> order(messages_.size());
+  std::vector<std::uint32_t> order(messages.size());
   for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              const netsim::Message& ma = messages_[a];
-              const netsim::Message& mb = messages_[b];
+            [&messages](std::uint32_t a, std::uint32_t b) {
+              const netsim::Message& ma = messages[a];
+              const netsim::Message& mb = messages[b];
               if (ma.time != mb.time) return ma.time < mb.time;
               if (ma.src_terminal != mb.src_terminal)
                 return ma.src_terminal < mb.src_terminal;
@@ -949,10 +889,10 @@ metrics::RunMetrics FlowNetwork::run() {
               return a < b;
             });
 
-  double dt = sample_dt_;
+  double dt = recorder_.sample_dt();
   if (dt <= 0.0) {
     double max_issue = 0.0;
-    for (const auto& m : messages_) max_issue = std::max(max_issue, m.time);
+    for (const auto& m : messages) max_issue = std::max(max_issue, m.time);
     dt = max_issue > 0.0 ? max_issue / 256.0 : 1000.0;
   }
 
@@ -967,64 +907,29 @@ metrics::RunMetrics FlowNetwork::run() {
     end = run_event(issue_bundle, dt);
   }
 
-  DV_CHECK(msgs_finished_ == messages_.size(),
+  DV_CHECK(msgs_finished_ == messages.size(),
            "flow simulation drained with messages outstanding");
   const double tol =
-      std::max(1.0, bytes_delivered_) * 1e-9 + kByteEps * messages_.size();
+      std::max(1.0, bytes_delivered_) * 1e-9 + kByteEps * messages.size();
   DV_CHECK(std::abs(bytes_injected_ - bytes_delivered_) <= tol,
            "flow conservation violated: injected != delivered");
 
   metrics::RunMetrics out;
   {
     obs::ScopedPhase phase("collect");
-    collect(out, end);
+    // Adaptive runs walk a kNonMinimal planner; the label names the
+    // algorithm.
+    out = recorder_.finish(
+        Cumulative{*this},
+        adaptive() ? routing::to_string(algo_) : policy_->label(), end);
   }
   publish_run_obs(out);
   return out;
 }
 
-void FlowNetwork::collect(metrics::RunMetrics& out, double end) {
-  fabric_.layout_run_metrics(out);
-  out.workload = workload_label_;
-  // Adaptive runs walk a kNonMinimal planner; the label names the algorithm.
-  out.routing = adaptive() ? routing::to_string(algo_) : policy_->label();
-  out.placement = placement_label_;
-  out.job_names = job_names_;
-  out.seed = seed_;
-  out.end_time = end;
-
-  for (std::uint32_t lid = 0; lid < nlocal_; ++lid) {
-    out.local_links[lid].traffic = link_traffic_[local_link(lid)];
-    out.local_links[lid].sat_time = link_sat_[local_link(lid)];
-  }
-  for (std::uint32_t gid = 0; gid < nglobal_; ++gid) {
-    out.global_links[gid].traffic = link_traffic_[global_link(gid)];
-    out.global_links[gid].sat_time = link_sat_[global_link(gid)];
-  }
-  for (std::uint32_t tm = 0; tm < nterm_; ++tm) {
-    metrics::TerminalMetrics& trow = out.terminals[tm];
-    trow.packets_finished = term_finished_[tm];
-    trow.sum_latency = term_sum_latency_[tm];
-    trow.sum_hops = term_sum_hops_[tm];
-    trow.data_size = link_traffic_[inj_link(tm)];
-    trow.sat_time = link_sat_[inj_link(tm)] + link_sat_[ej_link(tm)];
-    trow.job = term_job_[tm];
-  }
-
-  if (sample_dt_ > 0.0) {
-    out.sample_dt = sample_dt_;
-    out.local_traffic_ts = std::move(local_traffic_ts_);
-    out.local_sat_ts = std::move(local_sat_ts_);
-    out.global_traffic_ts = std::move(global_traffic_ts_);
-    out.global_sat_ts = std::move(global_sat_ts_);
-    out.term_traffic_ts = std::move(term_traffic_ts_);
-    out.term_sat_ts = std::move(term_sat_ts_);
-  }
-}
-
 void FlowNetwork::publish_run_obs(const metrics::RunMetrics& out) {
 #ifdef DV_OBS_ENABLED
-  obs::counter("flow.messages").add(messages_.size());
+  obs::counter("flow.messages").add(recorder_.messages().size());
   obs::counter("flow.bundles").add(bundles_.size());
   obs::counter("flow.epochs").add(epochs_);
   obs::counter("flow.solves").add(solves_);
@@ -1033,7 +938,7 @@ void FlowNetwork::publish_run_obs(const metrics::RunMetrics& out) {
   obs::counter("flow.drain.events").add(drain_events_);
   obs::counter("flow.solver_rounds").add(solver_rounds_);
   obs::counter("flow.bytes").add(static_cast<std::uint64_t>(bytes_delivered_));
-  if (sample_dt_ > 0.0) {
+  if (recorder_.sampled()) {
     obs::counter("flow.sample_frames").add(out.local_traffic_ts.frames());
   }
 #else

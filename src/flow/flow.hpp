@@ -20,17 +20,17 @@
 // water-filling re-runs restricted to the flows the perturbation can
 // actually reach, falling back to a full solve when the cascade spreads.
 //
-// The whole point is schema fidelity: FlowNetwork emits the *same*
+// The whole point is schema fidelity: FlowNetwork writes the *same*
 // RunMetrics record (link rows with netsim's src/dst port conventions,
-// terminal rows, frame-major sampled series) so every spec, ring, report,
+// terminal rows, frame-major sampled series) through the same
+// netsim::RunRecorder as the packet backend, so every spec, ring, report,
 // .dvr pack, and serve verb runs unchanged against either backend.
 //
 // Topology as data, as in netsim::Network: the network is a
 // netsim::Fabric (the per-router port table) plus a routing::Policy, and
 // a bundle's path is the walk Policy::route takes through the fabric's
 // ports. A dragonfly routes with a RoutePlanner, a fat tree with up/down
-// ECMP. The fabric also lays out the RunMetrics rows, with the same
-// function the packet backend calls.
+// ECMP.
 //
 // What the model keeps: link traffic split, saturation ordering between
 // scenarios, latency as completion time plus fixed path latency, adaptive
@@ -132,18 +132,26 @@ class FlowNetwork {
   FlowNetwork(const FlowNetwork&) = delete;
   FlowNetwork& operator=(const FlowNetwork&) = delete;
 
-  void add_message(const netsim::Message& m);
-  void add_messages(const std::vector<netsim::Message>& ms);
-
+  // The record's inputs, checked by the same netsim::RunRecorder as the
+  // packet backend's.
+  void add_message(const netsim::Message& m) { recorder_.add_message(m); }
+  void add_messages(const std::vector<netsim::Message>& ms) {
+    recorder_.add_messages(ms);
+  }
   void set_labels(std::string workload, std::string placement,
-                  std::vector<std::string> job_names);
-  void set_jobs(const placement::Placement& placement);
+                  std::vector<std::string> job_names) {
+    recorder_.set_labels(std::move(workload), std::move(placement),
+                         std::move(job_names));
+  }
+  void set_jobs(const placement::Placement& placement) {
+    recorder_.set_jobs(placement);
+  }
 
   /// Fixed-rate time-series sampling (dt in ns). When enabled, the
   /// injection quantum is locked to dt and event steps split at frame
   /// boundaries, so frames are exactly the per-interval deltas. Unsampled
   /// runs size the quantum to 1/256 of the injection span.
-  void enable_sampling(double dt);
+  void enable_sampling(double dt) { recorder_.enable_sampling(dt); }
 
   /// Runs to completion (all demands drained) and returns metrics with
   /// the exact netsim RunMetrics schema. May be called once.
@@ -232,8 +240,9 @@ class FlowNetwork {
   /// Returns true when any bundle fully drained (the active set changed,
   /// so the next step must re-solve).
   bool drain_epoch(double t0, double dt);
-  void push_sample_frame();
-  void collect(metrics::RunMetrics& out, double end);
+  /// RunRecorder probe: cumulative link and terminal counters, read from
+  /// link_traffic_ / link_sat_.
+  struct Cumulative;
   void publish_run_obs(const metrics::RunMetrics& out);
 
   // Event-driven stepper.
@@ -264,31 +273,13 @@ class FlowNetwork {
   std::vector<double> link_util_;    ///< load/capacity from the last solve
   std::vector<std::uint32_t> sat_links_;      ///< saturated-link list
 
-  std::vector<netsim::Message> messages_;
+  netsim::RunRecorder recorder_;
   std::vector<Bundle> bundles_;
   std::vector<QueuedMsg> queue_;  ///< every message, sliced per bundle
   std::vector<std::uint32_t> active_;  ///< bundle ids, ascending
 
   std::vector<Rng> term_rng_;  ///< per-source Valiant draws (netsim scheme)
 
-  // Terminal delivery accumulators (columnar, as in netsim).
-  std::vector<std::uint64_t> term_finished_;
-  std::vector<double> term_sum_latency_;
-  std::vector<double> term_sum_hops_;
-
-  // Sampling.
-  double sample_dt_ = 0.0;
-  metrics::SampledSeries local_traffic_ts_, local_sat_ts_;
-  metrics::SampledSeries global_traffic_ts_, global_sat_ts_;
-  metrics::SampledSeries term_traffic_ts_, term_sat_ts_;
-  std::vector<double> prev_traffic_, prev_sat_;
-
-  std::string workload_label_ = "custom";
-  std::string placement_label_ = "custom";
-  std::vector<std::string> job_names_;
-  std::vector<std::int32_t> term_job_;
-
-  std::uint64_t seed_ = 1;
   std::uint64_t epochs_ = 0;
   std::uint64_t solver_rounds_ = 0;
   std::uint64_t solves_ = 0;
@@ -299,7 +290,6 @@ class FlowNetwork {
   double bytes_injected_ = 0.0;
   double bytes_delivered_ = 0.0;
   double max_delivery_ = 0.0;
-  bool ran_ = false;
 
   // Event-engine solver state: one persistent SolverFlow per bundle
   // (rate_cap <= 0 = absent), so incremental re-solves have a stable flow

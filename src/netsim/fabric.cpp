@@ -42,43 +42,6 @@ Fabric::Fabric(Shape shape, std::vector<Port> ports)
   }
 }
 
-void Fabric::layout_run_metrics(metrics::RunMetrics& out) const {
-  out.groups = shape_.groups;
-  out.routers_per_group = shape_.routers_per_group;
-  out.terminals_per_router = shape_.terminals_per_router;
-  out.global_per_router = shape_.global_per_router;
-  auto link_rows = [this](const std::vector<PortRef>& srcs,
-                          std::vector<metrics::LinkMetrics>& rows) {
-    rows.resize(srcs.size());
-    for (std::size_t id = 0; id < rows.size(); ++id) {
-      const PortRef& src = srcs[id];
-      const Port& hop = port(src.router, src.port);
-      rows[id].src_router = src.router;
-      rows[id].src_port = src.port;
-      rows[id].dst_router = hop.dst_router;
-      rows[id].dst_port = hop.dst_port;
-    }
-  };
-  link_rows(local_src_, out.local_links);
-  link_rows(global_src_, out.global_links);
-  out.terminals.resize(num_terminals());
-  std::vector<std::uint32_t> used(num_routers(), 0);
-  for (std::uint32_t t = 0; t < num_terminals(); ++t) {
-    const PortRef& at = terminal_port_[t];
-    ++used[at.router];
-    out.terminals[t].router = at.router;
-    out.terminals[t].port = at.port;
-  }
-  for (std::uint32_t r = 0; r < num_routers(); ++r) {
-    for (std::uint32_t s = used[r]; s < shape_.terminals_per_router; ++s) {
-      metrics::TerminalMetrics pad;
-      pad.router = r;
-      pad.port = s;
-      out.terminals.push_back(pad);
-    }
-  }
-}
-
 Fabric Fabric::dragonfly(const topo::Dragonfly& topo, const Params& params) {
   const Shape shape{topo.groups(), topo.routers_per_group(),
                     topo.terminals_per_router(), topo.global_per_router(),

@@ -26,7 +26,6 @@
 #include <memory>
 #include <vector>
 
-#include "metrics/run_metrics.hpp"
 #include "routing/routing.hpp"
 #include "topology/dragonfly.hpp"
 #include "topology/fattree.hpp"
@@ -97,10 +96,6 @@ class Fabric {
   std::uint32_t router_group(std::uint32_t router) const {
     return router / shape_.routers_per_group;
   }
-  /// RunMetrics terminal rows: one per (router, slot) of the grid.
-  std::uint32_t terminal_rows() const {
-    return num_routers() * shape_.terminals_per_router;
-  }
 
   const Port& port(std::uint32_t router, std::uint32_t p) const {
     return ports_[static_cast<std::size_t>(router) * shape_.ports_per_router +
@@ -113,15 +108,6 @@ class Fabric {
   /// Upstream (source) port of a directed local / global link.
   const PortRef& local_src(std::uint32_t id) const { return local_src_[id]; }
   const PortRef& global_src(std::uint32_t id) const { return global_src_[id]; }
-
-  /// The RunMetrics layout every backend shares: the shape fields, one
-  /// local/global link row per link id with its endpoint routers and
-  /// ports, and terminal_rows() terminal rows — terminal t's router and
-  /// slot at row t, then empty rows for the slots routers leave unused
-  /// (fat-tree agg and core switches), so the VA invariant terminals ==
-  /// groups * routers_per_group * terminals_per_router holds. The backend
-  /// fills the measured columns and the labels.
-  void layout_run_metrics(metrics::RunMetrics& out) const;
 
  private:
   Shape shape_;

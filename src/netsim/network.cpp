@@ -129,19 +129,15 @@ Network::Network(Fabric fabric, std::unique_ptr<routing::Policy> policy,
                  Params params, std::uint64_t seed)
     : fabric_(std::move(fabric)), policy_(std::move(policy)),
       planner_(dynamic_cast<routing::RoutePlanner*>(policy_.get())),
-      params_(params), seed_(seed) {
+      params_(params), recorder_(fabric_, seed) {
   params_.validate();
   const std::uint32_t routers = fabric_.num_routers();
   const std::uint32_t terms = fabric_.num_terminals();
   ports_per_router_ = fabric_.ports_per_router();
   ports_.resize(static_cast<std::size_t>(routers) * ports_per_router_);
   terminals_.resize(terms);
-  term_finished_.assign(terms, 0);
-  term_sum_latency_.assign(terms, 0.0);
-  term_sum_hops_.assign(terms, 0.0);
   term_rerouted_.assign(terms, 0);
   term_dropped_.assign(terms, 0);
-  term_job_.assign(terms, -1);
 
   num_vcs_ = policy_->max_link_hops();
   const auto buf = static_cast<std::int32_t>(params_.vc_buffer_packets);
@@ -189,59 +185,8 @@ Network::Network(Fabric fabric, std::unique_ptr<routing::Policy> policy,
   }
 }
 
-void Network::add_message(const Message& m) {
-  DV_REQUIRE(!ran_, "add_message after run()");
-  DV_REQUIRE(m.src_terminal < fabric_.num_terminals() &&
-                 m.dst_terminal < fabric_.num_terminals(),
-             "message terminal out of range");
-  DV_REQUIRE(m.src_terminal != m.dst_terminal,
-             "self-messages never enter the network");
-  DV_REQUIRE(m.bytes > 0, "empty message");
-  DV_REQUIRE(m.time >= 0.0, "negative message time");
-  messages_.push_back(m);
-}
-
-void Network::add_messages(const std::vector<Message>& ms) {
-  for (const auto& m : ms) add_message(m);
-}
-
-void Network::set_labels(std::string workload, std::string placement,
-                         std::vector<std::string> job_names) {
-  workload_label_ = std::move(workload);
-  placement_label_ = std::move(placement);
-  job_names_ = std::move(job_names);
-}
-
-void Network::set_jobs(const placement::Placement& placement) {
-  DV_REQUIRE(placement.job_of.size() == term_job_.size(),
-             "placement size mismatch");
-  term_job_ = placement.job_of;
-}
-
-void Network::enable_sampling(double dt) {
-  DV_REQUIRE(!ran_, "enable_sampling after run()");
-  DV_REQUIRE(dt > 0.0, "sampling interval must be positive");
-  sample_dt_ = dt;
-  const std::uint32_t nlocal = fabric_.num_local_links();
-  const std::uint32_t nglobal = fabric_.num_global_links();
-  const std::uint32_t nterm = fabric_.num_terminals();
-  local_traffic_ts_ = metrics::SampledSeries(nlocal, dt);
-  local_sat_ts_ = metrics::SampledSeries(nlocal, dt);
-  global_traffic_ts_ = metrics::SampledSeries(nglobal, dt);
-  global_sat_ts_ = metrics::SampledSeries(nglobal, dt);
-  // One column per RunMetrics terminal row; padding rows stay zero.
-  term_traffic_ts_ = metrics::SampledSeries(fabric_.terminal_rows(), dt);
-  term_sat_ts_ = metrics::SampledSeries(fabric_.terminal_rows(), dt);
-  prev_local_traffic_.assign(nlocal, 0.0);
-  prev_local_sat_.assign(nlocal, 0.0);
-  prev_global_traffic_.assign(nglobal, 0.0);
-  prev_global_sat_.assign(nglobal, 0.0);
-  prev_term_traffic_.assign(nterm, 0.0);
-  prev_term_sat_.assign(nterm, 0.0);
-}
-
 void Network::set_fault_plan(const fault::FaultPlan& plan) {
-  DV_REQUIRE(!ran_, "set_fault_plan after run()");
+  DV_REQUIRE(!recorder_.started(), "set_fault_plan after run()");
   if (plan.empty()) return;  // bit-identical to never calling this
   DV_REQUIRE(planner_ != nullptr,
              "fault plans need a dragonfly network; " + policy_->label() +
@@ -549,9 +494,7 @@ void Network::handle_packet_at_terminal(std::uint32_t pid,
                                         std::uint32_t term) {
   Packet& pkt = packet(pid);
   DV_CHECK(pkt.dst == term, "packet delivered to the wrong terminal");
-  ++term_finished_[term];
-  term_sum_latency_[term] += sim_.now() - pkt.inject_time;
-  term_sum_hops_[term] += pkt.router_hops;
+  recorder_.deliver(term, 1, sim_.now() - pkt.inject_time, pkt.router_hops);
   if (pkt.route.fault_detour) ++term_rerouted_[term];
   ++packets_delivered_;
   bytes_delivered_ += pkt.size;
@@ -567,52 +510,23 @@ void Network::handle_packet_at_terminal(std::uint32_t pid,
   free_packet(pid);
 }
 
-// ----------------------------------------------------------------- sampling
+// ----------------------------------------------------------------- recording
 
-void Network::take_sample(SimTime now) {
-  // Frames are written straight into the series' frame-major storage
-  // (push_frame_raw) — no temporary frame vectors on the per-tick path.
-  // The delta arithmetic (float of a cumulative-double difference, in
-  // entity order) matches the frames the row-at-a-time version produced
-  // bit for bit.
-  obs::ScopedPhase phase("sample");
-  auto capture = [now](const LinkArray& la, std::vector<double>& prev_traffic,
-                       std::vector<double>& prev_sat,
-                       metrics::SampledSeries& traffic_ts,
-                       metrics::SampledSeries& sat_ts) {
-    const std::size_t n = la.traffic.size();
-    float* dt = traffic_ts.push_frame_raw();
-    float* ds = sat_ts.push_frame_raw();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double cur_t = la.traffic[i];
-      const double cur_s = la.sat_at(static_cast<std::uint32_t>(i), now);
-      dt[i] = static_cast<float>(cur_t - prev_traffic[i]);
-      ds[i] = static_cast<float>(cur_s - prev_sat[i]);
-      prev_traffic[i] = cur_t;
-      prev_sat[i] = cur_s;
-    }
-  };
-  capture(local_links_, prev_local_traffic_, prev_local_sat_,
-          local_traffic_ts_, local_sat_ts_);
-  capture(global_links_, prev_global_traffic_, prev_global_sat_,
-          global_traffic_ts_, global_sat_ts_);
-  // Terminal series: injected bytes and injection+ejection saturation.
-  {
-    const std::size_t n = fabric_.num_terminals();
-    float* dt = term_traffic_ts_.push_frame_raw();
-    float* ds = term_sat_ts_.push_frame_raw();
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto li = static_cast<std::uint32_t>(i);
-      const double cur_t = injection_.traffic[i];
-      const double cur_s =
-          injection_.sat_at(li, now) + ejection_.sat_at(li, now);
-      dt[i] = static_cast<float>(cur_t - prev_term_traffic_[i]);
-      ds[i] = static_cast<float>(cur_s - prev_term_sat_[i]);
-      prev_term_traffic_[i] = cur_t;
-      prev_term_sat_[i] = cur_s;
-    }
+struct Network::Cumulative {
+  const Network& net;
+  SimTime now;
+
+  Totals local(std::uint32_t id) const {
+    return {net.local_links_.traffic[id], net.local_links_.sat_at(id, now)};
   }
-}
+  Totals global(std::uint32_t id) const {
+    return {net.global_links_.traffic[id], net.global_links_.sat_at(id, now)};
+  }
+  Totals terminal(std::uint32_t term) const {
+    return {net.injection_.traffic[term],
+            net.injection_.sat_at(term, now) + net.ejection_.sat_at(term, now)};
+  }
+};
 
 // ----------------------------------------------------------------- dispatch
 
@@ -620,7 +534,7 @@ void Network::on_event(pdes::Simulator&, const pdes::Event& ev) {
   switch (ev.kind) {
     case kEvMsgStart: {
       if (ev.data1 + 1 < start_order_.size()) schedule_start(ev.data1 + 1);
-      const Message& m = messages_[ev.data0];
+      const Message& m = recorder_.messages()[ev.data0];
       terminals_[m.src_terminal].pending.push_back(
           MsgProgress{m.dst_terminal, m.bytes, m.job, sim_.now()});
       try_inject(m.src_terminal);
@@ -699,13 +613,13 @@ void Network::on_event(pdes::Simulator&, const pdes::Event& ev) {
 
 void Network::schedule_start(std::size_t pos) {
   const std::uint32_t i = start_order_[pos];
-  sim_.schedule(messages_[i].time, 0, kEvMsgStart, i, pos,
+  sim_.schedule(recorder_.messages()[i].time, 0, kEvMsgStart, i, pos,
                 pri_key(kEvMsgStart, i));
 }
 
 metrics::RunMetrics Network::run() {
-  DV_REQUIRE(!ran_, "a Network can only run once");
-  ran_ = true;
+  recorder_.start();
+  const std::vector<Message>& messages = recorder_.messages();
 
   // Fault wakes are plain pre-scheduled events, ordered by (time, pri) with
   // everything else.
@@ -720,30 +634,31 @@ metrics::RunMetrics Network::run() {
   // unique, so seq never orders one against another event and events pop
   // exactly as if every start had been scheduled here, while the
   // pending-event set holds one start instead of one per message.
-  DV_REQUIRE(messages_.size() <= std::numeric_limits<std::uint32_t>::max(),
+  DV_REQUIRE(messages.size() <= std::numeric_limits<std::uint32_t>::max(),
              "too many messages");
-  start_order_.resize(messages_.size());
+  start_order_.resize(messages.size());
   std::iota(start_order_.begin(), start_order_.end(), 0u);
   std::sort(start_order_.begin(), start_order_.end(),
             [&](std::uint32_t a, std::uint32_t b) {
-              const SimTime ta = messages_[a].time;
-              const SimTime tb = messages_[b].time;
+              const SimTime ta = messages[a].time;
+              const SimTime tb = messages[b].time;
               return ta != tb ? ta < tb : a < b;
             });
   if (!start_order_.empty()) schedule_start(0);
 
   // Sampling is orchestrated from here (not via self-rescheduling events):
-  // the engine runs to each tick and the sampler reads link state between
+  // the engine runs to each tick and the recorder reads link state between
   // ticks.
   SimTime end = 0.0;
   {
     obs::ScopedPhase phase("sim");
-    if (sample_dt_ > 0.0) {
+    if (recorder_.sampled()) {
       SimTime tick = 0.0;
       while (!sim_.queue_empty()) {
-        tick += sample_dt_;
+        tick += recorder_.sample_dt();
         sim_.run_until(tick);
-        take_sample(tick);
+        obs::ScopedPhase sample("sample");
+        recorder_.push_frame(Cumulative{*this, tick});
       }
       end = tick;
     } else {
@@ -756,20 +671,16 @@ metrics::RunMetrics Network::run() {
   if (has_faults_) {
     // Messages queued behind a permanently dead router never finish
     // injecting; everything that did inject must be accounted for.
-    DV_CHECK(msgs_finished_ <= messages_.size(),
+    DV_CHECK(msgs_finished_ <= messages.size(),
              "message bookkeeping overflowed");
   } else {
-    DV_CHECK(msgs_finished_ == messages_.size(),
+    DV_CHECK(msgs_finished_ == messages.size(),
              "simulation drained with messages outstanding");
   }
   DV_CHECK(bytes_injected_ == bytes_delivered_ + bytes_dropped_,
            "flow conservation violated: injected != delivered + dropped");
 
-  metrics::RunMetrics out;
-  {
-    obs::ScopedPhase phase("collect");
-    flush_and_collect(out, end);
-  }
+  metrics::RunMetrics out = collect(end);
   publish_run_obs(out);
   return out;
 }
@@ -777,7 +688,7 @@ metrics::RunMetrics Network::run() {
 void Network::publish_run_obs(const metrics::RunMetrics& out) {
 #ifdef DV_OBS_ENABLED
   const routing::RouteStats& rs = route_stats_;
-  obs::counter("net.messages").add(messages_.size());
+  obs::counter("net.messages").add(recorder_.messages().size());
   obs::counter("net.packets_injected").add(packets_injected_);
   obs::counter("net.packets_delivered").add(packets_delivered_);
   obs::counter("net.bytes_injected").add(bytes_injected_);
@@ -799,7 +710,7 @@ void Network::publish_run_obs(const metrics::RunMetrics& out) {
     obs::counter("net.fault.rerouted").add(rerouted);
     obs::gauge("net.fault.entities").set(static_cast<double>(fault_.entities()));
   }
-  if (sample_dt_ > 0.0) {
+  if (recorder_.sampled()) {
     obs::counter("net.sample_frames").add(out.local_traffic_ts.frames());
   }
 #else
@@ -807,68 +718,37 @@ void Network::publish_run_obs(const metrics::RunMetrics& out) {
 #endif
 }
 
-void Network::flush_and_collect(metrics::RunMetrics& out, SimTime end) {
-  fabric_.layout_run_metrics(out);
-  out.workload = workload_label_;
-  out.routing = policy_->label();
-  out.placement = placement_label_;
-  out.job_names = job_names_;
-  out.seed = seed_;
-  out.end_time = end;
-
-  auto collect_links = [&](const LinkArray& la, bool global,
+metrics::RunMetrics Network::collect(SimTime end) {
+  obs::ScopedPhase phase("collect");
+  metrics::RunMetrics out =
+      recorder_.finish(Cumulative{*this, end}, policy_->label(), end);
+  if (!has_faults_) return out;  // every fault column stays zero
+  auto fault_columns = [&](const LinkArray& la, bool global,
                            std::vector<metrics::LinkMetrics>& rows) {
     for (std::uint32_t id = 0; id < rows.size(); ++id) {
       metrics::LinkMetrics& l = rows[id];
-      l.traffic = la.traffic[id];
-      l.sat_time = la.sat_at(id, end);
       l.retries = la.retries[id];
       l.pkts_dropped = la.drops[id];
-      if (has_faults_) {
-        l.downtime = fault_.effective_link_downtime(global, id, l.src_router,
-                                                    l.dst_router, end);
-      }
+      l.downtime = fault_.effective_link_downtime(global, id, l.src_router,
+                                                  l.dst_router, end);
     }
   };
-  collect_links(local_links_, false, out.local_links);
-  collect_links(global_links_, true, out.global_links);
-  // Terminal rows fill here from the columnar accumulators — the only
-  // place the 80-byte TerminalMetrics records are materialized.
+  fault_columns(local_links_, false, out.local_links);
+  fault_columns(global_links_, true, out.global_links);
   for (std::uint32_t t = 0; t < fabric_.num_terminals(); ++t) {
     metrics::TerminalMetrics& tm = out.terminals[t];
-    tm.packets_finished = term_finished_[t];
-    tm.sum_latency = term_sum_latency_[t];
-    tm.sum_hops = term_sum_hops_[t];
     tm.packets_rerouted = term_rerouted_[t];
     tm.packets_dropped = term_dropped_[t];
-    tm.data_size = injection_.traffic[t];
-    tm.sat_time = injection_.sat_at(t, end) + ejection_.sat_at(t, end);
-    tm.job = term_job_[t];
-    if (has_faults_) {
-      // A terminal is down exactly when its router is.
-      tm.downtime = fault_.router_downtime(tm.router, end);
-    }
+    // A terminal is down exactly when its router is.
+    tm.downtime = fault_.router_downtime(tm.router, end);
   }
-  if (has_faults_) {
-    out.router_downtime.resize(fabric_.num_routers());
-    for (std::uint32_t r = 0; r < fabric_.num_routers(); ++r) {
-      out.router_downtime[r] = fault_.router_downtime(r, end);
-    }
-    out.router_retries = router_retries_;
-    out.router_drops = router_drops_;
+  out.router_downtime.resize(fabric_.num_routers());
+  for (std::uint32_t r = 0; r < fabric_.num_routers(); ++r) {
+    out.router_downtime[r] = fault_.router_downtime(r, end);
   }
-
-  if (sample_dt_ > 0.0) {
-    // The orchestrated run already sampled through `end`; just hand the
-    // series over.
-    out.sample_dt = sample_dt_;
-    out.local_traffic_ts = std::move(local_traffic_ts_);
-    out.local_sat_ts = std::move(local_sat_ts_);
-    out.global_traffic_ts = std::move(global_traffic_ts_);
-    out.global_sat_ts = std::move(global_sat_ts_);
-    out.term_traffic_ts = std::move(term_traffic_ts_);
-    out.term_sat_ts = std::move(term_sat_ts_);
-  }
+  out.router_retries = router_retries_;
+  out.router_drops = router_drops_;
+  return out;
 }
 
 }  // namespace dv::netsim

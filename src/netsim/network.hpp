@@ -37,6 +37,7 @@
 #include "fault/fault.hpp"
 #include "metrics/run_metrics.hpp"
 #include "netsim/fabric.hpp"
+#include "netsim/run_recorder.hpp"
 #include "pdes/engine.hpp"
 #include "placement/placement.hpp"
 #include "routing/routing.hpp"
@@ -72,15 +73,6 @@ struct Params {
   void validate() const;
 };
 
-/// One application-level message to inject.
-struct Message {
-  std::uint32_t src_terminal = 0;
-  std::uint32_t dst_terminal = 0;
-  std::uint64_t bytes = 0;
-  SimTime time = 0.0;   ///< earliest injection time
-  std::int32_t job = -1;
-};
-
 /// A complete simulation: construct, add messages, run once.
 class Network final : public pdes::LogicalProcess,
                       public routing::QueueProbe {
@@ -98,19 +90,21 @@ class Network final : public pdes::LogicalProcess,
 
   const Fabric& fabric() const { return fabric_; }
 
-  /// Queues a message (must be called before run()). src != dst required.
-  void add_message(const Message& m);
-  void add_messages(const std::vector<Message>& ms);
-
-  /// Labels the run for the metrics record.
+  // The record's inputs, checked and kept by the RunRecorder. A sampled
+  // run (dt in ns) advances the engine to each tick and pushes a frame.
+  void add_message(const Message& m) { recorder_.add_message(m); }
+  void add_messages(const std::vector<Message>& ms) {
+    recorder_.add_messages(ms);
+  }
   void set_labels(std::string workload, std::string placement,
-                  std::vector<std::string> job_names);
-
-  /// Marks terminal job ownership (from a placement) for the metrics.
-  void set_jobs(const placement::Placement& placement);
-
-  /// Enables fixed-rate time-series sampling (dt in ns).
-  void enable_sampling(double dt);
+                  std::vector<std::string> job_names) {
+    recorder_.set_labels(std::move(workload), std::move(placement),
+                         std::move(job_names));
+  }
+  void set_jobs(const placement::Placement& placement) {
+    recorder_.set_jobs(placement);
+  }
+  void enable_sampling(double dt) { recorder_.enable_sampling(dt); }
 
   /// Installs a fault plan (must be called before run()). An empty plan is
   /// a no-op: the simulation is bit-identical to one without this call.
@@ -276,8 +270,11 @@ class Network final : public pdes::LogicalProcess,
   /// on revived ports, and re-attempts injection at local terminals.
   void handle_fault_wake(std::uint32_t router);
   void return_credit(std::uint64_t enc_link);
-  void take_sample(SimTime now);
-  void flush_and_collect(metrics::RunMetrics& out, SimTime end);
+  /// RunRecorder probe: the cumulative counters of every link and
+  /// terminal at `now`.
+  struct Cumulative;
+  /// The recorded run plus the fault columns (the "collect" phase).
+  metrics::RunMetrics collect(SimTime end);
   void publish_run_obs(const metrics::RunMetrics& out);
 
   // ---- state ---------------------------------------------------------
@@ -289,7 +286,7 @@ class Network final : public pdes::LogicalProcess,
   Params params_;
   pdes::Simulator sim_;
 
-  std::vector<Message> messages_;
+  RunRecorder recorder_;
   // Message indices sorted by (time, index): the order starts fire in.
   std::vector<std::uint32_t> start_order_;
   std::vector<TerminalState> terminals_;
@@ -316,12 +313,7 @@ class Network final : public pdes::LogicalProcess,
   std::uint64_t bytes_dropped_ = 0;
   routing::RouteStats route_stats_;
 
-  // Terminal delivery stats, columnar: the delivery handler touches three
-  // adjacent flat arrays instead of scattering into 80-byte records; the
-  // full TerminalMetrics rows are assembled once, in flush_and_collect.
-  std::vector<std::uint64_t> term_finished_;
-  std::vector<double> term_sum_latency_;
-  std::vector<double> term_sum_hops_;
+  // Fault columns per terminal; the delivery sums live in recorder_.
   std::vector<std::uint64_t> term_rerouted_;
   std::vector<std::uint64_t> term_dropped_;
 
@@ -331,22 +323,6 @@ class Network final : public pdes::LogicalProcess,
   std::vector<std::uint64_t> router_retries_;
   std::vector<std::uint64_t> router_drops_;
 
-  // Sampling.
-  double sample_dt_ = 0.0;
-  metrics::SampledSeries local_traffic_ts_, local_sat_ts_;
-  metrics::SampledSeries global_traffic_ts_, global_sat_ts_;
-  metrics::SampledSeries term_traffic_ts_, term_sat_ts_;
-  std::vector<double> prev_local_traffic_, prev_local_sat_;
-  std::vector<double> prev_global_traffic_, prev_global_sat_;
-  std::vector<double> prev_term_traffic_, prev_term_sat_;
-
-  std::string workload_label_ = "custom";
-  std::string placement_label_ = "custom";
-  std::vector<std::string> job_names_;
-  std::vector<std::int32_t> term_job_;
-
-  std::uint64_t seed_ = 1;
-  bool ran_ = false;
 };
 
 }  // namespace dv::netsim

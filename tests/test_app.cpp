@@ -529,10 +529,7 @@ TEST(Cli, StoreRepackIsABadAction) {
   fs::remove_all(store_dir);
   const std::string err = cli_error(
       {"store", "--dir", store_dir, "--action", "repack", "--name", "probe"});
-  EXPECT_NE(err.find("store action must be list|add|remove"),
-            std::string::npos)
-      << err;
-  EXPECT_EQ(err.find("repack"), std::string::npos) << err;
+  EXPECT_EQ(err, "store action must be list|add|remove");
   fs::remove_all(store_dir);
 }
 

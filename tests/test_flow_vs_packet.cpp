@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "app/runner.hpp"
@@ -227,6 +228,58 @@ TEST(FlowVsPacket, ViewPlumbingIsByteIdenticalPerBackend) {
     ASSERT_FALSE(a.rings().empty());
     EXPECT_EQ(a.to_svg(640, "t"), b.to_svg(640, "t"));
   }
+}
+
+/// The error each bad input raises on a fresh DF(2) network of type Net,
+/// in order ("" where the input is accepted): four bad messages, a
+/// placement of the wrong size, a zero sampling interval, then messages,
+/// sampling and a second run after run().
+template <class Net>
+std::vector<std::string> rejections() {
+  const auto topo = topo::Dragonfly::canonical(2);
+  const std::uint32_t terms = topo.num_terminals();
+  auto error_of = [](auto f) -> std::string {
+    try {
+      f();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  using netsim::Message;
+  Net net(topo, routing::Algo::kMinimal);
+  placement::Placement short_by_one;
+  short_by_one.job_of.assign(terms - 1, 0);
+  std::vector<std::string> out = {
+      error_of([&] { net.add_message(Message{3, 3, 100, 0.0}); }),
+      error_of([&] { net.add_message(Message{0, terms, 100, 0.0}); }),
+      error_of([&] { net.add_message(Message{0, 1, 0, 0.0}); }),
+      error_of([&] { net.add_message(Message{0, 1, 100, -1.0}); }),
+      error_of([&] { net.set_jobs(short_by_one); }),
+      error_of([&] { net.enable_sampling(0.0); }),
+  };
+  net.add_message(Message{0, 1, 100, 0.0});
+  (void)net.run();
+  out.push_back(error_of([&] { net.add_message(Message{1, 2, 100, 0.0}); }));
+  out.push_back(error_of([&] { net.enable_sampling(100.0); }));
+  out.push_back(error_of([&] { (void)net.run(); }));
+  return out;
+}
+
+TEST(FlowVsPacket, BothBackendsRejectTheSameInputs) {
+  const std::vector<std::string> expected = {
+      "self-messages never enter the network",
+      "message terminal out of range",
+      "empty message",
+      "negative message time",
+      "placement size mismatch",
+      "sampling interval must be positive",
+      "add_message after run()",
+      "enable_sampling after run()",
+      "run() may be called once",
+  };
+  EXPECT_EQ(rejections<netsim::Network>(), expected);
+  EXPECT_EQ(rejections<flow::FlowNetwork>(), expected);
 }
 
 }  // namespace

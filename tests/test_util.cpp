@@ -8,6 +8,7 @@
 #include <future>
 #include <limits>
 #include <set>
+#include <string>
 
 #include <deque>
 
@@ -471,6 +472,32 @@ TEST(RingQueue, ClearResets) {
   EXPECT_TRUE(q.empty());
   q.push_back(7);
   EXPECT_EQ(q.front(), 7);
+}
+
+/// The message a throwing call raises ("" when it does not throw).
+template <class F>
+std::string error_of(F f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Errors, RequirementCarriesItsMessageAlone) {
+  const int n = 3;
+  EXPECT_EQ(error_of([&] { DV_REQUIRE(n < 2, "n must stay below 2"); }),
+            "n must stay below 2");
+  EXPECT_EQ(error_of([&] { DV_REQUIRE(n < 4, "unreached"); }), "");
+}
+
+TEST(Errors, InvariantNamesItsExpressionAndSourceLine) {
+  const int n = 3;
+  const int line = __LINE__ + 1;
+  const std::string err = error_of([&] { DV_CHECK(n == 2, "n drifted"); });
+  EXPECT_EQ(err, "invariant failed: n drifted [n == 2 at tests/test_util.cpp:" +
+                     std::to_string(line) + "]");
 }
 
 }  // namespace
