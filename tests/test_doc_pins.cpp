@@ -1,9 +1,12 @@
 // Pins every kind of document the writers emit, byte for byte: the SVG of
 // each preset on a DF(3) run (with and without a time window and a brush),
 // the matrix, comparison, detail, timeline and full-session SVGs, one HTML
-// report and the run's text export. Each is reduced to its FNV-1a hash; a
-// changed hash means some byte of the document changed. The golden-file
-// tests show *where* a view changed; these show *that* anything did.
+// report, the run's text export, and the stored run files: the .dvr and
+// text export of a sampled, faulted DF(2) run, the .dvr of a sampled
+// FatTree(4) run, and the four CSV exports of the faulted run. Each is
+// reduced to its FNV-1a hash; a changed hash means some byte of the
+// document changed. The golden-file tests show *where* a view changed;
+// these show *that* anything did.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +22,10 @@
 #include "core/projection.hpp"
 #include "core/report.hpp"
 #include "core/views.hpp"
+#include "fault/fault.hpp"
+#include "netsim/network.hpp"
+#include "util/csv.hpp"
+#include "util/rng.hpp"
 #include "helpers.hpp"
 
 namespace dv::core {
@@ -167,6 +174,108 @@ TEST(DocPin, TextExport) {
   const std::string text((std::istreambuf_iterator<char>(is)),
                          std::istreambuf_iterator<char>());
   expect_pinned({"text_export", 2126601003189390351ull}, text);
+}
+
+/// DF(2), sampled, under a fault plan whose last router never recovers,
+/// so packets exhaust their retry budget and drop: every fault column and
+/// the per-router tallies carry non-zero values.
+const metrics::RunMetrics& faulted_df2_run() {
+  static const metrics::RunMetrics run = [] {
+    app::ExperimentConfig cfg;
+    cfg.dragonfly_p = 2;
+    cfg.jobs.push_back({"uniform_random", 0,
+                        placement::Policy::kContiguous, 0});
+    cfg.window = 4.0e4;
+    cfg.synthetic_bytes_per_rank = 8 * 1024;
+    cfg.sample_dt = 2.0e3;
+    cfg.seed = 3;
+    cfg.faults = fault::FaultPlan::parse(
+        "link:g0->g1@5000:40000\n"
+        "router:g2.r1@10000:60000\n"
+        "router:g3.r0@20000\n");
+    return app::run_experiment(cfg).run;
+  }();
+  return run;
+}
+
+/// FatTree(4) (16 hosts), packet backend, random traffic, sampled.
+metrics::RunMetrics fat_tree_run() {
+  netsim::Params p;
+  p.packet_size = 512;
+  p.local_latency = 100.0;
+  p.global_latency = 100.0;
+  p.global_bandwidth = p.local_bandwidth;
+  netsim::Network net(topo::FatTree(4), p, 4);
+  const std::uint32_t hosts = net.fabric().num_terminals();
+  Rng rng(13);
+  for (int i = 0; i < 200; ++i) {
+    const auto src = static_cast<std::uint32_t>(rng.next_below(hosts));
+    auto dst = src;
+    while (dst == src) dst = static_cast<std::uint32_t>(rng.next_below(hosts));
+    net.add_message({src, dst, 256 + rng.next_below(4096),
+                     rng.next_double() * 20000.0, 0});
+  }
+  net.enable_sampling(2.0e3);
+  return net.run();
+}
+
+std::string saved_bytes(const metrics::RunMetrics& run, const char* name) {
+  const auto path = (dv::testing::test_temp_dir() / name).string();
+  run.save(path);
+  std::ifstream is(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(is)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(DocPin, StoredRunFiles) {
+  const auto& faulted = faulted_df2_run();
+  ASSERT_TRUE(faulted.has_time_series());
+  ASSERT_FALSE(faulted.router_drops.empty());
+  std::uint64_t drops = 0;
+  for (const std::uint64_t d : faulted.router_drops) drops += d;
+  ASSERT_GT(drops, 0u) << "the fault plan must drop packets";
+  double link_down = 0.0, term_down = 0.0;
+  std::uint64_t link_retries = 0, link_drops = 0, rerouted = 0, dropped = 0;
+  for (const auto* links : {&faulted.local_links, &faulted.global_links}) {
+    for (const auto& l : *links) {
+      link_down += l.downtime;
+      link_retries += l.retries;
+      link_drops += l.pkts_dropped;
+    }
+  }
+  for (const auto& t : faulted.terminals) {
+    term_down += t.downtime;
+    rerouted += t.packets_rerouted;
+    dropped += t.packets_dropped;
+  }
+  ASSERT_GT(link_down, 0.0);
+  ASSERT_GT(link_retries, 0u);
+  ASSERT_GT(link_drops, 0u);
+  ASSERT_GT(term_down, 0.0);
+  ASSERT_GT(rerouted, 0u);
+  ASSERT_GT(dropped, 0u);
+  expect_pinned({"faulted.dvr", 6814601426039910713ull},
+                saved_bytes(faulted, "faulted.dvr"));
+  expect_pinned({"faulted.json", 4587240848652674102ull},
+                saved_bytes(faulted, "faulted.json"));
+
+  const auto fat_tree = fat_tree_run();
+  ASSERT_TRUE(fat_tree.has_time_series());
+  expect_pinned({"fat_tree.dvr", 1114725199898674425ull},
+                saved_bytes(fat_tree, "fat_tree.dvr"));
+}
+
+TEST(DocPin, CsvExports) {
+  const auto& run = faulted_df2_run();
+  const std::vector<Pin> pins = {
+      {"local_links", 9469181402072488862ull},
+      {"global_links", 16456528006307207229ull},
+      {"terminals", 12320812725225293197ull},
+      {"routers", 4760695812086998034ull},
+  };
+  for (const Pin& pin : pins) {
+    expect_pinned(pin, to_csv_string(run.to_csv(pin.name)));
+  }
 }
 
 }  // namespace
