@@ -490,12 +490,13 @@ int cmd_inspect(const Args& args) {
               metrics::kDvrVersion,
               static_cast<unsigned long long>(f.file_bytes()),
               static_cast<unsigned long long>(f.run_uid()));
-  std::printf("config:   %s / %s / %s\n", f.workload().c_str(),
-              f.routing().c_str(), f.placement().c_str());
-  std::printf("topology: g=%u a=%u p=%u h=%u, end=%.0f ns%s\n", f.groups(),
-              f.routers_per_group(), f.terminals_per_router(),
-              f.global_per_router(), f.end_time(),
-              f.has_time_series() ? ", sampled" : "");
+  const metrics::RunMetrics& h = f.header();
+  std::printf("config:   %s / %s / %s\n", h.workload.c_str(),
+              h.routing.c_str(), h.placement.c_str());
+  std::printf("topology: g=%u a=%u p=%u h=%u, end=%.0f ns%s\n", h.groups,
+              h.routers_per_group, h.terminals_per_router,
+              h.global_per_router, h.end_time,
+              h.has_time_series() ? ", sampled" : "");
   // Per-section rollup of the chunk directory.
   std::map<std::uint16_t, std::pair<std::size_t, std::uint64_t>> sections;
   std::size_t zero_chunks = 0;

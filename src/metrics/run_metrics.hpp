@@ -219,10 +219,20 @@ struct RunMetrics {
   // trailing whitespace are tolerated. Either format is published atomically
   // (tmp + fsync + rename), so a reader never sees a torn file, and
   // save() returns the run's content uid (run_content_uid in dvr.hpp).
+  // Both readers (from_json, and DvrFile::load_all behind load_dvr) end
+  // with validate(), so a loaded run never indexes past its shape.
   json::Value to_json() const;
   static RunMetrics from_json(const json::Value& v);
   std::uint64_t save(const std::string& path) const;
   static RunMetrics load(const std::string& path);
+
+  /// Checks what the views index by: every router id column of the
+  /// records is below groups × routers_per_group, and, on a sampled run,
+  /// each series' entity count equals its record count and every series
+  /// with entities has the same frame count. Throws a dv::Error naming the
+  /// section, column and row, e.g.
+  /// `local_links.src_router[0] = 5898240 (>= 36 routers)`.
+  void validate() const;
 
   /// CSV export of one entity class: "local_links", "global_links",
   /// "terminals" or "routers".

@@ -20,6 +20,7 @@
 #include "core/datatable.hpp"
 #include "metrics/dvr.hpp"
 #include "metrics/run_metrics.hpp"
+#include "metrics/run_schema.hpp"
 #include "metrics/run_store.hpp"
 #include "netsim/network.hpp"
 #include "serve/catalog.hpp"
@@ -220,10 +221,12 @@ TEST(DvrFormat, HeaderOnlyOpenReadsNoChunks) {
   metrics::dvr_reset_stats();
   {
     const metrics::DvrFile f(path);
-    EXPECT_EQ(f.groups(), run.groups);
-    EXPECT_EQ(f.workload(), run.workload);
+    EXPECT_EQ(f.header().groups, run.groups);
+    EXPECT_EQ(f.header().workload, run.workload);
+    EXPECT_EQ(f.header().job_names, run.job_names);
+    EXPECT_TRUE(f.header().local_links.empty());  // no records
     EXPECT_EQ(f.run_uid(), metrics::run_content_uid(run));
-    EXPECT_TRUE(f.has_time_series());
+    EXPECT_TRUE(f.header().has_time_series());
     EXPECT_GT(f.chunks().size(), 0u);
     const auto st = metrics::dvr_stats();
     EXPECT_EQ(st.opens, 1u);
@@ -239,11 +242,12 @@ TEST(DvrFormat, ZoneMapPrunedWindowSumsBitIdentical) {
   const metrics::DvrFile f(path);
   metrics::dvr_reset_stats();
   std::size_t checked = 0;
-  for (std::size_t id = 0; id < metrics::kDvrSeriesCount; ++id) {
-    const auto frames = f.series_frames(id);
-    const auto entities = f.series_entities(id);
-    if (frames == 0 || entities == 0) continue;
+  for (std::size_t id = 0; id < metrics::schema::kSeries.size(); ++id) {
     const auto series = f.series(id);
+    const auto frames = f.series_frames(id);
+    const auto entities = series.entities();
+    EXPECT_EQ(series.frames(), frames);
+    if (frames == 0 || entities == 0) continue;
     for (const std::size_t e : {std::size_t{0}, entities / 2, entities - 1}) {
       for (const auto& [f0, f1] :
            {std::pair<std::size_t, std::size_t>{0, frames},
