@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <regex>
 #include <set>
 
 #include "app/cli.hpp"
@@ -537,17 +536,32 @@ TEST(Cli, HelpBlocksListExactlyTheAcceptedKeys) {
   ::testing::internal::CaptureStdout();
   EXPECT_EQ(cli({"--help"}), 0);
   const std::string help = ::testing::internal::GetCapturedStdout();
-  const std::regex flag(R"(--([a-z0-9][a-z0-9-]*))");
+  // The keys of a help block's `--key` tokens: "--", then a letter or
+  // digit, then any run of letters, digits and '-'.
+  auto flags = [](const std::string& text) {
+    auto key_char = [](char ch) {
+      return (ch >= 'a' && ch <= 'z') || (ch >= '0' && ch <= '9') ||
+             ch == '-';
+    };
+    std::set<std::string> keys;
+    for (std::size_t at = text.find("--"); at != std::string::npos;
+         at = text.find("--", at + 1)) {
+      std::size_t end = at + 2;
+      if (end == text.size() || !key_char(text[end]) || text[end] == '-') {
+        continue;
+      }
+      while (end < text.size() && key_char(text[end])) ++end;
+      keys.insert(text.substr(at + 2, end - at - 2));
+      at = end - 1;
+    }
+    return keys;
+  };
   const auto commands = command_options();
   ASSERT_FALSE(commands.empty());
   for (const auto& c : commands) {
     SCOPED_TRACE(c.name);
     EXPECT_NE(help.find(c.help), std::string::npos) << "block not printed";
-    std::set<std::string> listed;
-    for (std::sregex_iterator it(c.help.begin(), c.help.end(), flag), end;
-         it != end; ++it) {
-      listed.insert((*it)[1]);
-    }
+    const std::set<std::string> listed = flags(c.help);
     const std::set<std::string> accepted(c.keys.begin(), c.keys.end());
     EXPECT_EQ(accepted.size(), c.keys.size()) << "duplicate accepted key";
     EXPECT_EQ(listed, accepted);
