@@ -506,7 +506,7 @@ int cmd_inspect(const Args& args) {
     bytes += c.bytes;
     if (c.zmin == 0.0 && c.zmax == 0.0) ++zero_chunks;
   }
-  std::printf("chunks:   %zu total, %zu all-zero (prunable)\n",
+  std::printf("chunks:   %zu total, %zu all-zero\n",
               f.chunks().size(), zero_chunks);
   for (const auto& [section, cb] : sections) {
     const char* label = "series";

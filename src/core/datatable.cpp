@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 
+#include "metrics/run_schema.hpp"
 #include "util/kernels.hpp"
 #include "util/str.hpp"
 
@@ -116,6 +117,27 @@ std::string to_string(Entity e) {
 }
 
 // ----------------------------------------------------------------- DataSet
+
+namespace {
+
+/// The attribute of DataSet::table(e) that schema::kSeries[series]
+/// windows, or null when that series does not window `e`.
+const char* windowed_attr(Entity e, std::size_t series) {
+  using metrics::DvrSection;
+  const metrics::schema::Series& ts = metrics::schema::kSeries[series];
+  auto on = [&ts](DvrSection s) {
+    return ts.entities == s ? ts.column : nullptr;
+  };
+  switch (e) {
+    case Entity::kRouter: return ts.router_column;
+    case Entity::kLocalLink: return on(DvrSection::kLocalLinks);
+    case Entity::kGlobalLink: return on(DvrSection::kGlobalLinks);
+    case Entity::kTerminal: return on(DvrSection::kTerminals);
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 DataSet::DataSet(metrics::RunMetrics run)
     : run_(std::make_shared<const metrics::RunMetrics>(std::move(run))) {
@@ -284,13 +306,11 @@ void DataSet::build() {
   tables_ = std::move(tables);
 
   if (run.has_time_series()) {
-    auto slabs = std::make_shared<TimeSlabs>();
-    slabs->local_traffic = metrics::PrefixSeries(run.local_traffic_ts);
-    slabs->local_sat = metrics::PrefixSeries(run.local_sat_ts);
-    slabs->global_traffic = metrics::PrefixSeries(run.global_traffic_ts);
-    slabs->global_sat = metrics::PrefixSeries(run.global_sat_ts);
-    slabs->term_traffic = metrics::PrefixSeries(run.term_traffic_ts);
-    slabs->term_sat = metrics::PrefixSeries(run.term_sat_ts);
+    auto slabs = std::make_shared<std::vector<metrics::PrefixSeries>>();
+    slabs->reserve(metrics::schema::kSeries.size());
+    for (const auto& ts : metrics::schema::kSeries) {
+      slabs->emplace_back(run.*ts.member);
+    }
     slabs_ = std::move(slabs);
   }
 }
@@ -305,99 +325,71 @@ const DataTable& DataSet::table(Entity e) const {
   throw Error("bad entity");
 }
 
-const TimeSlabs& DataSet::slabs() const {
+const std::vector<metrics::PrefixSeries>& DataSet::slabs() const {
   DV_REQUIRE(slabs_ != nullptr,
              "time-range selection requires a sampled run");
   return *slabs_;
 }
 
 bool DataSet::windowable(Entity e, const std::string& attr) {
-  switch (e) {
-    case Entity::kRouter:
-      return attr == "global_traffic" || attr == "global_sat_time" ||
-             attr == "local_traffic" || attr == "local_sat_time";
-    case Entity::kLocalLink:
-    case Entity::kGlobalLink:
-      return attr == "traffic" || attr == "sat_time";
-    case Entity::kTerminal:
-      return attr == "data_size" || attr == "sat_time";
+  for (std::size_t id = 0; id < metrics::schema::kSeries.size(); ++id) {
+    const char* a = windowed_attr(e, id);
+    if (a != nullptr && attr == a) return true;
   }
   return false;
 }
 
 const metrics::PrefixSeries& DataSet::prefix_for(
     Entity e, const std::string& attr) const {
-  const TimeSlabs& sl = slabs();
-  switch (e) {
-    case Entity::kLocalLink:
-      if (attr == "traffic") return sl.local_traffic;
-      if (attr == "sat_time") return sl.local_sat;
-      break;
-    case Entity::kGlobalLink:
-      if (attr == "traffic") return sl.global_traffic;
-      if (attr == "sat_time") return sl.global_sat;
-      break;
-    case Entity::kTerminal:
-      if (attr == "data_size") return sl.term_traffic;
-      if (attr == "sat_time") return sl.term_sat;
-      break;
-    case Entity::kRouter:
-      break;  // router attrs are link sums; no per-row slab
+  // Router attrs are link sums; no per-row slab.
+  if (e != Entity::kRouter) {
+    for (std::size_t id = 0; id < metrics::schema::kSeries.size(); ++id) {
+      const char* a = windowed_attr(e, id);
+      if (a != nullptr && attr == a) return slabs()[id];
+    }
   }
   throw Error("no time-series slab for " + to_string(e) + "." + attr);
 }
 
+std::pair<std::size_t, std::size_t> DataSet::frame_range(Entity e, double t0,
+                                                         double t1) const {
+  for (std::size_t id = 0; id < metrics::schema::kSeries.size(); ++id) {
+    if (windowed_attr(e, id) != nullptr) {
+      return slabs()[id].frame_range(t0, t1);
+    }
+  }
+  throw Error("no time series windows " + to_string(e));
+}
+
 DataTable DataSet::windowed_table(Entity e, double t0, double t1) const {
   DV_REQUIRE(t0 < t1, "empty time range");
-  const TimeSlabs& sl = slabs();
-  auto windowed = [&](const metrics::PrefixSeries& ps) {
-    const auto [f0, f1] = ps.frame_range(t0, t1);
-    std::vector<double> out(ps.entities());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = ps.range_sum(i, f0, f1);
-    }
-    return out;
-  };
+  const auto& sl = slabs();
   DataTable t = table(e);
-  switch (e) {
-    case Entity::kLocalLink:
-      t.set_column("traffic", windowed(sl.local_traffic));
-      t.set_column("sat_time", windowed(sl.local_sat));
-      break;
-    case Entity::kGlobalLink:
-      t.set_column("traffic", windowed(sl.global_traffic));
-      t.set_column("sat_time", windowed(sl.global_sat));
-      break;
-    case Entity::kTerminal:
-      t.set_column("data_size", windowed(sl.term_traffic));
-      t.set_column("sat_time", windowed(sl.term_sat));
-      break;
-    case Entity::kRouter: {
-      // Re-accumulate per-router sums from the windowed links in the exact
-      // order of RunMetrics::derive_routers, for bit-exactness with a
+  for (std::size_t id = 0; id < sl.size(); ++id) {
+    const char* attr = windowed_attr(e, id);
+    if (attr == nullptr) continue;
+    const metrics::PrefixSeries& ps = sl[id];
+    const auto [f0, f1] = ps.frame_range(t0, t1);
+    std::vector<double> out;
+    if (e == Entity::kRouter) {
+      // Re-accumulate the per-router sum from the windowed links in the
+      // link order of RunMetrics::derive_routers, for bit-exactness with a
       // DataSet rebuilt from the sliced run.
-      const std::size_t n = t.rows();
-      std::vector<double> lt(n, 0.0), ls(n, 0.0), gt(n, 0.0), gs(n, 0.0);
-      auto accumulate = [&](const std::vector<metrics::LinkMetrics>& links,
-                            const metrics::PrefixSeries& traffic_ps,
-                            const metrics::PrefixSeries& sat_ps,
-                            std::vector<double>& traffic,
-                            std::vector<double>& sat) {
-        const auto [f0, f1] = traffic_ps.frame_range(t0, t1);
-        for (std::size_t i = 0; i < links.size(); ++i) {
-          traffic[links[i].src_router] += traffic_ps.range_sum(i, f0, f1);
-          sat[links[i].src_router] += sat_ps.range_sum(i, f0, f1);
-        }
-      };
-      accumulate(run_->local_links, sl.local_traffic, sl.local_sat, lt, ls);
-      accumulate(run_->global_links, sl.global_traffic, sl.global_sat, gt,
-                 gs);
-      t.set_column("local_traffic", std::move(lt));
-      t.set_column("local_sat_time", std::move(ls));
-      t.set_column("global_traffic", std::move(gt));
-      t.set_column("global_sat_time", std::move(gs));
-      break;
+      const auto& links = metrics::schema::kSeries[id].entities ==
+                                  metrics::DvrSection::kLocalLinks
+                              ? run_->local_links
+                              : run_->global_links;
+      out.assign(t.rows(), 0.0);
+      for (std::size_t i = 0; i < links.size(); ++i) {
+        out[links[i].src_router] += ps.range_sum(i, f0, f1);
+      }
+    } else {
+      out.resize(ps.entities());
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = ps.range_sum(i, f0, f1);
+      }
     }
+    t.set_column(attr, std::move(out));
   }
   return t;
 }

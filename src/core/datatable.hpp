@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "metrics/run_metrics.hpp"
@@ -58,16 +59,6 @@ enum class Entity { kRouter, kLocalLink, kGlobalLink, kTerminal };
 Entity entity_from_string(const std::string& name);  // throws on unknown
 std::string to_string(Entity e);
 
-/// Prefix-summed time-series slabs, one per sampled metric. Built once per
-/// DataSet (O(frames x entities)); every windowed reduction afterwards is a
-/// prefix delta, so a brushed time range re-aggregates in O(rows) instead of
-/// O(rows x frames).
-struct TimeSlabs {
-  metrics::PrefixSeries local_traffic, local_sat;
-  metrics::PrefixSeries global_traffic, global_sat;
-  metrics::PrefixSeries term_traffic, term_sat;
-};
-
 /// A full run as a set of linked entity tables, plus the topology shape
 /// needed to resolve references and time series for range re-aggregation.
 /// Immutable once built: a copy shares the run, tables, slabs and uid(),
@@ -93,17 +84,26 @@ class DataSet {
   std::uint32_t routers_per_group() const { return run_->routers_per_group; }
 
   bool has_time_series() const { return run_->has_time_series(); }
-  /// The prefix slabs backing windowed reduction (requires time series).
-  const TimeSlabs& slabs() const;
+  /// The prefix-summed slabs backing windowed reduction, one per sampled
+  /// series and indexed like metrics::schema::kSeries (requires time
+  /// series). Built once per DataSet (O(frames x entities)); every windowed
+  /// reduction afterwards is a prefix delta, so a brushed time range
+  /// re-aggregates in O(rows) instead of O(rows x frames).
+  const std::vector<metrics::PrefixSeries>& slabs() const;
 
-  /// True when `attr` of entity `e` varies with the time window (it is fed
-  /// by a sampled series rather than a whole-run scalar).
+  /// True when `attr` of entity `e` varies with the time window: a
+  /// schema::kSeries entry windows it (its `column` on the series' own
+  /// section, its `router_column` on routers).
   static bool windowable(Entity e, const std::string& attr);
   /// The prefix slab whose entity index matches rows of table(e), for a
   /// windowable attr. Router attrs are sums over links, so they have no
   /// per-row slab — use windowed_table for those.
   const metrics::PrefixSeries& prefix_for(Entity e,
                                           const std::string& attr) const;
+  /// The frame range [t0, t1) quantizes to for entity `e`: that of the
+  /// first series windowing `e`.
+  std::pair<std::size_t, std::size_t> frame_range(Entity e, double t0,
+                                                  double t1) const;
 
   /// Copy of table(e) with every windowable column restricted to [t0, t1),
   /// the values a DataSet rebuilt from the run sliced to [t0, t1) would
@@ -128,7 +128,7 @@ class DataSet {
   static std::uint64_t next_uid();
 
   std::shared_ptr<const metrics::RunMetrics> run_;
-  std::shared_ptr<const TimeSlabs> slabs_;
+  std::shared_ptr<const std::vector<metrics::PrefixSeries>> slabs_;
   std::shared_ptr<const Tables> tables_;
   std::uint64_t uid_ = next_uid();
 };

@@ -218,15 +218,7 @@ bool QueryEngine::grouping_windowed(Entity e,
 
 std::pair<std::size_t, std::size_t> QueryEngine::frame_range(
     Entity e, TimeWindow w) const {
-  const TimeSlabs& sl = data_->slabs();
-  const metrics::PrefixSeries* ps = nullptr;
-  switch (e) {
-    case Entity::kRouter:
-    case Entity::kLocalLink: ps = &sl.local_traffic; break;
-    case Entity::kGlobalLink: ps = &sl.global_traffic; break;
-    case Entity::kTerminal: ps = &sl.term_traffic; break;
-  }
-  return ps->frame_range(w.t0, w.t1);
+  return data_->frame_range(e, w.t0, w.t1);
 }
 
 std::shared_ptr<const DataTable> QueryEngine::table(Entity e, TimeWindow w) {

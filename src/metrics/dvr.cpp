@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -31,7 +32,6 @@ struct Stats {
   std::atomic<std::uint64_t> bytes_mapped{0};
   std::atomic<std::uint64_t> chunks_read{0};
   std::atomic<std::uint64_t> chunk_bytes_read{0};
-  std::atomic<std::uint64_t> chunks_pruned{0};
 };
 Stats& stats() {
   static Stats s;
@@ -462,7 +462,6 @@ DvrStats dvr_stats() {
   out.bytes_mapped = s.bytes_mapped.load(std::memory_order_relaxed);
   out.chunks_read = s.chunks_read.load(std::memory_order_relaxed);
   out.chunk_bytes_read = s.chunk_bytes_read.load(std::memory_order_relaxed);
-  out.chunks_pruned = s.chunks_pruned.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -472,7 +471,6 @@ void dvr_reset_stats() {
   s.bytes_mapped.store(0, std::memory_order_relaxed);
   s.chunks_read.store(0, std::memory_order_relaxed);
   s.chunk_bytes_read.store(0, std::memory_order_relaxed);
-  s.chunks_pruned.store(0, std::memory_order_relaxed);
 }
 
 DvrFile::DvrFile(const std::string& path) : path_(path) {
@@ -559,7 +557,7 @@ DvrFile::DvrFile(const std::string& path) : path_(path) {
           dvr_type_size(static_cast<DvrType>(c.dtype));
       DV_REQUIRE(c.bytes % elem == 0 && c.rows == c.bytes / elem,
                  "chunk size/dtype mismatch");
-      // Series chunks address a frames x entities slab, so series() can
+      // Series chunks address a frames x entities slab, so load_all can
       // only memcpy safely if every chunk's [row0, row0 + rows/entities)
       // frame range is representable and consistent with the header's
       // entity count. A frame costs entities * sizeof(float) payload
@@ -672,8 +670,28 @@ RunMetrics DvrFile::load_all() const {
     });
   }
   if (m.has_time_series()) {
+    // Each series is its frame-chunks copied into one frames x entities
+    // slab; the constructor admits only chunks whose frame range fits the
+    // slab, which is what makes the raw memcpy safe.
     for (std::size_t id = 0; id < schema::kSeries.size(); ++id) {
-      m.*schema::kSeries[id].member = series(id);
+      const std::size_t entities = rows(schema::kSeries[id].entities);
+      const auto section = static_cast<std::uint16_t>(dvr_series_section(id));
+      std::size_t frames = 0;
+      for (const auto& c : chunks_) {
+        if (c.section != section || entities == 0) continue;
+        frames = std::max<std::size_t>(frames, c.row0 + c.rows / entities);
+      }
+      std::vector<float> data(frames * entities);
+      for (const auto& c : chunks_) {
+        if (c.section != section || c.rows == 0) continue;
+        DV_REQUIRE(static_cast<DvrType>(c.dtype) == DvrType::kF32,
+                   path_ + ": series chunk dtype mismatch");
+        DV_CHECK(c.row0 * entities + c.rows <= data.size(),
+                 "series chunk outside slab in " + path_);
+        std::memcpy(data.data() + c.row0 * entities, payload(c), c.bytes);
+      }
+      m.*schema::kSeries[id].member =
+          SampledSeries::adopt(entities, header_.sample_dt, std::move(data));
     }
   }
   try {
@@ -682,67 +700,6 @@ RunMetrics DvrFile::load_all() const {
     throw Error(path_ + ": " + e.what());
   }
   return m;
-}
-
-std::size_t DvrFile::series_frames(std::size_t id) const {
-  const std::size_t entities = rows(schema::kSeries.at(id).entities);
-  if (entities == 0) return 0;
-  const auto section = static_cast<std::uint16_t>(dvr_series_section(id));
-  std::size_t frames = 0;
-  for (const auto& c : chunks_) {
-    if (c.section != section) continue;
-    frames = std::max<std::size_t>(frames, c.row0 + c.rows / entities);
-  }
-  return frames;
-}
-
-SampledSeries DvrFile::series(std::size_t id) const {
-  const std::size_t entities = rows(schema::kSeries.at(id).entities);
-  const std::size_t frames = series_frames(id);
-  std::vector<float> data(frames * entities);
-  const auto section = static_cast<std::uint16_t>(dvr_series_section(id));
-  for (const auto& c : chunks_) {
-    if (c.section != section || c.rows == 0) continue;
-    DV_REQUIRE(static_cast<DvrType>(c.dtype) == DvrType::kF32,
-               path_ + ": series chunk dtype mismatch");
-    // The constructor admits only chunks whose frame range fits the slab;
-    // this invariant is what makes the raw memcpy below safe.
-    DV_CHECK(c.row0 * entities + c.rows <= data.size(),
-             "series chunk outside slab in " + path_);
-    std::memcpy(data.data() + c.row0 * entities, payload(c), c.bytes);
-  }
-  return SampledSeries::adopt(entities, header_.sample_dt, std::move(data));
-}
-
-double DvrFile::series_range_sum(std::size_t id, std::size_t entity,
-                                 std::size_t f0, std::size_t f1,
-                                 bool prune) const {
-  const std::size_t entities = rows(schema::kSeries.at(id).entities);
-  DV_REQUIRE(entity < entities, "entity out of range");
-  DV_REQUIRE(f0 <= f1 && f1 <= series_frames(id), "bad frame range");
-  const auto section = static_cast<std::uint16_t>(dvr_series_section(id));
-  double acc = 0.0;
-  // Frame-chunks are written in ascending row0 order, so walking the
-  // directory in order preserves the scalar loop's accumulation order.
-  for (const auto& c : chunks_) {
-    if (c.section != section || c.rows == 0) continue;
-    const std::size_t cf0 = c.row0;
-    const std::size_t cf1 = c.row0 + c.rows / entities;
-    const std::size_t lo = std::max(f0, cf0);
-    const std::size_t hi = std::min(f1, cf1);
-    if (lo >= hi) continue;
-    if (prune && c.zmin == 0.0 && c.zmax == 0.0) {
-      // Zone map proves every value in the chunk is (+/-)0.0f; adding
-      // zeros to an accumulator that starts at +0.0 never changes its
-      // bits, so the skip is exact, not approximate.
-      stats().chunks_pruned.fetch_add(1, std::memory_order_relaxed);
-      DV_OBS_COUNT("metrics.dvr.chunks_pruned", 1);
-      continue;
-    }
-    const auto* vals = reinterpret_cast<const float*>(payload(c));
-    acc += kernels::strided_sum(vals, entities, entity, lo - cf0, hi - cf0);
-  }
-  return acc;
 }
 
 }  // namespace dv::metrics

@@ -6,10 +6,9 @@
 // endian column chunks behind a fixed header and a chunk directory, so a
 // reader can
 //
-//   * mmap the file and touch only the chunks a query needs (lazy,
-//     per-query chunk loading — the out-of-core half of this layer),
-//   * skip chunks whose min/max zone map proves they cannot contribute
-//     (all-zero sampled-series chunks under a range sum), and
+//   * mmap the file and read only its header and chunk directory until the
+//     run is materialized (lazy attach — the out-of-core half of this
+//     layer), and
 //   * identify the run stably across sessions via a content uid, the key
 //     VAID-style persistent query artifacts index on.
 //
@@ -31,7 +30,8 @@ namespace dv::metrics {
 
 constexpr std::uint32_t kDvrVersion = 1;
 /// Sampled series are split into frame-chunks of this many frames, each
-/// with its own zone map — the unit of lazy loading and pruning.
+/// with its own zone map (recorded and shown by `inspect`; no reader
+/// prunes on it).
 constexpr std::size_t kDvrSeriesChunkFrames = 256;
 
 /// Sections a chunk can belong to. Series sections are kSeriesBase + id,
@@ -94,13 +94,15 @@ bool is_dvr_file(const std::string& path);
 RunMetrics load_dvr(const std::string& path);
 
 /// Process-wide reader counters (mirrored into obs as metrics.dvr.*) —
-/// how much of the mapped bytes queries actually touched.
+/// how much of the mapped bytes readers actually touched.
 struct DvrStats {
   std::uint64_t opens = 0;
   std::uint64_t bytes_mapped = 0;
   std::uint64_t chunks_read = 0;
   std::uint64_t chunk_bytes_read = 0;
-  std::uint64_t chunks_pruned = 0;  ///< skipped via zone maps
+  /// Always 0: no reader skips chunks. Kept because the analyst
+  /// benchmark and the serve `stats` reply report it.
+  std::uint64_t chunks_pruned = 0;
 };
 DvrStats dvr_stats();
 void dvr_reset_stats();
@@ -128,19 +130,6 @@ class DvrFile {
   /// Reads every chunk, rebuilds the RunMetrics bit-exactly and checks it
   /// with RunMetrics::validate; errors start with the path.
   RunMetrics load_all() const;
-
-  /// Rebuilds one sampled series (all of its frame-chunks); `id` indexes
-  /// schema::kSeries.
-  SampledSeries series(std::size_t id) const;
-  std::size_t series_frames(std::size_t id) const;
-
-  /// Windowed sum over frames [f0, f1) of one entity, touching only the
-  /// overlapping frame-chunks and skipping all-zero ones via their zone
-  /// maps. Adding zeros never changes an accumulator that started at +0.0,
-  /// so the pruned sum is bit-identical to SampledSeries::range_sum.
-  double series_range_sum(std::size_t id, std::size_t entity,
-                          std::size_t f0, std::size_t f1,
-                          bool prune = true) const;
 
  private:
   const unsigned char* payload(const DvrChunk& c) const;  // counts a read

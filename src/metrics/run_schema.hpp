@@ -92,25 +92,34 @@ inline constexpr std::tuple kRouterTallies{
     Tally{"router_retries", &RunMetrics::router_retries},
     Tally{"router_drops", &RunMetrics::router_drops}};
 
-/// One sampled series: its text key, the run member, and the record
-/// section whose rows are its entities.
+/// One sampled series: its text key, the run member, the record section
+/// whose rows are its entities, the record column a windowed sum of the
+/// series replaces, and the derived router column it feeds (null for
+/// terminal series). The last two are also DataSet column names, so the
+/// VA layer windows through this table (core::DataSet::windowed_table).
 struct Series {
   const char* name;
   SampledSeries RunMetrics::*member;
   DvrSection entities;
+  const char* column;
+  const char* router_column;
 };
 
 /// The sampled series in text and uid order; the index is the .dvr
-/// series id (section kSeriesBase + id).
+/// series id (section kSeriesBase + id) and the DataSet slab id.
 inline constexpr std::array<Series, 6> kSeries{{
     {"local_traffic_ts", &RunMetrics::local_traffic_ts,
-     DvrSection::kLocalLinks},
-    {"local_sat_ts", &RunMetrics::local_sat_ts, DvrSection::kLocalLinks},
+     DvrSection::kLocalLinks, "traffic", "local_traffic"},
+    {"local_sat_ts", &RunMetrics::local_sat_ts, DvrSection::kLocalLinks,
+     "sat_time", "local_sat_time"},
     {"global_traffic_ts", &RunMetrics::global_traffic_ts,
-     DvrSection::kGlobalLinks},
-    {"global_sat_ts", &RunMetrics::global_sat_ts, DvrSection::kGlobalLinks},
-    {"term_traffic_ts", &RunMetrics::term_traffic_ts, DvrSection::kTerminals},
-    {"term_sat_ts", &RunMetrics::term_sat_ts, DvrSection::kTerminals},
+     DvrSection::kGlobalLinks, "traffic", "global_traffic"},
+    {"global_sat_ts", &RunMetrics::global_sat_ts, DvrSection::kGlobalLinks,
+     "sat_time", "global_sat_time"},
+    {"term_traffic_ts", &RunMetrics::term_traffic_ts, DvrSection::kTerminals,
+     "data_size", nullptr},
+    {"term_sat_ts", &RunMetrics::term_sat_ts, DvrSection::kTerminals,
+     "sat_time", nullptr},
 }};
 
 /// Calls f(entry, index) for each entry of a table tuple, in order.

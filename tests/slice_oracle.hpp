@@ -8,9 +8,11 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "core/datatable.hpp"
+#include "metrics/run_schema.hpp"
 #include "util/common.hpp"
 
 namespace dv::testing {
@@ -23,7 +25,15 @@ inline core::DataSet slice_time(const core::DataSet& data, double t0,
   // Windowed values go through the same PrefixSeries deltas as
   // windowed_table, so from-scratch slicing and incremental re-windowing
   // are bit-exact with each other.
-  const core::TimeSlabs& sl = data.slabs();
+  // The dataset's slabs are indexed like schema::kSeries; each one is
+  // looked up by its text key, and the record columns below are named by
+  // hand, independently of the table's column mapping.
+  auto slab = [&data](const std::string& name) -> const metrics::PrefixSeries& {
+    for (std::size_t id = 0; id < metrics::schema::kSeries.size(); ++id) {
+      if (name == metrics::schema::kSeries[id].name) return data.slabs()[id];
+    }
+    throw Error("no sampled series " + name);
+  };
   metrics::RunMetrics sliced = data.run();
   auto apply = [&](std::vector<metrics::LinkMetrics>& links,
                    const metrics::PrefixSeries& traffic_ps,
@@ -34,13 +44,16 @@ inline core::DataSet slice_time(const core::DataSet& data, double t0,
       links[i].sat_time = sat_ps.range_sum(i, f0, f1);
     }
   };
-  apply(sliced.local_links, sl.local_traffic, sl.local_sat);
-  apply(sliced.global_links, sl.global_traffic, sl.global_sat);
+  apply(sliced.local_links, slab("local_traffic_ts"), slab("local_sat_ts"));
+  apply(sliced.global_links, slab("global_traffic_ts"),
+        slab("global_sat_ts"));
   {
-    const auto [f0, f1] = sl.term_traffic.frame_range(t0, t1);
+    const metrics::PrefixSeries& traffic = slab("term_traffic_ts");
+    const metrics::PrefixSeries& sat = slab("term_sat_ts");
+    const auto [f0, f1] = traffic.frame_range(t0, t1);
     for (std::size_t i = 0; i < sliced.terminals.size(); ++i) {
-      sliced.terminals[i].data_size = sl.term_traffic.range_sum(i, f0, f1);
-      sliced.terminals[i].sat_time = sl.term_sat.range_sum(i, f0, f1);
+      sliced.terminals[i].data_size = traffic.range_sum(i, f0, f1);
+      sliced.terminals[i].sat_time = sat.range_sum(i, f0, f1);
     }
   }
   return core::DataSet(sliced);

@@ -2,9 +2,7 @@
 //
 // Two contracts are pinned here: (1) text-loaded and packed-loaded runs
 // are bit-identical all the way into DataTables, and (2) every kernel in
-// util/kernels.hpp matches its naive scalar twin bit for bit — including
-// the zone-map-pruned windowed sums, whose skip of all-zero chunks must
-// never change an accumulator.
+// util/kernels.hpp matches its naive scalar twin bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -232,40 +230,6 @@ TEST(DvrFormat, HeaderOnlyOpenReadsNoChunks) {
     EXPECT_EQ(st.opens, 1u);
     EXPECT_EQ(st.chunks_read, 0u);  // metadata is free; payloads untouched
   }
-  std::remove(path.c_str());
-}
-
-TEST(DvrFormat, ZoneMapPrunedWindowSumsBitIdentical) {
-  const auto run = dvr_sample_run(true);
-  const auto path = temp_path("dv_dvr_prune.dvr");
-  metrics::save_dvr(run, path);
-  const metrics::DvrFile f(path);
-  metrics::dvr_reset_stats();
-  std::size_t checked = 0;
-  for (std::size_t id = 0; id < metrics::schema::kSeries.size(); ++id) {
-    const auto series = f.series(id);
-    const auto frames = f.series_frames(id);
-    const auto entities = series.entities();
-    EXPECT_EQ(series.frames(), frames);
-    if (frames == 0 || entities == 0) continue;
-    for (const std::size_t e : {std::size_t{0}, entities / 2, entities - 1}) {
-      for (const auto& [f0, f1] :
-           {std::pair<std::size_t, std::size_t>{0, frames},
-            {frames / 3, 2 * frames / 3},
-            {0, 1}}) {
-        const double pruned = f.series_range_sum(id, e, f0, f1, true);
-        const double full = f.series_range_sum(id, e, f0, f1, false);
-        const double scalar = series.range_sum(e, f0, f1);
-        ASSERT_TRUE(bits_equal(pruned, full));
-        ASSERT_TRUE(bits_equal(pruned, scalar));
-        ++checked;
-      }
-    }
-  }
-  EXPECT_GT(checked, 0u);
-  // The sampled tail of a short run leaves all-zero chunks behind; the
-  // pruning path must actually have fired for this test to mean anything.
-  EXPECT_GT(metrics::dvr_stats().chunks_pruned, 0u);
   std::remove(path.c_str());
 }
 
