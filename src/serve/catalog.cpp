@@ -1,5 +1,7 @@
 #include "serve/catalog.hpp"
 
+#include <filesystem>
+
 #include "metrics/dvr.hpp"
 #include "metrics/run_metrics.hpp"
 #include "obs/obs.hpp"
@@ -23,6 +25,18 @@ std::string derive_name(const std::string& path) {
   return base;
 }
 
+/// Reads and indexes one run file. A reader error on a path that does not
+/// exist becomes RunNotFound; any other keeps its type.
+core::DataSet load_dataset(const std::string& path) {
+  try {
+    return core::DataSet(metrics::RunMetrics::load(path));
+  } catch (const Error& e) {
+    std::error_code ec;
+    if (!std::filesystem::exists(path, ec)) throw RunNotFound(e.what());
+    throw;
+  }
+}
+
 }  // namespace
 
 std::pair<std::string, std::string> split_run_ref(const std::string& ref) {
@@ -44,8 +58,8 @@ std::shared_ptr<const LoadedRun> RunCatalog::load(const std::string& path,
   if (name.empty()) name = derive_name(path);
   // Parse + dataset build happen outside the catalog lock: loading a big
   // run must not stall sessions querying already-loaded ones.
-  auto loaded = std::make_shared<const LoadedRun>(
-      name, path, core::DataSet(metrics::RunMetrics::load(path)), cache_);
+  auto loaded =
+      std::make_shared<const LoadedRun>(name, path, load_dataset(path), cache_);
   {
     std::lock_guard<std::mutex> lock(mu_);
     runs_[name] = loaded;
@@ -79,7 +93,7 @@ std::shared_ptr<const LoadedRun> RunCatalog::get(
     const auto it = runs_.find(name);
     if (it != runs_.end()) return it->second;
     const auto pit = pending_.find(name);
-    DV_REQUIRE(pit != pending_.end(), "no such run: " + name);
+    if (pit == pending_.end()) throw RunNotFound("no such run: " + name);
     p = pit->second;
   }
   // Materialize outside the catalog lock (sessions querying resident runs
@@ -87,9 +101,8 @@ std::shared_ptr<const LoadedRun> RunCatalog::get(
   // concurrent getters of the same pending run onto one load.
   std::lock_guard<std::mutex> entry_lock(p->mu);
   if (p->done == nullptr) {
-    p->done = std::make_shared<const LoadedRun>(
-        name, p->path, core::DataSet(metrics::RunMetrics::load(p->path)),
-        cache_);
+    p->done = std::make_shared<const LoadedRun>(name, p->path,
+                                                load_dataset(p->path), cache_);
     DV_OBS_COUNT("serve.catalog.lazy_loads", 1);
   }
   {
@@ -115,7 +128,7 @@ void RunCatalog::unload(const std::string& name) {
     return;
   }
   const auto pit = pending_.find(name);
-  DV_REQUIRE(pit != pending_.end(), "no such run: " + name);
+  if (pit == pending_.end()) throw RunNotFound("no such run: " + name);
   pending_.erase(pit);
 }
 

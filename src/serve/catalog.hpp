@@ -24,6 +24,14 @@
 
 namespace dv::serve {
 
+/// Thrown by the catalog for a run name it does not know or a run file
+/// that does not exist. A file that exists but does not load or validate
+/// throws a plain dv::Error carrying the reader's path-prefixed message.
+class RunNotFound : public Error {
+ public:
+  using Error::Error;
+};
+
 /// One run resident in the daemon: immutable dataset + its query engine.
 struct LoadedRun {
   std::string name;
@@ -52,7 +60,8 @@ class RunCatalog {
   /// the magic) under `name` (basename of `path`, minus a trailing
   /// ".json"/".dvr", when empty). Replaces an existing entry with the same
   /// name; in-flight references to the old run stay valid. Returns the
-  /// loaded run. Throws dv::Error when the file is unreadable.
+  /// loaded run. Throws RunNotFound when the file does not exist, and
+  /// dv::Error when it does not load.
   std::shared_ptr<const LoadedRun> load(const std::string& path,
                                         std::string name = "");
 
@@ -66,7 +75,8 @@ class RunCatalog {
 
   /// Looks up a run, materializing it first if it was only attached.
   /// Concurrent getters of the same pending run coalesce onto a single
-  /// load. Throws dv::Error when `name` is unknown.
+  /// load. Throws RunNotFound when `name` is unknown or its file does not
+  /// exist, and dv::Error when an attached file does not load.
   std::shared_ptr<const LoadedRun> get(const std::string& name) const;
 
   /// Drops `name` — resident or attached — from the catalog (sessions

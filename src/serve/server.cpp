@@ -10,6 +10,7 @@
 #include <fstream>
 #include <future>
 #include <limits>
+#include <list>
 
 #include "core/comparison.hpp"
 #include "core/presets.hpp"
@@ -210,12 +211,7 @@ json::Value Server::verb_load(Session& s, const json::Value& p) {
   if (p.get_bool("lazy", false)) {
     // Attach only: the parse + dataset build are deferred to the first
     // verb that actually touches the run.
-    std::string name;
-    try {
-      name = catalog_.attach(path, p.get_string("name", ""));
-    } catch (const Error& e) {
-      throw VerbError(ErrorCode::kNotFound, e.what());
-    }
+    const std::string name = catalog_.attach(path, p.get_string("name", ""));
     if (s.run_name.empty()) s.run_name = name;
     json::Object o;
     o["name"] = json::Value(name);
@@ -226,7 +222,7 @@ json::Value Server::verb_load(Session& s, const json::Value& p) {
   std::shared_ptr<const LoadedRun> lr;
   try {
     lr = catalog_.load(path, p.get_string("name", ""));
-  } catch (const Error& e) {
+  } catch (const RunNotFound& e) {
     throw VerbError(ErrorCode::kNotFound, e.what());
   }
   if (s.run_name.empty()) s.run_name = lr->name;
@@ -251,7 +247,7 @@ json::Value Server::verb_use(Session& s, const json::Value& p) {
   }
   try {
     catalog_.get(name);  // existence check
-  } catch (const Error& e) {
+  } catch (const RunNotFound& e) {
     throw VerbError(ErrorCode::kNotFound, e.what());
   }
   s.run_name = name;
@@ -318,7 +314,7 @@ std::shared_ptr<const LoadedRun> Server::resolve_run(
   }
   try {
     return catalog_.get(name);
-  } catch (const Error& e) {
+  } catch (const RunNotFound& e) {
     throw VerbError(ErrorCode::kNotFound, e.what());
   }
 }
@@ -679,7 +675,24 @@ int Server::listen_and_serve() {
     os << addr.describe() << "\n";
   }
 
-  std::vector<std::thread> conns;
+  // One thread per connection, joined as soon as the accept loop sees it
+  // finished: glibc frees a joinable thread's stack only on join, so an
+  // unjoined finished thread would keep its whole stack mapped.
+  struct Conn {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Conn> conns;
+  const auto reap_finished = [&conns] {
+    for (auto it = conns.begin(); it != conns.end();) {
+      if (it->done.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = conns.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  };
   while (!stopping()) {
     pollfd pfds[2] = {{lfd, POLLIN, 0}, {stop_pipe_[0], POLLIN, 0}};
     const int rc = ::poll(pfds, 2, -1);
@@ -688,6 +701,7 @@ int Server::listen_and_serve() {
     if ((pfds[0].revents & POLLIN) == 0) continue;
     const int cfd = ::accept(lfd, nullptr, nullptr);
     if (cfd < 0) continue;
+    reap_finished();
     std::size_t active;
     {
       std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -705,7 +719,11 @@ int Server::listen_and_serve() {
       }
       continue;
     }
-    conns.emplace_back([this, cfd] { serve_fd(cfd); });
+    Conn& conn = conns.emplace_back();
+    conn.thread = std::thread([this, cfd, &conn] {
+      serve_fd(cfd);
+      conn.done.store(true, std::memory_order_release);
+    });
   }
 
   close_fd(lfd);
@@ -715,7 +733,7 @@ int Server::listen_and_serve() {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (const int fd : conn_fds_) shutdown_fd(fd);
   }
-  for (auto& t : conns) t.join();
+  for (auto& c : conns) c.thread.join();
   if (!opts_.ready_file.empty()) ::unlink(opts_.ready_file.c_str());
   return 0;
 }

@@ -4,8 +4,11 @@
 // and the docs-coverage contract (every dispatch-table verb documented).
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <sys/socket.h>
 
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -15,6 +18,7 @@
 #include "core/presets.hpp"
 #include "core/projection.hpp"
 #include "helpers.hpp"
+#include "metrics/dvr.hpp"
 #include "serve/client.hpp"
 #include "serve/net_io.hpp"
 #include "serve/server.hpp"
@@ -69,6 +73,13 @@ struct Conn {
   std::optional<Client> client;
   std::thread thread;
 };
+
+json::Value render_params(const std::string& run = "mini") {
+  json::Object p;
+  if (!run.empty()) p["run"] = json::Value(run);
+  p["spec"] = json::Value("preset:overview");
+  return json::Value(std::move(p));
+}
 
 // --------------------------------------------------------------- protocol
 
@@ -141,14 +152,78 @@ TEST(ServeProtocol, ErrorCodesDistinguishBadRequestAndNotFound) {
   }
 }
 
-// ------------------------------------------------------------ cache sharing
-
-json::Value render_params(const std::string& run = "mini") {
-  json::Object p;
-  if (!run.empty()) p["run"] = json::Value(run);
-  p["spec"] = json::Value("preset:overview");
-  return json::Value(std::move(p));
+/// The mini run packed, and a copy with the top byte of its first
+/// local_links.src_router flipped, so the copy fails validation on load.
+std::pair<std::string, std::string> good_and_corrupt_runs() {
+  const auto dir = dv::testing::test_temp_dir();
+  const std::string good = (dir / "good.dvr").string();
+  const std::string bad = (dir / "bad.dvr").string();
+  metrics::save_dvr(mini().run, good);
+  std::uint64_t at = 0;
+  const metrics::DvrFile packed(good);
+  for (const auto& c : packed.chunks()) {
+    if (c.section == static_cast<std::uint16_t>(
+                         metrics::DvrSection::kLocalLinks) &&
+        c.column == 0) {
+      at = c.offset + 3;
+    }
+  }
+  EXPECT_GT(at, 0u);
+  std::filesystem::copy_file(good, bad);
+  std::fstream f(bad, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekg(static_cast<std::streamoff>(at));
+  const char byte = static_cast<char>(f.get() ^ 0xFF);
+  f.seekp(static_cast<std::streamoff>(at));
+  f.put(byte);
+  return {good, bad};
 }
+
+TEST(ServeProtocol, CorruptRunRepliesBadRequestAndTheSessionGoesOn) {
+  const auto [good, bad] = good_and_corrupt_runs();
+  Server server(test_options());
+  server.catalog().attach(bad, "bad");
+  server.catalog().attach(good, "good");
+  Conn conn(server);
+  try {
+    conn.client->call("render", render_params("bad"));
+    FAIL() << "rendering a corrupt run must fail";
+  } catch (const RpcError& e) {
+    EXPECT_EQ("bad_request", e.code);
+    EXPECT_EQ("bad_request: " + bad + ": local_links.src_router[0] = " +
+                  "4278190080 (>= 36 routers)",
+              std::string(e.what()));
+  }
+  // An eager load of the corrupt file fails the same way; a missing file
+  // stays not_found.
+  try {
+    json::Object p;
+    p["path"] = json::Value(bad);
+    conn.client->call("load", json::Value(std::move(p)));
+    FAIL() << "loading a corrupt run must fail";
+  } catch (const RpcError& e) {
+    EXPECT_EQ("bad_request", e.code);
+  }
+  try {
+    json::Object p;
+    p["path"] = json::Value(bad + ".missing");
+    conn.client->call("load", json::Value(std::move(p)));
+    FAIL() << "loading a missing file must fail";
+  } catch (const RpcError& e) {
+    EXPECT_EQ("not_found", e.code);
+  }
+
+  // The good run still renders in the same session, byte-identical to a
+  // direct render of the same file.
+  const auto reply = conn.client->call("render", render_params("good"));
+  const core::DataSet data(metrics::RunMetrics::load(good));
+  core::QueryEngine engine(data);
+  const core::ProjectionView view(data, core::preset("overview"), nullptr,
+                                  &engine);
+  EXPECT_EQ(view.to_svg(800, data.run().workload + " / " + data.run().routing),
+            reply.at("svg").as_string());
+}
+
+// ------------------------------------------------------------ cache sharing
 
 TEST(ServeCache, TwoSessionsShareOneResultCache) {
   Server server(test_options());
@@ -433,6 +508,54 @@ TEST(ServeNet, FrameStreamSplitsBufferedFramesAndBoundsSize) {
 
   writer.write_frame(std::string(256, 'x'));
   EXPECT_THROW(reader.read_frame(frame), Error);
+}
+
+/// The process's virtual size in bytes (VmSize in /proc/self/status).
+std::size_t vm_size_bytes() {
+  std::ifstream is("/proc/self/status");
+  std::string line;
+  while (std::getline(is, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stoull(line.substr(std::strlen("VmSize:"))) * 1024;
+    }
+  }
+  return 0;
+}
+
+TEST(ServeNet, SequentialConnectionsDoNotGrowTheProcess) {
+  const auto dir = dv::testing::test_temp_dir();
+  ServeOptions opts = test_options();
+  opts.listen = "unix:" + (dir / "s.sock").string();
+  opts.ready_file = (dir / "ready").string();
+  Server server(opts);
+  std::thread daemon([&server] { server.listen_and_serve(); });
+  for (int i = 0; i < 500 && !std::filesystem::exists(opts.ready_file); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(std::filesystem::exists(opts.ready_file));
+  const auto one_connection = [&opts] {
+    auto client = Client::connect(opts.listen);
+    EXPECT_TRUE(client.call("ping").get_bool("pong", false));
+  };
+  // Warm up first: malloc arenas and the thread-stack cache.
+  for (int i = 0; i < 4; ++i) one_connection();
+  const std::size_t before = vm_size_bytes();
+  constexpr int kConnections = 64;
+  for (int i = 0; i < kConnections; ++i) one_connection();
+  const std::size_t after = vm_size_bytes();
+  server.stop();
+  daemon.join();
+
+  // Each connection thread that finished but was never joined would keep
+  // its stack mapped: allow half of one default stack per connection.
+  pthread_attr_t attr;
+  ASSERT_EQ(0, pthread_attr_init(&attr));
+  std::size_t stack = 0;
+  ASSERT_EQ(0, pthread_attr_getstacksize(&attr, &stack));
+  pthread_attr_destroy(&attr);
+  ASSERT_GT(before, 0u);
+  EXPECT_LT(after, before + kConnections / 2 * stack)
+      << "VmSize grew from " << before << " to " << after << " bytes";
 }
 
 TEST(ServeCatalog, SplitRunRef) {
