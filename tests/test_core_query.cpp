@@ -6,14 +6,18 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <future>
+#include <map>
 #include <numeric>
+#include <set>
 #include <thread>
 
 #include "core/query.hpp"
 #include "core/spec.hpp"
 #include "helpers.hpp"
 #include "slice_oracle.hpp"
+#include "util/str.hpp"
 
 namespace dv {
 namespace {
@@ -57,6 +61,44 @@ TEST(QueryWindow, WindowedTableMatchesSliceTimeBitExact) {
       EXPECT_DOUBLE_EQ(want[i], got[i]) << core::to_string(e) << "." << attr
                                         << " row " << i;
     }
+  }
+}
+
+TEST(QueryWindow, SpecDocListsEveryWindowableAttribute) {
+  std::ifstream is(std::string(DV_DOCS_DIR) + "/SPEC_LANGUAGE.md");
+  ASSERT_TRUE(is.good()) << "docs/SPEC_LANGUAGE.md missing";
+  // The "- **window**" bullet's sub-bullets: "  - <entities>: `a`, `b`".
+  const std::map<std::string, std::vector<Entity>> kLabels = {
+      {"routers", {Entity::kRouter}},
+      {"local and global links", {Entity::kLocalLink, Entity::kGlobalLink}},
+      {"terminals", {Entity::kTerminal}}};
+  std::map<Entity, std::set<std::string>> documented;
+  bool in_bullet = false;
+  for (std::string line; std::getline(is, line);) {
+    if (line.starts_with("- **")) in_bullet = line.starts_with("- **window**");
+    if (!in_bullet || !line.starts_with("  - ")) continue;
+    const auto colon = line.find(':');
+    ASSERT_NE(colon, std::string::npos) << line;
+    const auto it = kLabels.find(line.substr(4, colon - 4));
+    ASSERT_NE(it, kLabels.end()) << line;
+    for (const auto& cell : split(line.substr(colon + 1), ',')) {
+      const std::string attr = trim(cell);
+      ASSERT_TRUE(attr.size() > 2 && attr.front() == '`' && attr.back() == '`')
+          << line;
+      for (const Entity e : it->second) {
+        documented[e].insert(attr.substr(1, attr.size() - 2));
+      }
+    }
+  }
+  const DataSet data(mini().run);
+  for (const Entity e : {Entity::kRouter, Entity::kLocalLink,
+                         Entity::kGlobalLink, Entity::kTerminal}) {
+    std::set<std::string> windowable;
+    for (const auto& col : data.table(e).column_names()) {
+      if (DataSet::windowable(e, col)) windowable.insert(col);
+    }
+    EXPECT_FALSE(windowable.empty()) << core::to_string(e);
+    EXPECT_EQ(documented[e], windowable) << core::to_string(e);
   }
 }
 
