@@ -1,5 +1,6 @@
 #include "core/svg.hpp"
 
+#include <array>
 #include <cmath>
 #include <fstream>
 
@@ -10,6 +11,18 @@ namespace dv::core {
 
 namespace {
 constexpr std::string_view kClose = "</svg>\n";
+
+/// An alpha byte as an opacity in [0, 1], formatted once per value.
+std::string_view opacity_text(std::uint8_t alpha) {
+  static const auto table = [] {
+    std::array<std::string, 256> t;
+    for (std::size_t a = 0; a < t.size(); ++a) {
+      append_fixed(t[a], static_cast<double>(a) / 255.0, 3);
+    }
+    return t;
+  }();
+  return table[alpha];
+}
 
 Pt polar(double cx, double cy, double r, double a) {
   // SVG y grows downward; negate to keep mathematical orientation.
@@ -29,6 +42,12 @@ void SvgDocument::put_part(double v) { append_fixed(out_, v, 3); }
 
 void SvgDocument::put_part(Pt p) { put(p.x, " ", p.y); }
 
+SvgDocument::Span SvgDocument::put_span(Pt p) {
+  const std::size_t at = out_.size();
+  put(p);
+  return {at, out_.size() - at};
+}
+
 void SvgDocument::style_attrs(const Style& s) {
   out_ += " fill=\"";
   if (s.fill.a) {
@@ -38,14 +57,14 @@ void SvgDocument::style_attrs(const Style& s) {
   }
   out_ += '"';
   if (s.fill.a && s.fill.a != 255) {
-    put(" fill-opacity=\"", s.fill.a / 255.0, "\"");
+    put(" fill-opacity=\"", opacity_text(s.fill.a), "\"");
   }
   if (s.stroke.a) {
     out_ += " stroke=\"";
     s.stroke.append_hex(out_);
     put("\" stroke-width=\"", s.stroke_width, "\"");
     if (s.stroke.a != 255) {
-      put(" stroke-opacity=\"", s.stroke.a / 255.0, "\"");
+      put(" stroke-opacity=\"", opacity_text(s.stroke.a), "\"");
     }
   }
   if (s.opacity != 1.0) put(" opacity=\"", s.opacity, "\"");
@@ -121,8 +140,15 @@ void SvgDocument::ribbon(double cx, double cy, double r, double a0,
   const Pt pb0 = polar(cx, cy, r, b0), pb1 = polar(cx, cy, r, b1);
   const Pt c{cx, cy}, radii{r, r};
   // Arc across span A, curve through centre to span B, arc, curve back.
-  put("<path d=\"M", pa0, " A", radii, " 0 0 0 ", pa1, " Q", c, " ", pb0,
-      " A", radii, " 0 0 0 ", pb1, " Q", c, " ", pa0, " Z\"");
+  // The start point, the radii and the centre each appear twice; the
+  // second time their bytes are copied rather than formatted again.
+  put("<path d=\"M");
+  const Span start = put_span(pa0);
+  put(" A");
+  const Span rr = put_span(radii);
+  put(" 0 0 0 ", pa1, " Q");
+  const Span centre = put_span(c);
+  put(" ", pb0, " A", rr, " 0 0 0 ", pb1, " Q", centre, " ", start, " Z\"");
   end_shape(s);
 }
 

@@ -77,9 +77,17 @@ class SvgDocument {
   void put(const Parts&... parts) {
     (put_part(parts), ...);
   }
+  /// Bytes already in the document, [at, at + len), appended again as a
+  /// part: a number repeated within one element is formatted once.
+  struct Span {
+    std::size_t at, len;
+  };
   void put_part(std::string_view text) { out_ += text; }
   void put_part(double v);
   void put_part(Pt p);
+  void put_part(Span s) { out_.append(out_, s.at, s.len); }
+  /// Appends `p` and returns the span of its bytes.
+  Span put_span(Pt p);
   void style_attrs(const Style& s);
   void end_shape(const Style& s);  // style, "/>", one element
   void require_closed() const;

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "util/common.hpp"
@@ -69,6 +70,48 @@ std::string human_bytes(double bytes) {
 }
 
 void append_fixed(std::string& out, double v, int max_decimals) {
+  // Integer fast path. 10^d is exact for d <= 9, so a = |v|·10^d is the
+  // exact product rounded once. Below 2^32 every k + 1/2 is a double, and
+  // rounding is monotone, so a lies on the same side of k + 1/2 as the
+  // exact product, or on it: unless a's fraction is exactly one half, a
+  // rounds to the integer "%.*f" rounds to. Print that integer's digits.
+  // NaN, infinities and those halves fall through to the general path.
+  if (static_cast<unsigned>(max_decimals) <= 9) {
+    static constexpr double kPow10[] = {1e0, 1e1, 1e2, 1e3, 1e4,
+                                        1e5, 1e6, 1e7, 1e8, 1e9};
+    const double a = std::fabs(v) * kPow10[max_decimals];
+    if (a < 0x1p32) {
+      const auto whole = static_cast<std::uint64_t>(a);
+      const double frac = a - static_cast<double>(whole);
+      if (frac != 0.5) {
+        std::uint64_t n = whole + (frac > 0.5);
+        // Digits of n right to left: the decimals (zeros trimmed), then
+        // the integer part.
+        char digits[1 + 10 + 1];
+        char* const end = digits + sizeof(digits);
+        char* p = end;
+        int d = max_decimals;
+        while (d > 0 && n % 10 == 0) {
+          n /= 10;
+          --d;
+        }
+        if (d > 0) {
+          for (; d > 0; --d) {
+            *--p = static_cast<char>('0' + n % 10);
+            n /= 10;
+          }
+          *--p = '.';
+        }
+        do {
+          *--p = static_cast<char>('0' + n % 10);
+          n /= 10;
+        } while (n != 0);
+        if (std::signbit(v)) *--p = '-';
+        out.append(p, end);
+        return;
+      }
+    }
+  }
   if (std::isnan(v)) {
     out += "nan";
     return;
