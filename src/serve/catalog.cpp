@@ -100,9 +100,15 @@ std::shared_ptr<const LoadedRun> RunCatalog::get(
   // must not stall behind a parse); the per-entry mutex coalesces
   // concurrent getters of the same pending run onto one load.
   std::lock_guard<std::mutex> entry_lock(p->mu);
+  if (p->error) std::rethrow_exception(p->error);
   if (p->done == nullptr) {
-    p->done = std::make_shared<const LoadedRun>(name, p->path,
-                                                load_dataset(p->path), cache_);
+    try {
+      p->done = std::make_shared<const LoadedRun>(
+          name, p->path, load_dataset(p->path), cache_);
+    } catch (...) {
+      p->error = std::current_exception();
+      throw;
+    }
     DV_OBS_COUNT("serve.catalog.lazy_loads", 1);
   }
   {

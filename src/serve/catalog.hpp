@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -76,7 +77,9 @@ class RunCatalog {
   /// Looks up a run, materializing it first if it was only attached.
   /// Concurrent getters of the same pending run coalesce onto a single
   /// load. Throws RunNotFound when `name` is unknown or its file does not
-  /// exist, and dv::Error when an attached file does not load.
+  /// exist, and dv::Error when an attached file does not load; a failed
+  /// load is remembered, so later gets of the name throw the same error
+  /// until it is attached again.
   std::shared_ptr<const LoadedRun> get(const std::string& name) const;
 
   /// Drops `name` — resident or attached — from the catalog (sessions
@@ -107,6 +110,10 @@ class RunCatalog {
     bool packed = false;
     std::mutex mu;  ///< serializes materialization of this entry
     std::shared_ptr<const LoadedRun> done;
+    /// The first load's error, rethrown by every later get() without
+    /// reopening the file; attach() makes a fresh entry, so re-attaching
+    /// the name retries.
+    std::exception_ptr error;
   };
 
   std::shared_ptr<core::ResultCache> cache_;

@@ -223,6 +223,35 @@ TEST(ServeProtocol, CorruptRunRepliesBadRequestAndTheSessionGoesOn) {
             reply.at("svg").as_string());
 }
 
+TEST(ServeProtocol, FailedLazyLoadIsRememberedUntilReattached) {
+  const auto [good, bad] = good_and_corrupt_runs();
+  Server server(test_options());
+  server.catalog().attach(bad, "bad");
+  Conn conn(server);
+  const std::uint64_t opens0 = metrics::dvr_stats().opens;
+  std::string first_error;
+  for (int i = 0; i < 3; ++i) {
+    try {
+      conn.client->call("render", render_params("bad"));
+      FAIL() << "rendering a corrupt run must fail";
+    } catch (const RpcError& e) {
+      EXPECT_EQ("bad_request", e.code);
+      if (i == 0) first_error = e.what();
+      EXPECT_EQ(first_error, std::string(e.what()));
+    }
+  }
+  // One open for three renders: the later two rethrow the first error.
+  EXPECT_EQ(metrics::dvr_stats().opens - opens0, 1u);
+  EXPECT_EQ(server.catalog().pending(), 1u);
+
+  // Re-attaching the name retries the load.
+  server.catalog().attach(bad, "bad");
+  EXPECT_THROW(server.catalog().get("bad"), Error);
+  EXPECT_EQ(metrics::dvr_stats().opens - opens0, 2u);
+  server.catalog().attach(good, "bad");
+  EXPECT_NO_THROW(conn.client->call("render", render_params("bad")));
+}
+
 // ------------------------------------------------------------ cache sharing
 
 TEST(ServeCache, TwoSessionsShareOneResultCache) {
