@@ -1,6 +1,7 @@
 #include "metrics/run_metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -321,6 +322,10 @@ RunMetrics RunMetrics::from_json(const json::Value& v) {
 }
 
 void RunMetrics::validate() const {
+  if (!(std::isfinite(sample_dt) && sample_dt >= 0.0)) {
+    throw Error("sample_dt = " + fmt_double(sample_dt) +
+                " (must be finite and >= 0)");
+  }
   const std::uint64_t routers =
       static_cast<std::uint64_t>(groups) * routers_per_group;
   const schema::Series* framed = nullptr;  // first series with entities
@@ -342,6 +347,11 @@ void RunMetrics::validate() const {
     for (const schema::Series& ts : schema::kSeries) {
       if (ts.entities != s) continue;
       const SampledSeries& series = this->*ts.member;
+      if (series.dt() != sample_dt) {
+        throw Error(std::string(ts.name) + ".dt = " +
+                    fmt_double(series.dt()) + " (sample_dt is " +
+                    fmt_double(sample_dt) + ")");
+      }
       if (series.entities() != recs.size()) {
         throw Error(std::string(ts.name) + ".entities = " +
                     std::to_string(series.entities()) + " (" + section +
@@ -357,6 +367,14 @@ void RunMetrics::validate() const {
       }
     }
   });
+  const auto n_jobs = static_cast<std::int64_t>(job_names.size());
+  for (std::size_t i = 0; i < terminals.size(); ++i) {
+    const std::int64_t job = terminals[i].job;
+    if (job >= -1 && job < n_jobs) continue;
+    throw Error("terminals.job[" + std::to_string(i) + "] = " +
+                std::to_string(job) + " (not in [-1, " +
+                std::to_string(n_jobs) + "))");
+  }
 }
 
 std::uint64_t RunMetrics::save(const std::string& path) const {

@@ -226,11 +226,12 @@ struct RunMetrics {
   std::uint64_t save(const std::string& path) const;
   static RunMetrics load(const std::string& path);
 
-  /// Checks what the views index by: every router id column of the
-  /// records is below groups × routers_per_group, and, on a sampled run,
-  /// each series' entity count equals its record count and every series
-  /// with entities has the same frame count. Throws a dv::Error naming the
-  /// section, column and row, e.g.
+  /// Checks what the views index by: sample_dt is finite and >= 0, every
+  /// router id column of the records is below groups × routers_per_group,
+  /// every terminal job is in [-1, job_names.size()), and, on a sampled
+  /// run, each series' dt equals sample_dt, its entity count equals its
+  /// record count and every series with entities has the same frame
+  /// count. Throws a dv::Error naming the section, column and row, e.g.
   /// `local_links.src_router[0] = 5898240 (>= 36 routers)`.
   void validate() const;
 

@@ -134,6 +134,41 @@ TEST(RunSchema, BothReadersRejectBadRouterIdsAndSeriesShapes) {
   }
 }
 
+TEST(RunSchema, BothReadersRejectBadJobsAndSampleSteps) {
+  const RunMetrics good = dv::testing::make_mini_run().run;
+  ASSERT_EQ(good.job_names.size(), 2u);
+  ASSERT_EQ(good.sample_dt, 500.0);
+  for (const char* name : {"run.json", "run.dvr"}) {
+    SCOPED_TRACE(name);
+    const std::string path = path_in_temp(name);
+
+    RunMetrics bad = good;
+    bad.terminals[5].job = 2;
+    expect_load_fails(bad, path, "terminals.job[5] = 2 (not in [-1, 2))");
+
+    bad = good;
+    bad.terminals[0].job = -2;
+    expect_load_fails(bad, path, "terminals.job[0] = -2 (not in [-1, 2))");
+
+    // A negative step: neither writer stores series for it.
+    bad = good;
+    bad.sample_dt = -5.0;
+    expect_load_fails(bad, path, "sample_dt = -5 (must be finite and >= 0)");
+
+    // A series sampled at another step. The packed file stores one step
+    // for every series, so only the text export can say this.
+    if (format_for_path(path) == StoreFormat::kText) {
+      bad = good;
+      const auto& ts = good.global_sat_ts;
+      bad.global_sat_ts = SampledSeries::adopt(
+          ts.entities(), 1000.0,
+          std::vector<float>(ts.frames() * ts.entities(), 0.0f));
+      expect_load_fails(bad, path,
+                        "global_sat_ts.dt = 1000 (sample_dt is 500)");
+    }
+  }
+}
+
 TEST(RunSchema, PackedReaderChecksEveryColumnsDtypeAndRowCount) {
   const RunMetrics run = dv::testing::make_mini_run().run;
   const std::string path = path_in_temp("run.dvr");
