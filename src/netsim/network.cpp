@@ -166,8 +166,9 @@ Network::Network(Fabric fabric, std::unique_ptr<routing::Policy> policy,
   if (params_.event_budget) sim_.set_event_budget(params_.event_budget);
   // The lookahead is the model's minimum physical delay, the natural
   // bucket width; shorter delays (port-free serialization) take the
-  // bucket layer's ordered-insert path, 7.7% of bucketed pushes on the
-  // Fig. 4 DF(6) run. 512 buckets (a ~10 us horizon at default
+  // bucket layer's ordered-insert path: 7.3% of bucketed pushes on the
+  // Fig. 4 DF(6) run, 0.35% on loop-df6-packet's UR run
+  // (sim.sched.ordered_inserts). 512 buckets (a ~10 us horizon at default
   // latencies) measured fastest on bench_perf_core: a wider horizon
   // spreads the same events over more, colder buckets, a narrower one
   // spills too many pushes to the heap.

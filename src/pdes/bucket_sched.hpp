@@ -18,9 +18,12 @@
 // when it is at most the model's minimum scheduling delay — then only
 // pushes with a shorter delay land in the bucket currently being drained
 // and take the ordered-insert path. The netsim model uses its lookahead
-// (min link/credit latency); its shorter serialization delays still send
-// 7.7% of bucketed pushes through the ordered insert on the Fig. 4 DF(6)
-// run, into sorted buckets of ~650 events on average.
+// (min link/credit latency); its shorter serialization delays still take
+// that path, as often as the load makes them. On the three-job Fig. 4
+// DF(6) run (12.9 M events) 7.3% of bucketed pushes are ordered inserts,
+// and its 18 k lazy sorts order 644 events each on average; on
+// loop-df6-packet's UR run (1.45 M events) 0.35% are, and its 100 k sorts
+// order 13.9 events each. stats() counts both per scheduler.
 //
 // Horizon advance: when every bucket has drained and the next event comes
 // out of the fallback heap, the window re-anchors at that event's time, so
@@ -85,13 +88,13 @@ class BucketSched {
         const double scaled = off * inv_width_;
         if (scaled < static_cast<double>(buckets_.size())) {
           push_bucket(static_cast<std::size_t>(scaled), ev);
-          ++pushes_bucketed_;
+          ++stats_.bucket_pushes;
           return;
         }
       }
     }
     heap_.push(ev);
-    ++pushes_heap_;
+    ++stats_.heap_pushes;
   }
 
   /// Reference to the minimum event. Non-const: reaching the minimum may
@@ -136,10 +139,15 @@ class BucketSched {
     return out;
   }
 
-  // Scheduler attribution for the observability layer: how many pushes the
-  // bucket layer absorbed vs. how many fell through to the heap.
-  std::uint64_t pushes_bucketed() const { return pushes_bucketed_; }
-  std::uint64_t pushes_heap() const { return pushes_heap_; }
+  /// Scheduler attribution for the observability layer (cumulative).
+  struct Stats {
+    std::uint64_t bucket_pushes = 0;    ///< pushes the bucket layer absorbed
+    std::uint64_t heap_pushes = 0;      ///< pushes that fell to the heap
+    std::uint64_t bucket_sorts = 0;     ///< lazy sorts of a reached bucket
+    std::uint64_t sorted_events = 0;    ///< events those sorts ordered
+    std::uint64_t ordered_inserts = 0;  ///< pushes into the sorted bucket
+  };
+  const Stats& stats() const { return stats_; }
 
  private:
   static bool before(const EventT& a, const EventT& b) {
@@ -173,9 +181,10 @@ class BucketSched {
     }
     if (b == cur_ && sorted_) {
       // Sub-width delay into the bucket being drained: ordered insert
-      // keeps it drainable from the back. Not rare: 7.7% of the bucketed
-      // pushes of the Fig. 4 DF(6) packet run land here.
+      // keeps it drainable from the back. Not rare under load: 7.3% of
+      // the bucketed pushes of the Fig. 4 DF(6) packet run land here.
       vec.insert(std::upper_bound(vec.begin(), vec.end(), ev, After{}), ev);
+      ++stats_.ordered_inserts;
       return;
     }
     vec.push_back(ev);
@@ -195,6 +204,8 @@ class BucketSched {
     if (!sorted_) {
       std::sort(vec.begin(), vec.end(), After{});
       sorted_ = true;
+      ++stats_.bucket_sorts;
+      stats_.sorted_events += vec.size();
     }
     return &vec.back();
   }
@@ -208,8 +219,7 @@ class BucketSched {
   std::size_t cur_ = 0;      // drain cursor; buckets below it are empty
   bool sorted_ = false;      // bucket `cur_` sorted descending?
   std::size_t nbucketed_ = 0;
-  std::uint64_t pushes_bucketed_ = 0;
-  std::uint64_t pushes_heap_ = 0;
+  Stats stats_;
 };
 
 }  // namespace dv::pdes

@@ -70,13 +70,25 @@ void Simulator::publish_obs(double loop_seconds) {
   obs::gauge("sim.queue_high_water")
       .record_max(static_cast<double>(queue_high_water_));
   // Scheduler attribution: pushes absorbed by the bounded-horizon bucket
-  // layer vs. pushes that fell through to the fallback heap.
-  obs::counter("sim.sched.bucket_pushes")
-      .add(queue_.pushes_bucketed() - sched_bucketed_published_);
-  obs::counter("sim.sched.heap_pushes")
-      .add(queue_.pushes_heap() - sched_heap_published_);
-  sched_bucketed_published_ = queue_.pushes_bucketed();
-  sched_heap_published_ = queue_.pushes_heap();
+  // layer vs. pushes that fell through to the fallback heap, the lazy
+  // bucket sorts and the events they ordered, and the pushes that took an
+  // ordered insert into the bucket being drained.
+  const auto& sched = queue_.stats();
+  auto publish = [](const char* name, std::uint64_t now,
+                    std::uint64_t& published) {
+    obs::counter(name).add(now - published);
+    published = now;
+  };
+  publish("sim.sched.bucket_pushes", sched.bucket_pushes,
+          sched_published_.bucket_pushes);
+  publish("sim.sched.heap_pushes", sched.heap_pushes,
+          sched_published_.heap_pushes);
+  publish("sim.sched.bucket_sorts", sched.bucket_sorts,
+          sched_published_.bucket_sorts);
+  publish("sim.sched.sorted_events", sched.sorted_events,
+          sched_published_.sorted_events);
+  publish("sim.sched.ordered_inserts", sched.ordered_inserts,
+          sched_published_.ordered_inserts);
   // The rate is cumulative (every segment since the last obs reset), so a
   // sampled run reports its whole run's rate, not its final tick's.
   obs::Gauge& run_seconds = obs::gauge("sim.run_seconds");

@@ -127,8 +127,7 @@ class Simulator {
   std::vector<std::uint64_t> kind_published_;
   std::vector<std::string> kind_labels_;
   std::uint64_t events_published_ = 0;
-  std::uint64_t sched_bucketed_published_ = 0;
-  std::uint64_t sched_heap_published_ = 0;
+  BucketSched<Event>::Stats sched_published_;
 };
 
 }  // namespace dv::pdes

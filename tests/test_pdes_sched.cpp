@@ -141,13 +141,27 @@ TEST(PdesSched, CountersAttributeBucketAndHeapPushes) {
   BucketSched<Event> sched;
   sched.configure(1.0, 4);  // horizon = [0, 4)
   sched.push(Event{.time = 1.0, .seq = 0});
-  sched.push(Event{.time = 3.9, .seq = 1});
-  sched.push(Event{.time = 4.1, .seq = 2});  // beyond the horizon
-  EXPECT_EQ(sched.pushes_bucketed(), 2u);
-  EXPECT_EQ(sched.pushes_heap(), 1u);
+  sched.push(Event{.time = 1.2, .seq = 1});
+  sched.push(Event{.time = 3.9, .seq = 2});
+  sched.push(Event{.time = 4.1, .seq = 3});  // beyond the horizon
+  EXPECT_EQ(sched.stats().bucket_pushes, 3u);
+  EXPECT_EQ(sched.stats().heap_pushes, 1u);
+  EXPECT_EQ(sched.stats().bucket_sorts, 0u);  // sorts wait for the cursor
   Event ev;
   sched.pop_into(ev);
   EXPECT_EQ(ev.seq, 0u);
+  EXPECT_EQ(sched.stats().bucket_sorts, 1u);
+  EXPECT_EQ(sched.stats().sorted_events, 2u);
+  // A sub-width push into the bucket being drained is an ordered insert.
+  sched.push(Event{.time = 1.1, .seq = 4});
+  EXPECT_EQ(sched.stats().ordered_inserts, 1u);
+  for (const std::uint64_t seq : {4u, 1u, 2u, 3u}) {
+    sched.pop_into(ev);
+    EXPECT_EQ(ev.seq, seq);
+  }
+  EXPECT_EQ(sched.stats().bucket_sorts, 2u);
+  EXPECT_EQ(sched.stats().sorted_events, 3u);
+  EXPECT_EQ(sched.stats().ordered_inserts, 1u);
 }
 
 TEST(PdesSched, ConfigureRequiresEmptyScheduler) {
@@ -228,8 +242,8 @@ TEST(PdesSched, ConfigureAfterDrainStartsClean) {
   BurstDriver(sched, 14).phases(50, 100, 20.0, 40.0);
   sched.configure(0.0);
   BurstDriver(sched, 15).phases(20, 100, 20.0, 40.0);
-  EXPECT_GT(sched.pushes_bucketed(), 0u);
-  EXPECT_GT(sched.pushes_heap(), 0u);
+  EXPECT_GT(sched.stats().bucket_pushes, 0u);
+  EXPECT_GT(sched.stats().heap_pushes, 0u);
 }
 
 /// The same model run with and without bucketing must produce the same
