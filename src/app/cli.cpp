@@ -38,6 +38,7 @@
 #include "serve/server.hpp"
 #include "trace/trace.hpp"
 #include "util/str.hpp"
+#include "workload/workload.hpp"
 
 namespace dv::app {
 
@@ -1024,9 +1025,9 @@ void print_help() {
   for (const Command& c : commands()) std::printf("%s", c.help);
   std::printf(
       "\n"
-      "workloads: uniform_random nearest_neighbor all_to_all permutation\n"
-      "           bisection amg amr_boxlib minife\n"
-      "policies:  contiguous random_group random_router random_node\n");
+      "workloads: %s\n"
+      "policies:  contiguous random_group random_router random_node\n",
+      join(workload::workload_names(), " ").c_str());
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <limits>
 #include <map>
 
 #include "metrics/run_schema.hpp"
@@ -67,32 +66,12 @@ const std::vector<double>& DataTable::column(const std::string& name) const {
               join(names_, ", ") + ")");
 }
 
-double DataTable::at(const std::string& name, std::size_t row) const {
-  const auto& col = column(name);
-  DV_REQUIRE(row < col.size(), "row out of range");
-  return col[row];
-}
-
 std::pair<double, double> DataTable::extent(const std::string& name) const {
   for (std::size_t i = 0; i < names_.size(); ++i) {
     if (names_[i] == name) return extents_[i];
   }
   throw Error("no such column: '" + name + "' (available: " +
               join(names_, ", ") + ")");
-}
-
-std::pair<double, double> DataTable::extent(
-    const std::string& name, const std::vector<std::uint32_t>& rows) const {
-  if (rows.empty()) return extent(name);
-  const auto& col = column(name);
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (std::uint32_t r : rows) {
-    DV_REQUIRE(r < col.size(), "row out of range");
-    lo = std::min(lo, col[r]);
-    hi = std::max(hi, col[r]);
-  }
-  return {lo, hi};
 }
 
 // ----------------------------------------------------------------- Entity

@@ -36,15 +36,10 @@ class DataTable {
   const std::vector<double>& column(const std::string& name) const;  // throws
   const std::vector<std::string>& column_names() const { return names_; }
 
-  double at(const std::string& name, std::size_t row) const;
-
-  /// Min/max of a column over a row subset (empty subset = all rows).
-  /// Whole-column extents are precomputed at add/set time (table-level
-  /// zone maps), so this overload is O(1) and safe to call from concurrent
-  /// readers; the row-subset overload still scans its subset.
+  /// Min/max of a column. Extents are precomputed at add/set time
+  /// (table-level zone maps), so this is O(1) and safe to call from
+  /// concurrent readers.
   std::pair<double, double> extent(const std::string& name) const;
-  std::pair<double, double> extent(
-      const std::string& name, const std::vector<std::uint32_t>& rows) const;
 
  private:
   std::size_t rows_ = 0;

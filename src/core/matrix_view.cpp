@@ -39,11 +39,6 @@ MatrixView::MatrixView(const DataSet& data, Entity link_entity,
   }
 }
 
-double MatrixView::at(std::size_t row, std::size_t col) const {
-  DV_REQUIRE(row < dim_ && col < dim_, "matrix index out of range");
-  return cells_[row * dim_ + col];
-}
-
 void MatrixView::render(SvgDocument& doc, double x, double y, double size,
                         std::size_t max_render_dim) const {
   DV_REQUIRE(dim_ <= max_render_dim,

@@ -28,7 +28,9 @@ class MatrixView {
              const std::string& value_attr = "traffic");
 
   std::size_t dim() const { return dim_; }
-  double at(std::size_t row, std::size_t col) const;
+  /// Row-major dim() x dim() sums of the value attribute, the cells the
+  /// heat map draws.
+  const std::vector<double>& cells() const { return cells_; }
 
   /// Cells the encoding must draw — the scalability cost the paper calls
   /// out (always dim^2; a radial aggregated view draws O(aggregates)).

@@ -50,7 +50,13 @@ Rgb categorical_color(std::int64_t index) {
 }
 
 std::string ProjectionView::scale_key(std::size_t level, const char* channel) {
-  return "L" + std::to_string(level) + "/" + channel;
+  // Appended in place: gcc 12 at -O3 warns (-Wrestrict) on
+  // `"literal" + std::string` temporaries.
+  std::string key = "L";
+  key += std::to_string(level);
+  key += '/';
+  key += channel;
+  return key;
 }
 
 ProjectionView::ProjectionView(const DataSet& data, ProjectionSpec spec,
@@ -562,10 +568,12 @@ void ProjectionView::render_legend(SvgDocument& doc, double x, double y,
     }
     doc.rect(bx, line_y - 8, bar_w, 9, Style::stroked(Rgb{150, 150, 150}, 0.5));
     if (scale && scale->valid()) {
-      doc.text(bx + bar_w + 4, line_y,
-               "[" + fmt_double(scale->lo(), 1) + " .. " +
-                   fmt_double(scale->hi(), 1) + "]",
-               8, text_color);
+      std::string range = "[";
+      range += fmt_double(scale->lo(), 1);
+      range += " .. ";
+      range += fmt_double(scale->hi(), 1);
+      range += ']';
+      doc.text(bx + bar_w + 4, line_y, range, 8, text_color);
     }
   };
 

@@ -223,10 +223,6 @@ TimelineView::TimelineView(const DataSet& data) : data_(&data) {
 
 double TimelineView::dt() const { return data_->run().sample_dt; }
 
-std::size_t TimelineView::frames() const {
-  return data_->run().local_traffic_ts.frames();
-}
-
 std::vector<double> TimelineView::series(const std::string& which) const {
   const metrics::RunMetrics& run = data_->run();
   const metrics::SampledSeries* s = nullptr;

@@ -76,7 +76,6 @@ class TimelineView {
   explicit TimelineView(const DataSet& data);
 
   double dt() const;
-  std::size_t frames() const;
 
   /// Per-frame totals; `which` is one of: local_traffic, local_sat,
   /// global_traffic, global_sat, terminal_traffic, terminal_sat.

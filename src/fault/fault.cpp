@@ -65,9 +65,15 @@ std::string fmt_time(double v) {
   return buf;
 }
 
+// The strings here are built by appending in place: gcc 12 at -O3 warns
+// (-Wrestrict) on `"literal" + std::string` temporaries.
 std::string endpoint_to_string(const RouterRef& r, bool group_level) {
-  std::string s = "g" + std::to_string(r.group);
-  if (!group_level) s += ".r" + std::to_string(r.rank);
+  std::string s = "g";
+  s += std::to_string(r.group);
+  if (!group_level) {
+    s += ".r";
+    s += std::to_string(r.rank);
+  }
   return s;
 }
 
@@ -130,10 +136,15 @@ std::string to_string(const FaultSpec& f) {
   std::string s = f.kind == FaultSpec::Kind::kRouter ? "router:" : "link:";
   s += endpoint_to_string(f.src, f.group_level);
   if (f.kind == FaultSpec::Kind::kLink) {
-    s += "->" + endpoint_to_string(f.dst, f.group_level);
+    s += "->";
+    s += endpoint_to_string(f.dst, f.group_level);
   }
-  s += "@" + fmt_time(f.t_down);
-  if (std::isfinite(f.t_up)) s += ":" + fmt_time(f.t_up);
+  s += '@';
+  s += fmt_time(f.t_down);
+  if (std::isfinite(f.t_up)) {
+    s += ':';
+    s += fmt_time(f.t_up);
+  }
   return s;
 }
 
@@ -157,15 +168,6 @@ FaultPlan FaultPlan::load(const std::string& path) {
   std::ostringstream buf;
   buf << is.rdbuf();
   return parse(buf.str());
-}
-
-std::string FaultPlan::to_string() const {
-  std::string out;
-  for (const auto& f : faults) {
-    out += fault::to_string(f);
-    out += '\n';
-  }
-  return out;
 }
 
 // ----------------------------------------------------------------- timeline

@@ -56,8 +56,7 @@ struct FaultSpec {
 FaultSpec parse_fault(const std::string& spec);
 std::string to_string(const FaultSpec& f);
 
-/// An ordered list of scheduled faults (order is irrelevant to semantics;
-/// it is kept for faithful round-tripping).
+/// An ordered list of scheduled faults (order is irrelevant to semantics).
 struct FaultPlan {
   std::vector<FaultSpec> faults;
 
@@ -66,7 +65,6 @@ struct FaultPlan {
   /// Parses a multi-line spec ('#' comments, blank lines ignored).
   static FaultPlan parse(const std::string& text);
   static FaultPlan load(const std::string& path);
-  std::string to_string() const;
 };
 
 /// A FaultPlan resolved against a topology: per-entity sorted disjoint

@@ -57,11 +57,6 @@ const Array& Value::as_array() const {
   return arr_;
 }
 
-Array& Value::as_array() {
-  DV_REQUIRE(is_array(), "json value is not an array");
-  return arr_;
-}
-
 const Object& Value::as_object() const {
   DV_REQUIRE(is_object(), "json value is not an object");
   return obj_;

@@ -71,7 +71,6 @@ class Value {
   std::int64_t as_int() const;
   const std::string& as_string() const;
   const Array& as_array() const;
-  Array& as_array();
   const Object& as_object() const;
   Object& as_object();
 

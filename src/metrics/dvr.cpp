@@ -465,14 +465,6 @@ DvrStats dvr_stats() {
   return out;
 }
 
-void dvr_reset_stats() {
-  Stats& s = stats();
-  s.opens.store(0, std::memory_order_relaxed);
-  s.bytes_mapped.store(0, std::memory_order_relaxed);
-  s.chunks_read.store(0, std::memory_order_relaxed);
-  s.chunk_bytes_read.store(0, std::memory_order_relaxed);
-}
-
 DvrFile::DvrFile(const std::string& path) : path_(path) {
   fd_ = ::open(path.c_str(), O_RDONLY);
   DV_REQUIRE(fd_ >= 0, "cannot open for reading: " + path);

@@ -105,7 +105,6 @@ struct DvrStats {
   std::uint64_t chunks_pruned = 0;
 };
 DvrStats dvr_stats();
-void dvr_reset_stats();
 
 /// An open .dvr file: header + chunk directory parsed eagerly (a few KB),
 /// column payloads mapped but untouched until a query asks. Read-only and

@@ -44,20 +44,6 @@ double SampledSeries::frame_total(std::size_t frame) const {
   return kernels::sum_span(data_.data() + frame * entities_, entities_);
 }
 
-double SampledSeries::range_sum(std::size_t entity, std::size_t f0,
-                                std::size_t f1) const {
-  DV_REQUIRE(entity < entities_, "entity out of range");
-  DV_REQUIRE(f0 <= f1 && f1 <= frames(), "bad frame range");
-  return kernels::strided_sum(data_.data(), entities_, entity, f0, f1);
-}
-
-std::size_t SampledSeries::frame_of(SimTime t) const {
-  if (dt_ <= 0.0 || frames() == 0) return 0;
-  if (t <= 0.0) return 0;
-  const auto f = static_cast<std::size_t>(t / dt_);
-  return f >= frames() ? frames() - 1 : f;
-}
-
 // ------------------------------------------------------------ PrefixSeries
 
 PrefixSeries::PrefixSeries(const SampledSeries& s)
@@ -65,9 +51,9 @@ PrefixSeries::PrefixSeries(const SampledSeries& s)
   const std::size_t frames = s.frames();
   if (entities_ == 0) return;
   prefix_.assign((frames + 1) * entities_, 0.0);
-  // P[f+1][e] = P[f][e] + frame f — the same sequential accumulation
-  // SampledSeries::range_sum(e, 0, f) performs, so prefix deltas starting
-  // at frame 0 reproduce it bit for bit. Lanes (entities) are independent,
+  // P[f+1][e] = P[f][e] + frame f — the same sequential accumulation as
+  // a plain loop over frames [0, f), so prefix deltas starting at frame 0
+  // reproduce that loop bit for bit. Lanes (entities) are independent,
   // so the SIMD frame pass is bit-identical to the scalar loop.
   const float* raw = s.data();
   for (std::size_t f = 0; f < frames; ++f) {

@@ -110,10 +110,6 @@ class SampledSeries {
 
   /// Sum over all entities in one frame.
   double frame_total(std::size_t frame) const;
-  /// Sum over frames [f0, f1) for one entity (time-range selection).
-  double range_sum(std::size_t entity, std::size_t f0, std::size_t f1) const;
-  /// Frame index containing time t (clamped).
-  std::size_t frame_of(SimTime t) const;
 
  private:
   std::size_t entities_ = 0;

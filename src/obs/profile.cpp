@@ -11,21 +11,6 @@ std::uint64_t RunProfile::counter_value(const std::string& name) const {
   return 0;
 }
 
-double RunProfile::gauge_value(const std::string& name) const {
-  for (const auto& g : gauges) {
-    if (g.name == name) return g.value;
-  }
-  return 0.0;
-}
-
-double RunProfile::top_level_phase_seconds() const {
-  double s = 0.0;
-  for (const auto& p : phases) {
-    if (p.path.find('/') == std::string::npos) s += p.seconds;
-  }
-  return s;
-}
-
 json::Value RunProfile::to_json() const {
   json::Object o;
   o["schema"] = "dragonviz.profile/1";
@@ -50,46 +35,11 @@ json::Value RunProfile::to_json() const {
   return o;
 }
 
-RunProfile RunProfile::from_json(const json::Value& v) {
-  DV_REQUIRE(v.get_string("schema", "") == "dragonviz.profile/1",
-             "not a dragonviz profile (schema mismatch)");
-  RunProfile p;
-  p.wall_seconds = v.get_number("wall_seconds", 0.0);
-  if (const json::Value* cs = v.find("counters")) {
-    for (const auto& [name, val] : cs->as_object()) {
-      p.counters.push_back(
-          {name, static_cast<std::uint64_t>(val.as_number())});
-    }
-  }
-  if (const json::Value* gs = v.find("gauges")) {
-    for (const auto& [name, val] : gs->as_object()) {
-      p.gauges.push_back({name, val.as_number()});
-    }
-  }
-  if (const json::Value* ps = v.find("phases")) {
-    for (const auto& pv : ps->as_array()) {
-      p.phases.push_back({pv.at("path").as_string(),
-                          pv.get_number("seconds", 0.0),
-                          static_cast<std::uint64_t>(
-                              pv.get_number("count", 0.0))});
-    }
-  }
-  return p;
-}
-
 void RunProfile::save(const std::string& path) const {
   std::ofstream os(path, std::ios::binary);
   DV_REQUIRE(os.good(), "cannot open: " + path);
   os << json::dump(to_json(), 2) << "\n";
   DV_REQUIRE(os.good(), "write failed: " + path);
-}
-
-RunProfile RunProfile::load(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  DV_REQUIRE(is.good(), "cannot open: " + path);
-  std::string text((std::istreambuf_iterator<char>(is)),
-                   std::istreambuf_iterator<char>());
-  return from_json(json::parse(text));
 }
 
 RunProfile capture() {

@@ -1,7 +1,7 @@
 // Structured run profile: the observability registry serialized as data.
 //
-// A RunProfile is a Snapshot plus the JSON round-trip, written through the
-// same dv::json writer the run metrics use. The schema (documented in
+// A RunProfile is a Snapshot plus its JSON form, written through the same
+// dv::json writer the run metrics use. The schema (documented in
 // docs/SPEC_LANGUAGE.md, "Profile JSON") is stable: fields are only added,
 // never renamed, and counter/phase names published by the instrumented
 // subsystems follow the dotted naming convention described there.
@@ -28,16 +28,9 @@ struct RunProfile {
 
   /// Value of one counter (0 when absent).
   std::uint64_t counter_value(const std::string& name) const;
-  /// Value of one gauge (0.0 when absent).
-  double gauge_value(const std::string& name) const;
-  /// Summed seconds of the top-level phases (paths without '/'). Together
-  /// these should account for most of wall_seconds in an instrumented run.
-  double top_level_phase_seconds() const;
 
   json::Value to_json() const;
-  static RunProfile from_json(const json::Value& v);
   void save(const std::string& path) const;
-  static RunProfile load(const std::string& path);
 };
 
 /// Snapshots the registry into a profile (counters/gauges/phases since the

@@ -27,13 +27,6 @@ std::string to_string(Policy p) {
   return "?";
 }
 
-std::uint32_t Placement::terminal_of(std::size_t job,
-                                     std::uint32_t rank) const {
-  DV_REQUIRE(job < terminals.size(), "job index out of range");
-  DV_REQUIRE(rank < terminals[job].size(), "rank out of range");
-  return terminals[job][rank];
-}
-
 namespace {
 
 /// Takes up to `want` free terminals in id order from `candidates` (a list

@@ -44,7 +44,6 @@ struct Placement {
   static constexpr std::int32_t kIdle = -1;
 
   std::size_t job_count() const { return terminals.size(); }
-  std::uint32_t terminal_of(std::size_t job, std::uint32_t rank) const;
 };
 
 /// Places all jobs (in order) on the network; policies see only terminals

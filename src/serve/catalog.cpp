@@ -113,7 +113,7 @@ std::shared_ptr<const LoadedRun> RunCatalog::get(
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Promote unless the entry was unloaded or replaced while we parsed.
+    // Promote unless the entry was replaced while we parsed.
     const auto pit = pending_.find(name);
     if (pit != pending_.end() && pit->second == p) {
       runs_[name] = p->done;
@@ -123,19 +123,6 @@ std::shared_ptr<const LoadedRun> RunCatalog::get(
     }
   }
   return p->done;
-}
-
-void RunCatalog::unload(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = runs_.find(name);
-  if (it != runs_.end()) {
-    runs_.erase(it);
-    DV_OBS_GAUGE_SET("serve.catalog.runs", static_cast<double>(runs_.size()));
-    return;
-  }
-  const auto pit = pending_.find(name);
-  if (pit == pending_.end()) throw RunNotFound("no such run: " + name);
-  pending_.erase(pit);
 }
 
 std::size_t RunCatalog::size() const {

@@ -82,10 +82,6 @@ class RunCatalog {
   /// until it is attached again.
   std::shared_ptr<const LoadedRun> get(const std::string& name) const;
 
-  /// Drops `name` — resident or attached — from the catalog (sessions
-  /// holding a resident run keep it alive).
-  void unload(const std::string& name);
-
   /// Runs the catalog knows: resident + still-pending attachments.
   std::size_t size() const;
   /// Runs materialized in memory.

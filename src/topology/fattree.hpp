@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "util/common.hpp"
 
@@ -22,26 +21,12 @@ class FatTree {
   std::uint32_t edge_per_pod() const { return k_ / 2; }
   std::uint32_t agg_per_pod() const { return k_ / 2; }
   std::uint32_t num_core() const { return (k_ / 2) * (k_ / 2); }
-  std::uint32_t num_edge() const { return k_ * (k_ / 2); }
   std::uint32_t num_agg() const { return k_ * (k_ / 2); }
-  std::uint32_t num_switches() const {
-    return num_core() + num_edge() + num_agg();
-  }
   std::uint32_t hosts_per_edge() const { return k_ / 2; }
   std::uint32_t num_hosts() const { return k_ * k_ * k_ / 4; }
 
-  // Host / switch id decomposition.
-  std::uint32_t host_pod(std::uint32_t host) const;
-  std::uint32_t host_edge(std::uint32_t host) const;  // global edge index
-
   /// Core switch reached by up-port `up` of aggregation switch (pod, j).
   std::uint32_t core_above(std::uint32_t agg_idx, std::uint32_t up) const;
-
-  /// Number of switches on the minimal path between two hosts
-  /// (1 same edge, 3 same pod, 5 across pods).
-  std::uint32_t minimal_switch_hops(std::uint32_t src, std::uint32_t dst) const;
-
-  std::string describe() const;
 
  private:
   std::uint32_t k_;

@@ -1,18 +1,8 @@
 #include "util/csv.hpp"
 
 #include <ostream>
-#include <sstream>
-
-#include "util/common.hpp"
 
 namespace dv {
-
-std::size_t CsvTable::col_index(const std::string& name) const {
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) return i;
-  }
-  throw Error("csv column not found: " + name);
-}
 
 namespace {
 
@@ -44,73 +34,6 @@ void write_row(std::ostream& os, const std::vector<std::string>& row) {
 void write_csv(std::ostream& os, const CsvTable& table) {
   write_row(os, table.header);
   for (const auto& row : table.rows) write_row(os, row);
-}
-
-std::string to_csv_string(const CsvTable& table) {
-  std::ostringstream os;
-  write_csv(os, table);
-  return os.str();
-}
-
-CsvTable parse_csv(const std::string& text) {
-  CsvTable out;
-  std::vector<std::string> row;
-  std::string field;
-  bool in_quotes = false;
-  bool row_has_data = false;
-
-  auto end_field = [&] {
-    row.push_back(field);
-    field.clear();
-  };
-  auto end_row = [&] {
-    end_field();
-    if (out.header.empty()) {
-      out.header = row;
-    } else {
-      out.rows.push_back(row);
-    }
-    row.clear();
-    row_has_data = false;
-  };
-
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field.push_back(c);
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        in_quotes = true;
-        row_has_data = true;
-        break;
-      case ',':
-        end_field();
-        row_has_data = true;
-        break;
-      case '\r':
-        break;
-      case '\n':
-        if (row_has_data || !field.empty() || !row.empty()) end_row();
-        break;
-      default:
-        field.push_back(c);
-        row_has_data = true;
-    }
-  }
-  if (row_has_data || !field.empty() || !row.empty()) end_row();
-  DV_REQUIRE(!in_quotes, "unterminated quoted csv field");
-  return out;
 }
 
 }  // namespace dv

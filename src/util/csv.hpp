@@ -1,5 +1,4 @@
-// Tiny CSV reader/writer used by the metrics layer for result export and by
-// tests for round-tripping.
+// Tiny CSV writer for the `export` command's result tables.
 #pragma once
 
 #include <iosfwd>
@@ -12,15 +11,9 @@ namespace dv {
 struct CsvTable {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
-
-  std::size_t col_index(const std::string& name) const;  // throws if missing
 };
 
 /// Writes with minimal quoting (fields containing , " or newline get quoted).
 void write_csv(std::ostream& os, const CsvTable& table);
-std::string to_csv_string(const CsvTable& table);
-
-/// Parses CSV with quoted-field support; first row is the header.
-CsvTable parse_csv(const std::string& text);
 
 }  // namespace dv

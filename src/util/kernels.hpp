@@ -3,15 +3,14 @@
 // Every kernel here is a drop-in replacement for a scalar loop somewhere in
 // the metrics / core layers, with one hard contract: **bit-identical
 // output**. Floating-point addition is not associative, so kernels that
-// accumulate (range sums, group reductions) keep the exact accumulation
+// accumulate (span sums, group reductions) keep the exact accumulation
 // order of the scalar code they replace and win through pointer hoisting,
 // `restrict`, and bounds-check elimination instead of lane reordering.
 // Kernels whose lanes are independent (the prefix-slab build, filter
-// predicate masks, min/max zone maps, histogram bin indices) additionally
-// carry explicit SSE2 paths — SSE2 is baseline on x86-64, and per-lane
-// results are unaffected by evaluation order, so the SIMD and scalar paths
-// agree bit for bit. tests/test_dvr.cpp pins each kernel against its naive
-// scalar twin.
+// predicate masks, min/max zone maps) additionally carry explicit SSE2
+// paths — SSE2 is baseline on x86-64, and per-lane results are unaffected
+// by evaluation order, so the SIMD and scalar paths agree bit for bit.
+// tests/test_dvr.cpp pins each kernel against its naive scalar twin.
 #pragma once
 
 #include <cstddef>
@@ -51,21 +50,6 @@ inline void prefix_add_frame(const float* DV_RESTRICT frame,
   }
 #endif
   for (; i < n; ++i) next[i] = prev[i] + static_cast<double>(frame[i]);
-}
-
-/// Strided sum of data[f * stride + offset] over f in [f0, f1) — the
-/// SampledSeries::range_sum loop. The adds form a sequential dependence
-/// chain (order is the contract), so this stays scalar; the win over the
-/// original is hoisting the base pointer and stride math out of the loop.
-inline double strided_sum(const float* DV_RESTRICT data, std::size_t stride,
-                          std::size_t offset, std::size_t f0,
-                          std::size_t f1) {
-  const float* DV_RESTRICT p = data + f0 * stride + offset;
-  double acc = 0.0;
-  for (std::size_t f = f0; f < f1; ++f, p += stride) {
-    acc += static_cast<double>(*p);
-  }
-  return acc;
 }
 
 /// Contiguous sum, preserving left-to-right accumulation order.
@@ -174,31 +158,6 @@ inline double gather_sum(const double* DV_RESTRICT col,
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) acc += col[rows[i]];
   return acc;
-}
-
-/// Histogram bin indices for a batch. The per-lane expression mirrors
-/// Histogram::bin_of term for term ((x-lo)/(hi-lo) first, scale second) so
-/// borderline values land in the same bin; only the per-call dispatch
-/// overhead is amortized. The caller accumulates counts in input order, so
-/// batching the index math changes nothing.
-inline void histogram_bins(const double* DV_RESTRICT xs, std::size_t n,
-                           double lo, double hi, std::size_t bins,
-                           std::uint32_t* DV_RESTRICT out) {
-  const double width = hi - lo;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = xs[i];
-    std::size_t b;
-    if (x <= lo) {
-      b = 0;
-    } else if (x >= hi) {
-      b = bins - 1;
-    } else {
-      const double f = (x - lo) / width;
-      b = static_cast<std::size_t>(f * static_cast<double>(bins));
-      if (b >= bins) b = bins - 1;
-    }
-    out[i] = static_cast<std::uint32_t>(b);
-  }
 }
 
 }  // namespace dv::kernels

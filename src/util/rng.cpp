@@ -1,7 +1,5 @@
 #include "util/rng.hpp"
 
-#include <cmath>
-
 namespace dv {
 
 std::uint64_t splitmix64(std::uint64_t& state) {
@@ -56,20 +54,5 @@ std::int64_t Rng::next_range(std::int64_t lo, std::int64_t hi) {
 }
 
 bool Rng::next_bool(double p) { return next_double() < p; }
-
-double Rng::next_exponential(double mean) {
-  DV_REQUIRE(mean > 0, "exponential mean must be positive");
-  double u = next_double();
-  if (u <= 0) u = 0x1.0p-53;
-  return -mean * std::log(u);
-}
-
-double Rng::next_normal() {
-  double u1 = next_double();
-  if (u1 <= 0) u1 = 0x1.0p-53;
-  const double u2 = next_double();
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * 3.14159265358979323846 * u2);
-}
 
 }  // namespace dv

@@ -38,12 +38,6 @@ class Rng {
   /// True with probability p.
   bool next_bool(double p);
 
-  /// Exponentially distributed value with the given mean.
-  double next_exponential(double mean);
-
-  /// Standard normal via Box–Muller.
-  double next_normal();
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {

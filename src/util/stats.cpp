@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/kernels.hpp"
+#include "util/common.hpp"
 
 namespace dv {
 
@@ -17,107 +17,7 @@ void Accumulator::add(double x) {
   max_ = std::max(max_, x);
 }
 
-void Accumulator::merge(const Accumulator& o) {
-  if (o.n_ == 0) return;
-  if (n_ == 0) {
-    *this = o;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(o.n_);
-  const double delta = o.mean_ - mean_;
-  const double nt = na + nb;
-  mean_ += delta * nb / nt;
-  m2_ += o.m2_ + delta * delta * na * nb / nt;
-  n_ += o.n_;
-  sum_ += o.sum_;
-  min_ = std::min(min_, o.min_);
-  max_ = std::max(max_, o.max_);
-}
-
 double Accumulator::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0.0) {
-  DV_REQUIRE(bins > 0, "histogram needs at least one bin");
-  DV_REQUIRE(hi > lo, "histogram range must be non-empty");
-}
-
-std::size_t Histogram::bin_of(double x) const {
-  if (x <= lo_) return 0;
-  if (x >= hi_) return counts_.size() - 1;
-  const double f = (x - lo_) / (hi_ - lo_);
-  const auto b = static_cast<std::size_t>(f * static_cast<double>(counts_.size()));
-  return std::min(b, counts_.size() - 1);
-}
-
-void Histogram::add(double x, double weight) {
-  counts_[bin_of(x)] += weight;
-  total_ += weight;
-}
-
-void Histogram::add_n(const double* xs, std::size_t n) {
-  std::vector<std::uint32_t> bins(n);
-  kernels::histogram_bins(xs, n, lo_, hi_, counts_.size(), bins.data());
-  for (std::size_t i = 0; i < n; ++i) counts_[bins[i]] += 1.0;
-  total_ += static_cast<double>(n);
-}
-
-double Histogram::bin_lo(std::size_t b) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(b) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t b) const { return bin_lo(b + 1); }
-
-namespace {
-
-/// Average ranks (1-based, ties share their mean rank).
-std::vector<double> average_ranks(const std::vector<double>& xs) {
-  const std::size_t n = xs.size();
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
-  std::vector<double> ranks(n, 0.0);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
-    const double r = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = r;
-    i = j + 1;
-  }
-  return ranks;
-}
-
-}  // namespace
-
-double spearman(const std::vector<double>& xs, const std::vector<double>& ys) {
-  DV_REQUIRE(xs.size() == ys.size(), "spearman needs equal-length series");
-  const std::size_t n = xs.size();
-  if (n < 2) return 0.0;
-  const std::vector<double> rx = average_ranks(xs);
-  const std::vector<double> ry = average_ranks(ys);
-  // Pearson on the ranks (handles ties correctly, unlike the d^2 formula).
-  double mx = 0.0, my = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    mx += rx[i];
-    my += ry[i];
-  }
-  mx /= static_cast<double>(n);
-  my /= static_cast<double>(n);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = rx[i] - mx;
-    const double dy = ry[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
 
 double percentile(std::vector<double> values, double q) {
   DV_REQUIRE(!values.empty(), "percentile of empty set");

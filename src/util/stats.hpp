@@ -1,12 +1,9 @@
-// Streaming statistics and histograms used by metrics collection and the
-// aggregation layer.
+// Streaming statistics and exact percentiles.
 #pragma once
 
 #include <cstddef>
 #include <limits>
 #include <vector>
-
-#include "util/common.hpp"
 
 namespace dv {
 
@@ -14,7 +11,6 @@ namespace dv {
 class Accumulator {
  public:
   void add(double x);
-  void merge(const Accumulator& other);
 
   std::size_t count() const { return n_; }
   double sum() const { return sum_; }
@@ -34,36 +30,7 @@ class Accumulator {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Fixed-range equal-width histogram.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, double weight = 1.0);
-  /// Batch insert with unit weight: bin indices are computed in one
-  /// vectorizable pass (kernels::histogram_bins), then counts accumulate
-  /// in input order — equivalent to calling add(xs[i]) for each i.
-  void add_n(const double* xs, std::size_t n);
-  std::size_t bins() const { return counts_.size(); }
-  double bin_lo(std::size_t b) const;
-  double bin_hi(std::size_t b) const;
-  double count(std::size_t b) const { return counts_[b]; }
-  double total() const { return total_; }
-  /// Index of the bin x falls in (clamped to the range).
-  std::size_t bin_of(double x) const;
-
- private:
-  double lo_, hi_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
-};
-
 /// Exact percentile (sorts a copy). q in [0,1].
 double percentile(std::vector<double> values, double q);
-
-/// Spearman rank correlation of two equal-length series (average ranks for
-/// ties). Returns 0 when either series is constant or shorter than 2 —
-/// degenerate inputs carry no ordering information.
-double spearman(const std::vector<double>& xs, const std::vector<double>& ys);
 
 }  // namespace dv

@@ -361,18 +361,6 @@ std::vector<std::string> workload_names() {
           "bisection", "transpose", "amg", "amr_boxlib", "minife"};
 }
 
-std::vector<std::uint64_t> demand_matrix(const std::vector<RankMsg>& msgs,
-                                         std::uint32_t ranks) {
-  DV_REQUIRE(ranks > 0, "demand matrix needs at least one rank");
-  std::vector<std::uint64_t> dm(static_cast<std::size_t>(ranks) * ranks, 0);
-  for (const auto& m : msgs) {
-    DV_REQUIRE(m.src_rank < ranks && m.dst_rank < ranks,
-               "rank message outside the demand matrix");
-    dm[static_cast<std::size_t>(m.src_rank) * ranks + m.dst_rank] += m.bytes;
-  }
-  return dm;
-}
-
 std::vector<netsim::Message> map_to_terminals(
     const std::vector<RankMsg>& msgs, const placement::Placement& placement,
     std::size_t job) {

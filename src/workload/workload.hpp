@@ -88,13 +88,8 @@ std::vector<RankMsg> generate_minife(const Config& cfg);
 /// Dispatch by name: "uniform_random", "nearest_neighbor", "all_to_all",
 /// "permutation", "bisection", "transpose", "amg", "amr_boxlib", "minife".
 std::vector<RankMsg> generate(const std::string& name, const Config& cfg);
+/// The canonical names generate() accepts (not the short aliases).
 std::vector<std::string> workload_names();
-
-/// Aggregates rank messages into a dense ranks x ranks demand matrix
-/// (bytes from src to dst at [src * ranks + dst]). The row/column sums are
-/// what the solvers and the tests reason about.
-std::vector<std::uint64_t> demand_matrix(const std::vector<RankMsg>& msgs,
-                                         std::uint32_t ranks);
 
 /// Applies a placement: rank r of job `job` runs on
 /// placement.terminals[job][r]. Messages whose endpoints land on the same

@@ -3,8 +3,10 @@
 // and rebuilding all tables and prefix series from the sliced copy. The
 // library windows through QueryEngine::table / DataSet::windowed_table
 // instead; the windowed-vs-sliced tests compare against this bit for bit,
-// and bench_gates / bench_perf_core time it as the cold baseline. Header-
-// only and free of gtest so the benches can include it.
+// and bench_gates / bench_perf_core time it as the cold baseline. Also
+// the plain strided loop over a SampledSeries that PrefixSeries' deltas
+// from frame 0 reproduce. Header-only and free of gtest so the benches can
+// include it.
 #pragma once
 
 #include <cstddef>
@@ -16,6 +18,19 @@
 #include "util/common.hpp"
 
 namespace dv::testing {
+
+/// Sum of one entity's frames [f0, f1) of `s`, added in frame order.
+inline double series_range_sum(const metrics::SampledSeries& s,
+                               std::size_t entity, std::size_t f0,
+                               std::size_t f1) {
+  DV_REQUIRE(entity < s.entities(), "entity out of range");
+  DV_REQUIRE(f0 <= f1 && f1 <= s.frames(), "bad frame range");
+  double acc = 0.0;
+  for (std::size_t f = f0; f < f1; ++f) {
+    acc += static_cast<double>(s.at(f, entity));
+  }
+  return acc;
+}
 
 inline core::DataSet slice_time(const core::DataSet& data, double t0,
                                 double t1) {

@@ -15,8 +15,10 @@
 #include "fault/fault.hpp"
 #include "metrics/dvr.hpp"
 #include "metrics/run_store.hpp"
-#include "obs/profile.hpp"
+#include "util/str.hpp"
+#include "workload/workload.hpp"
 #include "helpers.hpp"
+#include "profile_reader.hpp"
 
 namespace dv::app {
 namespace {
@@ -240,7 +242,7 @@ TEST(Cli, PackInspectStoreHonourProfile) {
   EXPECT_TRUE(metrics::is_dvr_file(packed));
   const auto phases = [](const std::string& path) {
     std::vector<std::string> names;
-    for (const auto& p : obs::RunProfile::load(path).phases) {
+    for (const auto& p : dv::testing::load_profile(path).phases) {
       names.push_back(p.path);
     }
     return names;
@@ -566,6 +568,18 @@ TEST(Cli, HelpBlocksListExactlyTheAcceptedKeys) {
     EXPECT_EQ(accepted.size(), c.keys.size()) << "duplicate accepted key";
     EXPECT_EQ(listed, accepted);
   }
+}
+
+TEST(Cli, HelpListsEveryWorkload) {
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(cli({"--help"}), 0);
+  const std::string help = ::testing::internal::GetCapturedStdout();
+  const std::string label = "\nworkloads: ";
+  const auto at = help.find(label);
+  ASSERT_NE(at, std::string::npos);
+  const auto begin = at + label.size();
+  const std::string line = help.substr(begin, help.find('\n', begin) - begin);
+  EXPECT_EQ(split(line, ' '), workload::workload_names());
 }
 
 // The ranges parse_int names for 32- and 64-bit unsigned flags.

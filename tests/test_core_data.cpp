@@ -19,13 +19,10 @@ TEST(DataTable, ColumnsAndExtent) {
   EXPECT_EQ(t.cols(), 2u);
   EXPECT_TRUE(t.has_column("a"));
   EXPECT_FALSE(t.has_column("c"));
-  EXPECT_DOUBLE_EQ(t.at("a", 1), 5.0);
+  EXPECT_DOUBLE_EQ(t.column("a")[1], 5.0);
   const auto [lo, hi] = t.extent("a");
   EXPECT_DOUBLE_EQ(lo, 1.0);
   EXPECT_DOUBLE_EQ(hi, 5.0);
-  const auto [slo, shi] = t.extent("a", {0u, 2u});
-  EXPECT_DOUBLE_EQ(slo, 1.0);
-  EXPECT_DOUBLE_EQ(shi, 3.0);
 }
 
 TEST(DataTable, Errors) {
@@ -34,7 +31,6 @@ TEST(DataTable, Errors) {
   EXPECT_THROW(t.add_column("a", {2.0}), Error);       // duplicate
   EXPECT_THROW(t.add_column("b", {1.0, 2.0}), Error);  // length mismatch
   EXPECT_THROW(t.column("zz"), Error);
-  EXPECT_THROW(t.at("a", 5), Error);
 }
 
 TEST(DataSet, EntityTablesHaveFig2aSchema) {

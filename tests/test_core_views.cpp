@@ -95,8 +95,8 @@ TEST(TimelineView, SeriesTotalsMatchRun) {
   const auto mini = dv::testing::make_mini_run();
   const DataSet data(mini.run);
   TimelineView tv(data);
-  EXPECT_GT(tv.frames(), 2u);
   const auto s = tv.series("local_traffic");
+  EXPECT_GT(s.size(), 2u);
   double sum = 0;
   for (double v : s) sum += v;
   EXPECT_NEAR(sum, mini.run.total_local_traffic(),

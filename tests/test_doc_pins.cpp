@@ -24,8 +24,8 @@
 #include "core/views.hpp"
 #include "fault/fault.hpp"
 #include "netsim/network.hpp"
-#include "util/csv.hpp"
 #include "util/rng.hpp"
+#include "csv_reader.hpp"
 #include "helpers.hpp"
 
 namespace dv::core {
@@ -274,7 +274,7 @@ TEST(DocPin, CsvExports) {
       {"routers", 4760695812086998034ull},
   };
   for (const Pin& pin : pins) {
-    expect_pinned(pin, to_csv_string(run.to_csv(pin.name)));
+    expect_pinned(pin, dv::testing::to_csv_string(run.to_csv(pin.name)));
   }
 }
 

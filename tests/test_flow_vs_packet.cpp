@@ -6,6 +6,7 @@
 // either backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -15,7 +16,6 @@
 #include "core/presets.hpp"
 #include "core/projection.hpp"
 #include "flow/flow.hpp"
-#include "util/stats.hpp"
 
 namespace dv::app {
 namespace {
@@ -57,6 +57,51 @@ double peak_link_sat(const metrics::RunMetrics& run) {
   for (const auto& l : run.local_links) peak = std::max(peak, l.sat_time);
   for (const auto& l : run.global_links) peak = std::max(peak, l.sat_time);
   return peak;
+}
+
+/// Average ranks (1-based, ties share their mean rank).
+std::vector<double> average_ranks(const std::vector<double>& xs) {
+  const std::size_t n = xs.size();
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
+  std::vector<double> ranks(n, 0.0);
+  std::size_t i = 0;
+  while (i < n) {
+    std::size_t j = i;
+    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
+    const double r =
+        (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
+    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = r;
+    i = j + 1;
+  }
+  return ranks;
+}
+
+/// Spearman rank correlation of two equal-length series: Pearson on the
+/// average ranks, so ties are handled. 0 when either series is constant.
+double spearman(const std::vector<double>& xs, const std::vector<double>& ys) {
+  const std::size_t n = xs.size();
+  const std::vector<double> rx = average_ranks(xs);
+  const std::vector<double> ry = average_ranks(ys);
+  double mx = 0.0, my = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    mx += rx[i];
+    my += ry[i];
+  }
+  mx /= static_cast<double>(n);
+  my /= static_cast<double>(n);
+  double sxy = 0.0, sxx = 0.0, syy = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double dx = rx[i] - mx;
+    const double dy = ry[i] - my;
+    sxy += dx * dy;
+    sxx += dx * dx;
+    syy += dy * dy;
+  }
+  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
+  return sxy / std::sqrt(sxx * syy);
 }
 
 TEST(FlowVsPacket, RunMetricsSchemaIsIdentical) {

@@ -10,6 +10,7 @@
 #include "netsim/network.hpp"
 #include "obs/obs.hpp"
 #include "workload/workload.hpp"
+#include "slice_oracle.hpp"
 
 namespace dv::netsim {
 namespace {
@@ -202,18 +203,18 @@ TEST(Netsim, SamplingDeltasSumToTotals) {
   ASSERT_GT(m.local_traffic_ts.frames(), 2u);
   // Per-link: sum of sampled deltas equals the final cumulative value.
   for (std::size_t i = 0; i < m.local_links.size(); ++i) {
-    const double summed = m.local_traffic_ts.range_sum(
-        i, 0, m.local_traffic_ts.frames());
+    const double summed = dv::testing::series_range_sum(
+        m.local_traffic_ts, i, 0, m.local_traffic_ts.frames());
     EXPECT_NEAR(summed, m.local_links[i].traffic,
                 1e-3 * std::max(1.0, m.local_links[i].traffic));
-    const double sat_summed =
-        m.local_sat_ts.range_sum(i, 0, m.local_sat_ts.frames());
+    const double sat_summed = dv::testing::series_range_sum(
+        m.local_sat_ts, i, 0, m.local_sat_ts.frames());
     EXPECT_NEAR(sat_summed, m.local_links[i].sat_time,
                 1e-3 * std::max(1.0, m.local_links[i].sat_time) + 0.5);
   }
   for (std::size_t i = 0; i < m.terminals.size(); ++i) {
-    const double summed =
-        m.term_traffic_ts.range_sum(i, 0, m.term_traffic_ts.frames());
+    const double summed = dv::testing::series_range_sum(
+        m.term_traffic_ts, i, 0, m.term_traffic_ts.frames());
     EXPECT_NEAR(summed, m.terminals[i].data_size,
                 1e-3 * std::max(1.0, m.terminals[i].data_size));
   }
@@ -228,14 +229,14 @@ TEST(Netsim, JobLabelsPropagate) {
   Network net(topo, routing::Algo::kMinimal, fast_params(), 1);
   net.set_jobs(placement);
   net.set_labels("test", "hybrid", {"jobA", "jobB"});
-  net.add_message({placement.terminal_of(0, 0), placement.terminal_of(0, 1),
+  net.add_message({placement.terminals[0][0], placement.terminals[0][1],
                    512, 0.0, 0});
   const auto m = net.run();
   EXPECT_EQ(m.workload, "test");
   EXPECT_EQ(m.placement, "hybrid");
   EXPECT_EQ(m.job_names.size(), 2u);
-  EXPECT_EQ(m.terminals[placement.terminal_of(0, 0)].job, 0);
-  EXPECT_EQ(m.terminals[placement.terminal_of(1, 0)].job, 1);
+  EXPECT_EQ(m.terminals[placement.terminals[0][0]].job, 0);
+  EXPECT_EQ(m.terminals[placement.terminals[1][0]].job, 1);
   int idle = 0;
   for (const auto& t : m.terminals) idle += (t.job == -1);
   EXPECT_EQ(idle, static_cast<int>(topo.num_terminals()) - 12);

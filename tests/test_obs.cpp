@@ -10,6 +10,7 @@
 #include "json/json.hpp"
 #include "obs/profile.hpp"
 #include "util/threadpool.hpp"
+#include "profile_reader.hpp"
 
 namespace dv {
 namespace {
@@ -118,7 +119,7 @@ TEST_F(ObsTest, ProfileJsonRoundTrip) {
     obs::ScopedPhase p("rt_phase");
   }
   const obs::RunProfile a = obs::capture();
-  const obs::RunProfile b = obs::RunProfile::from_json(
+  const obs::RunProfile b = testing::profile_from_json(
       json::parse(json::dump(a.to_json(), 2)));
   EXPECT_DOUBLE_EQ(b.wall_seconds, a.wall_seconds);
   ASSERT_EQ(b.counters.size(), a.counters.size());
@@ -126,7 +127,7 @@ TEST_F(ObsTest, ProfileJsonRoundTrip) {
     EXPECT_EQ(b.counters[i].name, a.counters[i].name);
     EXPECT_EQ(b.counters[i].value, a.counters[i].value);
   }
-  EXPECT_DOUBLE_EQ(b.gauge_value("rt.rate"), 4.5e6);
+  EXPECT_DOUBLE_EQ(testing::gauge_value(b, "rt.rate"), 4.5e6);
   ASSERT_EQ(b.phases.size(), a.phases.size());
   for (std::size_t i = 0; i < a.phases.size(); ++i) {
     EXPECT_EQ(b.phases[i].path, a.phases[i].path);
@@ -138,7 +139,7 @@ TEST_F(ObsTest, ProfileJsonRoundTrip) {
 }
 
 TEST_F(ObsTest, ProfileSchemaMismatchThrows) {
-  EXPECT_THROW(obs::RunProfile::from_json(json::parse("{\"schema\":\"x\"}")),
+  EXPECT_THROW(testing::profile_from_json(json::parse("{\"schema\":\"x\"}")),
                Error);
 }
 
@@ -165,8 +166,8 @@ TEST_F(ObsTest, ExperimentProfileHasCountersAndPhases) {
   EXPECT_GE(p.counters.size(), 10u);
   // Top-level phases (setup / sim / collect) account for most of the wall.
   EXPECT_GT(p.wall_seconds, 0.0);
-  EXPECT_GT(p.top_level_phase_seconds(), 0.0);
-  EXPECT_LE(p.top_level_phase_seconds(), p.wall_seconds * 1.01);
+  EXPECT_GT(testing::top_level_phase_seconds(p), 0.0);
+  EXPECT_LE(testing::top_level_phase_seconds(p), p.wall_seconds * 1.01);
   bool saw_sim = false;
   for (const auto& ph : p.phases) saw_sim |= ph.path == "sim";
   EXPECT_TRUE(saw_sim);
@@ -178,10 +179,10 @@ TEST_F(ObsTest, EventRateIsCumulativeOverASampledRun) {
   const auto result = app::run_experiment(small_config());
   const obs::RunProfile& p = result.profile;
   ASSERT_GT(result.run.global_traffic_ts.frames(), 2u);
-  const double seconds = p.gauge_value("sim.run_seconds");
+  const double seconds = testing::gauge_value(p, "sim.run_seconds");
   ASSERT_GT(seconds, 0.0);
   EXPECT_DOUBLE_EQ(
-      p.gauge_value("sim.events_per_sec"),
+      testing::gauge_value(p, "sim.events_per_sec"),
       static_cast<double>(p.counter_value("sim.events_processed")) / seconds);
 }
 

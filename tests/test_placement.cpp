@@ -37,7 +37,7 @@ TEST_P(AllPolicies, ReverseMapsAreConsistent) {
       place_jobs(topo, three_jobs(GetParam(), GetParam(), GetParam()), 3);
   for (std::size_t j = 0; j < placement.job_count(); ++j) {
     for (std::uint32_t r = 0; r < placement.terminals[j].size(); ++r) {
-      const std::uint32_t t = placement.terminal_of(j, r);
+      const std::uint32_t t = placement.terminals[j][r];
       EXPECT_EQ(placement.job_of[t], static_cast<std::int32_t>(j));
       EXPECT_EQ(placement.rank_of[t], static_cast<std::int32_t>(r));
     }
@@ -71,7 +71,7 @@ TEST(Placement, ContiguousIsPrefix) {
   const auto placement =
       place_jobs(topo, {{"a", 25, Policy::kContiguous}}, 1);
   for (std::uint32_t r = 0; r < 25; ++r) {
-    EXPECT_EQ(placement.terminal_of(0, r), r);
+    EXPECT_EQ(placement.terminals[0][r], r);
   }
 }
 
@@ -106,7 +106,7 @@ TEST(Placement, RandomGroupSpreadsAcrossSeeds) {
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     const auto placement =
         place_jobs(topo, {{"a", 18, Policy::kRandomGroup}}, seed);
-    first_groups.insert(topo.terminal_group(placement.terminal_of(0, 0)));
+    first_groups.insert(topo.terminal_group(placement.terminals[0][0]));
   }
   EXPECT_GT(first_groups.size(), 3u);  // actually random
 }

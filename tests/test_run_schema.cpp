@@ -238,13 +238,19 @@ TEST(RunSchema, LegacyTextRowsLoadWithZeroFaultFields) {
   run.terminals[0].downtime = 6.0;
   json::Value v = run.to_json();
   auto& o = v.as_object();
-  auto& link_row = o["local_links"].as_array()[0].as_array();
-  auto& term_row = o["terminals"].as_array()[0].as_array();
-  ASSERT_EQ(link_row.size(), 9u);
-  ASSERT_EQ(term_row.size(), 11u);
+  // Resizes row 0 of `section`, padding with zeros.
+  const auto set_width = [&o](const char* section, std::size_t width) {
+    json::Array rows = o[section].as_array();
+    json::Array row = rows[0].as_array();
+    row.resize(width, json::Value(0.0));
+    rows[0] = std::move(row);
+    o[section] = std::move(rows);
+  };
+  ASSERT_EQ(o["local_links"].as_array()[0].as_array().size(), 9u);
+  ASSERT_EQ(o["terminals"].as_array()[0].as_array().size(), 11u);
 
-  link_row.resize(6);
-  term_row.resize(8);
+  set_width("local_links", 6);
+  set_width("terminals", 8);
   const RunMetrics legacy = RunMetrics::from_json(v);
   const LinkMetrics& l = legacy.local_links[0];
   EXPECT_EQ(l.src_router, run.local_links[0].src_router);
@@ -265,10 +271,10 @@ TEST(RunSchema, LegacyTextRowsLoadWithZeroFaultFields) {
   EXPECT_EQ(legacy.local_links[1].sat_time, run.local_links[1].sat_time);
   EXPECT_EQ(legacy.terminals.size(), run.terminals.size());
 
-  link_row.resize(7, json::Value(0.0));
+  set_width("local_links", 7);
   EXPECT_THROW(RunMetrics::from_json(v), Error);
-  link_row.resize(6);
-  term_row.resize(9, json::Value(0.0));
+  set_width("local_links", 6);
+  set_width("terminals", 9);
   try {
     RunMetrics::from_json(v);
     ADD_FAILURE() << "9-column terminal row loaded";

