@@ -32,6 +32,7 @@
 #include "core/report.hpp"
 #include "core/views.hpp"
 #include "metrics/dvr.hpp"
+#include "metrics/run_schema.hpp"
 #include "metrics/run_store.hpp"
 #include "serve/catalog.hpp"
 #include "serve/client.hpp"
@@ -498,19 +499,27 @@ int cmd_inspect(const Args& args) {
               h.routers_per_group, h.terminals_per_router,
               h.global_per_router, h.end_time,
               h.has_time_series() ? ", sampled" : "");
-  // Per-section rollup of the chunk directory.
-  std::map<std::uint16_t, std::pair<std::size_t, std::uint64_t>> sections;
-  std::size_t zero_chunks = 0;
+  // Per-section rollup of the chunk directory; series sections also count
+  // the values their chunks store (the rest are zeros).
+  struct Rollup {
+    std::size_t chunks = 0;
+    std::uint64_t bytes = 0, values = 0, nonzeros = 0;
+  };
+  std::map<std::uint16_t, Rollup> sections;
   for (const auto& c : f.chunks()) {
-    auto& [count, bytes] = sections[c.section];
-    ++count;
-    bytes += c.bytes;
-    if (c.zmin == 0.0 && c.zmax == 0.0) ++zero_chunks;
+    Rollup& r = sections[c.section];
+    ++r.chunks;
+    r.bytes += c.bytes;
+    r.values += c.rows;
+    r.nonzeros += c.nonzeros;
   }
-  std::printf("chunks:   %zu total, %zu all-zero\n",
-              f.chunks().size(), zero_chunks);
-  for (const auto& [section, cb] : sections) {
-    const char* label = "series";
+  std::printf("chunks:   %zu total\n", f.chunks().size());
+  for (const auto& [section, r] : sections) {
+    const std::size_t series =
+        section - static_cast<std::size_t>(metrics::DvrSection::kSeriesBase);
+    const char* label = series < metrics::schema::kSeries.size()
+                            ? metrics::schema::kSeries[series].name
+                            : "unknown";
     switch (static_cast<metrics::DvrSection>(section)) {
       case metrics::DvrSection::kLocalLinks: label = "local_links"; break;
       case metrics::DvrSection::kGlobalLinks: label = "global_links"; break;
@@ -518,9 +527,14 @@ int cmd_inspect(const Args& args) {
       case metrics::DvrSection::kRouterTallies: label = "router_tallies"; break;
       default: break;
     }
-    std::printf("  section %2u (%s): %zu chunk(s), %llu bytes\n", section,
-                label, cb.first,
-                static_cast<unsigned long long>(cb.second));
+    std::printf("  section %2u (%s): %zu chunk(s), %llu bytes", section,
+                label, r.chunks, static_cast<unsigned long long>(r.bytes));
+    if (series < metrics::schema::kSeries.size()) {
+      std::printf(", %llu of %llu values nonzero",
+                  static_cast<unsigned long long>(r.nonzeros),
+                  static_cast<unsigned long long>(r.values));
+    }
+    std::printf("\n");
   }
   return 0;
 }
@@ -954,8 +968,9 @@ const std::vector<Command>& commands() {
        "           *.json is text, any other path dvr)\n"},
       {"inspect", cmd_inspect,
        {"run"},
-       "  inspect  --run run.dvr   (header, chunk directory, zone maps —\n"
-       "           reads no column payload; see docs/RUN_FORMAT.md)\n"},
+       "  inspect  --run run.dvr   (header, chunk directory, nonzero counts\n"
+       "           of the sampled series — reads no column payload; see\n"
+       "           docs/RUN_FORMAT.md)\n"},
       {"session", cmd_session,
        {"run", "spec", "out", "width", "height", "window", "brush",
         "cache-stats"},

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "metrics/run_schema.hpp"
+#include "obs/obs.hpp"
 #include "util/kernels.hpp"
 #include "util/str.hpp"
 
@@ -285,6 +286,7 @@ void DataSet::build() {
   tables_ = std::move(tables);
 
   if (run.has_time_series()) {
+    DV_OBS_PHASE("core.prefix_build");
     auto slabs = std::make_shared<std::vector<metrics::PrefixSeries>>();
     slabs->reserve(metrics::schema::kSeries.size());
     for (const auto& ts : metrics::schema::kSeries) {

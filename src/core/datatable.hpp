@@ -81,9 +81,10 @@ class DataSet {
   bool has_time_series() const { return run_->has_time_series(); }
   /// The prefix-summed slabs backing windowed reduction, one per sampled
   /// series and indexed like metrics::schema::kSeries (requires time
-  /// series). Built once per DataSet (O(frames x entities)); every windowed
-  /// reduction afterwards is a prefix delta, so a brushed time range
-  /// re-aggregates in O(rows) instead of O(rows x frames).
+  /// series). Built once per DataSet (O(frames x entities)), except that
+  /// an all-zero series keeps no prefix; every windowed reduction
+  /// afterwards is a prefix delta, so a brushed time range re-aggregates
+  /// in O(rows) instead of O(rows x frames).
   const std::vector<metrics::PrefixSeries>& slabs() const;
 
   /// True when `attr` of entity `e` varies with the time window: a

@@ -290,9 +290,11 @@ std::shared_ptr<const QueryEngine::GroupSlab> QueryEngine::group_slab(
     // P[f*E + row] - P[row]. Hoisting the frame base pointer out of the
     // row loop drops the per-element bounds checks and index math while
     // keeping the accumulation order (and therefore the bits) unchanged.
+    // An all-zero series has no prefix; its slab stays +0.0, which is what
+    // summing its +0.0 deltas gives.
     const double* prefix = ps.prefix_data();
     const std::size_t entities = ps.entities();
-    for (std::size_t g = 0; g < slab->groups; ++g) {
+    for (std::size_t g = 0; !ps.all_zero() && g < slab->groups; ++g) {
       const auto& rows = agg->groups()[g].rows;
       for (std::size_t f = 1; f <= slab->frames; ++f) {
         const double* frame = prefix + f * entities;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -140,28 +141,6 @@ class ByteReader {
 // -------------------------------------------------------------- column IO
 
 template <typename T>
-void zone_map(const T* v, std::size_t n, double& zmin, double& zmax) {
-  zmin = zmax = 0.0;
-  if (n == 0) return;
-  if constexpr (std::is_same_v<T, double>) {
-    kernels::minmax_f64(v, n, zmin, zmax);
-  } else if constexpr (std::is_same_v<T, float>) {
-    float lo = 0.0f, hi = 0.0f;
-    kernels::minmax_f32(v, n, lo, hi);
-    zmin = lo;
-    zmax = hi;
-  } else {
-    T lo = v[0], hi = v[0];
-    for (std::size_t i = 0; i < n; ++i) {
-      lo = v[i] < lo ? v[i] : lo;
-      hi = v[i] > hi ? v[i] : hi;
-    }
-    zmin = static_cast<double>(lo);
-    zmax = static_cast<double>(hi);
-  }
-}
-
-template <typename T>
 DvrType dvr_type_of() {
   if constexpr (std::is_same_v<T, double>) return DvrType::kF64;
   if constexpr (std::is_same_v<T, float>) return DvrType::kF32;
@@ -170,10 +149,52 @@ DvrType dvr_type_of() {
   return DvrType::kI32;
 }
 
+/// Bitmap words of a series chunk holding `values` floats.
+constexpr std::uint64_t bitmap_words(std::uint64_t values) {
+  return values / 64 + (values % 64 != 0);
+}
+
+/// Scatters a series chunk's stored values into `out` (c.rows zeroed
+/// floats). The bitmap must set exactly c.nonzeros bits, none of them past
+/// c.rows; every stored value is read only after that count is checked.
+void decode_series_chunk(const unsigned char* p, const DvrChunk& c,
+                         float* out) {
+  const std::uint64_t words = bitmap_words(c.rows);
+  const unsigned char* values = p + words * 8;
+  if (c.rows % 64 != 0) {
+    std::uint64_t last;
+    std::memcpy(&last, p + (words - 1) * 8, sizeof(last));
+    DV_REQUIRE(last >> (c.rows % 64) == 0,
+               "bitmap bit set past the chunk's " + std::to_string(c.rows) +
+                   " values");
+  }
+  std::uint64_t k = 0;
+  for (std::uint64_t w = 0; w < words; ++w) {
+    std::uint64_t bits;
+    std::memcpy(&bits, p + w * 8, sizeof(bits));
+    if (bits == 0) continue;
+    DV_REQUIRE(k + static_cast<std::uint64_t>(std::popcount(bits)) <=
+                   c.nonzeros,
+               "bitmap sets more bits than the chunk's " +
+                   std::to_string(c.nonzeros) + " stored values");
+    for (; bits != 0; bits &= bits - 1) {
+      std::memcpy(out + w * 64 + static_cast<std::uint64_t>(
+                                     std::countr_zero(bits)),
+                  values + k++ * sizeof(float), sizeof(float));
+    }
+  }
+  DV_REQUIRE(k == c.nonzeros, "bitmap sets " + std::to_string(k) +
+                                  " bits for the chunk's " +
+                                  std::to_string(c.nonzeros) +
+                                  " stored values");
+}
+
 /// Streams chunk payloads through an FdWriter and records their directory
 /// entries. A field of a record vector is gathered into a staging buffer
 /// reused across columns of its element type; contiguous columns (router
-/// tallies, series frames) are written from the run's own memory.
+/// tallies) are written from the run's own memory, and a series chunk is
+/// encoded on the way out (its bitmap staged, its values in 64 KiB
+/// pieces).
 class ChunkWriter {
  public:
   explicit ChunkWriter(FdWriter& w) : w_(w) {}
@@ -192,8 +213,44 @@ class ChunkWriter {
     c.bytes = rows * sizeof(T);
     c.rows = rows;
     c.row0 = row0;
-    zone_map(values, rows, c.zmin, c.zmax);
     w_.raw(values, c.bytes);
+    dir_.push_back(c);
+  }
+
+  /// A series frame-chunk of `rows` floats: the presence bitmap, then the
+  /// present values in order.
+  void series_chunk(DvrSection section, std::uint16_t column,
+                    const float* values, std::size_t rows,
+                    std::uint64_t row0) {
+    w_.align8();
+    DvrChunk c;
+    c.section = static_cast<std::uint16_t>(section);
+    c.column = column;
+    c.dtype = static_cast<std::uint16_t>(DvrType::kF32);
+    c.offset = w_.at();
+    c.rows = rows;
+    c.row0 = row0;
+    bitmap_.resize(bitmap_words(rows));
+    for (std::size_t w = 0; w < bitmap_.size(); ++w) {
+      bitmap_[w] = kernels::nonzero_bits(
+          values + w * 64, std::min<std::size_t>(64, rows - w * 64));
+      c.nonzeros += static_cast<std::uint64_t>(std::popcount(bitmap_[w]));
+    }
+    w_.raw(bitmap_.data(), bitmap_.size() * sizeof(std::uint64_t));
+    f32_.clear();
+    for (std::size_t w = 0; w < bitmap_.size(); ++w) {
+      for (std::uint64_t bits = bitmap_[w]; bits != 0; bits &= bits - 1) {
+        f32_.push_back(values[w * 64 + static_cast<std::size_t>(
+                                           std::countr_zero(bits))]);
+      }
+      if (f32_.size() >= kValuesPerWrite) {
+        w_.raw(f32_.data(), f32_.size() * sizeof(float));
+        f32_.clear();
+      }
+    }
+    w_.raw(f32_.data(), f32_.size() * sizeof(float));
+    c.bytes = bitmap_.size() * sizeof(std::uint64_t) +
+              c.nonzeros * sizeof(float);
     dir_.push_back(c);
   }
 
@@ -224,8 +281,12 @@ class ChunkWriter {
     if constexpr (std::is_same_v<T, std::int32_t>) return i32_;
   }
 
+  static constexpr std::size_t kValuesPerWrite = 16 * 1024;
+
   FdWriter& w_;
   std::vector<DvrChunk> dir_;
+  std::vector<std::uint64_t> bitmap_;
+  std::vector<float> f32_;
   std::vector<double> f64_;
   std::vector<std::uint32_t> u32_;
   std::vector<std::uint64_t> u64_;
@@ -239,13 +300,12 @@ void write_series(ChunkWriter& cw, std::size_t id, const SampledSeries& s) {
   std::uint16_t ordinal = 0;
   for (std::size_t f0 = 0; f0 < frames; f0 += kDvrSeriesChunkFrames) {
     const std::size_t nf = std::min(kDvrSeriesChunkFrames, frames - f0);
-    cw.chunk(section, ordinal++, s.data() + f0 * entities, nf * entities, f0);
+    cw.series_chunk(section, ordinal++, s.data() + f0 * entities,
+                    nf * entities, f0);
   }
   // A sampled-but-empty series (entities > 0, no frames yet) still needs
   // its shape recorded; an explicit empty chunk does that.
-  if (frames == 0 && entities > 0) {
-    cw.chunk(section, 0, std::vector<float>{});
-  }
+  if (frames == 0 && entities > 0) cw.series_chunk(section, 0, nullptr, 0, 0);
 }
 
 /// Atomic durable publish: runs `body(fd)` to fill `path + ".tmp"`,
@@ -261,6 +321,7 @@ void publish_atomically(const std::string& path, Body&& body) {
     // Durability before visibility: without this fsync the rename below
     // can survive a power loss while the data does not, publishing a
     // truncated file under the final name on some filesystems.
+    DV_OBS_PHASE("metrics.fsync");
     if (::fsync(fd) != 0) throw Error("fsync failed");
   } catch (const Error&) {
     ::close(fd);
@@ -303,7 +364,31 @@ std::size_t dvr_type_size(DvrType t) {
 
 // ----------------------------------------------------------- content uid
 
+namespace {
+
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/// kZeroWordsPow[j] = prime^(8 * 2^j) (mod 2^64). FNV-1a over one zero
+/// byte is `h *= prime`, so over 8k zero bytes it is `h *= prime^(8k)`,
+/// the product of the entries for the set bits of k.
+constexpr std::array<std::uint64_t, 64> kZeroWordsPow = [] {
+  std::array<std::uint64_t, 64> t{};
+  std::uint64_t x = 1;
+  for (int i = 0; i < 8; ++i) x *= kFnvPrime;
+  for (auto& e : t) {
+    e = x;
+    x *= x;
+  }
+  return t;
+}();
+/// prime^4: FNV-1a over four zero bytes is `h *= prime^4`.
+constexpr std::uint64_t kPrimePow4 =
+    kFnvPrime * kFnvPrime * kFnvPrime * kFnvPrime;
+
+}  // namespace
+
 std::uint64_t run_content_uid(const RunMetrics& run) {
+  DV_OBS_PHASE("metrics.uid");
   // FNV-1a over a canonical byte stream: the header fields, then each
   // record section row by row (every column of a row, in schema order),
   // each router tally, sample_dt and each sampled series. The order is
@@ -314,10 +399,44 @@ std::uint64_t run_content_uid(const RunMetrics& run) {
     const auto* b = static_cast<const unsigned char*>(p);
     for (std::size_t i = 0; i < n; ++i) {
       h ^= b[i];
-      h *= 1099511628211ull;
+      h *= kFnvPrime;
     }
   };
-  auto pod = [&mix](auto v) { mix(&v, sizeof(v)); };
+  // The same hash as mix, with each run of zero 8-byte words applied as
+  // one multiplication (series are mostly zeros).
+  auto mix_sparse = [&h, &mix](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    auto word = [b](std::size_t at) {
+      std::uint64_t w;
+      std::memcpy(&w, b + at, sizeof(w));
+      return w;
+    };
+    std::size_t i = 0;
+    while (i + 8 <= n) {
+      if (word(i) != 0) {
+        mix(b + i, 8);
+        i += 8;
+        continue;
+      }
+      std::uint64_t zeros = 1;
+      for (i += 8; i + 8 <= n && word(i) == 0; i += 8) ++zeros;
+      for (int j = 0; zeros != 0; ++j, zeros >>= 1) {
+        if (zeros & 1) h *= kZeroWordsPow[j];
+      }
+    }
+    mix(b + i, n - i);
+  };
+  // A zero field is sizeof(v) zero bytes: one multiplication too.
+  auto pod = [&h, &mix](auto v) {
+    static_assert(sizeof(v) == 4 || sizeof(v) == 8);
+    using Bits =
+        std::conditional_t<sizeof(v) == 8, std::uint64_t, std::uint32_t>;
+    if (std::bit_cast<Bits>(v) != 0) {
+      mix(&v, sizeof(v));
+    } else {
+      h *= sizeof(v) == 8 ? kZeroWordsPow[0] : kPrimePow4;
+    }
+  };
   auto str = [&](const std::string& s) {
     pod(static_cast<std::uint64_t>(s.size()));
     mix(s.data(), s.size());
@@ -352,7 +471,7 @@ std::uint64_t run_content_uid(const RunMetrics& run) {
     const SampledSeries& s = run.*ts.member;
     pod(static_cast<std::uint64_t>(s.entities()));
     pod(static_cast<std::uint64_t>(s.frames()));
-    mix(s.data(), s.frames() * s.entities() * sizeof(float));
+    mix_sparse(s.data(), s.frames() * s.entities() * sizeof(float));
   }
   return h;
 }
@@ -362,6 +481,7 @@ std::uint64_t run_content_uid(const RunMetrics& run) {
 std::uint64_t save_dvr(const RunMetrics& run, const std::string& path) {
   const std::uint64_t uid = run_content_uid(run);
   publish_atomically(path, [&](int fd) {
+    DV_OBS_PHASE("metrics.write_chunks");
     FdWriter w(fd);
     w.raw(kMagic, sizeof(kMagic));
     w.pod(kDvrVersion);
@@ -422,8 +542,6 @@ std::uint64_t save_dvr(const RunMetrics& run, const std::string& path) {
       w.pod(c.bytes);
       w.pod(c.rows);
       w.pod(c.row0);
-      w.pod(c.zmin);
-      w.pod(c.zmax);
     }
     w.patch(count_at, static_cast<std::uint32_t>(cw.directory().size()));
     w.patch(dir_offset_at, dir_offset);
@@ -538,28 +656,37 @@ DvrFile::DvrFile(const std::string& path) : path_(path) {
       c.bytes = r.pod<std::uint64_t>();
       c.rows = r.pod<std::uint64_t>();
       c.row0 = r.pod<std::uint64_t>();
-      c.zmin = r.pod<double>();
-      c.zmax = r.pod<double>();
       // Subtraction/division forms: the additive `offset + bytes <= size`
       // and multiplicative `bytes == rows * elem` checks both wrap on
       // crafted uint64 values and would admit out-of-range chunks.
       DV_REQUIRE(c.offset <= size_ && c.bytes <= size_ - c.offset,
                  "chunk past end of .dvr file");
-      const std::uint64_t elem =
-          dvr_type_size(static_cast<DvrType>(c.dtype));
-      DV_REQUIRE(c.bytes % elem == 0 && c.rows == c.bytes / elem,
-                 "chunk size/dtype mismatch");
-      // Series chunks address a frames x entities slab, so load_all can
-      // only memcpy safely if every chunk's [row0, row0 + rows/entities)
-      // frame range is representable and consistent with the header's
-      // entity count. A frame costs entities * sizeof(float) payload
-      // bytes, so no genuine frame index can exceed size_ / that — which
-      // also keeps the frames * entities allocation arithmetic overflow-
-      // free for everything the directory admits.
       const auto series_base =
           static_cast<std::uint16_t>(DvrSection::kSeriesBase);
-      if (c.section >= series_base &&
-          c.section < series_base + schema::kSeries.size()) {
+      if (c.section < series_base ||
+          c.section >= series_base + schema::kSeries.size()) {
+        const std::uint64_t elem =
+            dvr_type_size(static_cast<DvrType>(c.dtype));
+        DV_REQUIRE(c.bytes % elem == 0 && c.rows == c.bytes / elem,
+                   "chunk size/dtype mismatch");
+      } else {
+        // A bitmap of `rows` bits in whole words, then the stored floats.
+        DV_REQUIRE(static_cast<DvrType>(c.dtype) == DvrType::kF32,
+                   "series chunk dtype mismatch");
+        const std::uint64_t bitmap = bitmap_words(c.rows) * 8;
+        DV_REQUIRE(c.bytes >= bitmap, "series chunk bitmap truncated");
+        DV_REQUIRE((c.bytes - bitmap) % sizeof(float) == 0 &&
+                       (c.bytes - bitmap) / sizeof(float) <= c.rows,
+                   "series chunk size mismatch");
+        c.nonzeros = (c.bytes - bitmap) / sizeof(float);
+        // Series chunks address a frames x entities slab, so load_all can
+        // only scatter safely if every chunk's [row0, row0 + rows/entities)
+        // frame range is representable and consistent with the header's
+        // entity count. A frame costs at least entities bits of bitmap, so
+        // no genuine frame index can exceed 8 * size_ / entities — which
+        // also keeps the frames * entities allocation arithmetic overflow-
+        // free (and within 32x the file size) for everything the
+        // directory admits.
         const std::uint64_t entities =
             rows(schema::kSeries[c.section - series_base].entities);
         if (c.rows > 0) {
@@ -568,8 +695,7 @@ DvrFile::DvrFile(const std::string& path) : path_(path) {
                      "series chunk rows not a multiple of the entity count");
         }
         if (entities > 0) {
-          const std::uint64_t max_frames =
-              size_ / (entities * sizeof(float));
+          const std::uint64_t max_frames = size_ * 8 / entities;
           const std::uint64_t chunk_frames = c.rows / entities;
           DV_REQUIRE(
               chunk_frames <= max_frames && c.row0 <= max_frames - chunk_frames,
@@ -618,6 +744,7 @@ const DvrChunk& DvrFile::find_chunk(DvrSection s,
 }
 
 RunMetrics DvrFile::load_all() const {
+  DV_OBS_PHASE("metrics.decode");
   // The payload of a column chunk of `dtype` holding `n` rows, or an
   // error naming the column.
   auto column = [this](DvrSection s, std::size_t id, DvrType dtype,
@@ -662,9 +789,9 @@ RunMetrics DvrFile::load_all() const {
     });
   }
   if (m.has_time_series()) {
-    // Each series is its frame-chunks copied into one frames x entities
-    // slab; the constructor admits only chunks whose frame range fits the
-    // slab, which is what makes the raw memcpy safe.
+    // Each series is its frame-chunks scattered into one zeroed frames x
+    // entities slab; the constructor admits only chunks whose frame range
+    // fits the slab and whose payload holds the bitmap.
     for (std::size_t id = 0; id < schema::kSeries.size(); ++id) {
       const std::size_t entities = rows(schema::kSeries[id].entities);
       const auto section = static_cast<std::uint16_t>(dvr_series_section(id));
@@ -676,11 +803,14 @@ RunMetrics DvrFile::load_all() const {
       std::vector<float> data(frames * entities);
       for (const auto& c : chunks_) {
         if (c.section != section || c.rows == 0) continue;
-        DV_REQUIRE(static_cast<DvrType>(c.dtype) == DvrType::kF32,
-                   path_ + ": series chunk dtype mismatch");
         DV_CHECK(c.row0 * entities + c.rows <= data.size(),
                  "series chunk outside slab in " + path_);
-        std::memcpy(data.data() + c.row0 * entities, payload(c), c.bytes);
+        try {
+          decode_series_chunk(payload(c), c, data.data() + c.row0 * entities);
+        } catch (const Error& e) {
+          throw Error(path_ + ": " + schema::kSeries[id].name + " chunk " +
+                      std::to_string(c.column) + ": " + e.what());
+        }
       }
       m.*schema::kSeries[id].member =
           SampledSeries::adopt(entities, header_.sample_dt, std::move(data));

@@ -28,10 +28,11 @@
 
 namespace dv::metrics {
 
-constexpr std::uint32_t kDvrVersion = 1;
-/// Sampled series are split into frame-chunks of this many frames, each
-/// with its own zone map (recorded and shown by `inspect`; no reader
-/// prunes on it).
+constexpr std::uint32_t kDvrVersion = 2;
+/// Sampled series are split into frame-chunks of this many frames. A
+/// series chunk stores a presence bitmap (one bit per value, set when any
+/// of the value's four bytes is nonzero, so -0.0 is stored) followed by
+/// the stored values in order; docs/RUN_FORMAT.md gives the layout.
 constexpr std::size_t kDvrSeriesChunkFrames = 256;
 
 /// Sections a chunk can belong to. Series sections are kSeriesBase + id,
@@ -55,7 +56,7 @@ enum class DvrType : std::uint16_t {
 std::size_t dvr_type_size(DvrType t);
 
 /// One chunk-directory entry: where a column (or series frame-chunk)
-/// lives, its shape, and its min/max zone map.
+/// lives and its shape.
 struct DvrChunk {
   std::uint16_t section = 0;  ///< DvrSection
   std::uint16_t column = 0;   ///< column id (chunk ordinal for series)
@@ -64,7 +65,10 @@ struct DvrChunk {
   std::uint64_t bytes = 0;    ///< payload length
   std::uint64_t rows = 0;     ///< element count
   std::uint64_t row0 = 0;     ///< first row / frame index in this chunk
-  double zmin = 0.0, zmax = 0.0;  ///< zone map over the chunk's values
+  /// Series chunks: how many of the `rows` values the payload stores (the
+  /// bitmap's popcount; the reader derives it from `bytes`). Column
+  /// chunks: 0, not counted.
+  std::uint64_t nonzeros = 0;
 };
 
 /// Stable identity of a run's *content*: FNV-1a over every configuration

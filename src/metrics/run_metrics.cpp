@@ -47,9 +47,14 @@ double SampledSeries::frame_total(std::size_t frame) const {
 // ------------------------------------------------------------ PrefixSeries
 
 PrefixSeries::PrefixSeries(const SampledSeries& s)
-    : entities_(s.entities()), dt_(s.dt()) {
-  const std::size_t frames = s.frames();
-  if (entities_ == 0) return;
+    : entities_(s.entities()), frames_(s.frames()), dt_(s.dt()) {
+  const std::size_t frames = frames_;
+  // An all-zero series keeps no prefix: the dense one would hold only
+  // +0.0, so every delta of it is +0.0, which range_sum returns as is.
+  if (entities_ == 0 ||
+      kernels::all_zero_bytes(s.data(), frames * entities_ * sizeof(float))) {
+    return;
+  }
   prefix_.assign((frames + 1) * entities_, 0.0);
   // P[f+1][e] = P[f][e] + frame f — the same sequential accumulation as
   // a plain loop over frames [0, f), so prefix deltas starting at frame 0
@@ -66,6 +71,7 @@ double PrefixSeries::range_sum(std::size_t entity, std::size_t f0,
                                std::size_t f1) const {
   DV_REQUIRE(entity < entities_, "entity out of range");
   DV_REQUIRE(f0 <= f1 && f1 <= frames(), "bad frame range");
+  if (all_zero()) return 0.0;
   return prefix_[f1 * entities_ + entity] - prefix_[f0 * entities_ + entity];
 }
 
@@ -312,21 +318,65 @@ void RunMetrics::validate() const {
     throw Error("sample_dt = " + fmt_double(sample_dt) +
                 " (must be finite and >= 0)");
   }
+  // The shape before anything else: derive_routers and DataSet size
+  // router arrays by it, so it must agree with the rows first. The rows
+  // follow RunRecorder's layout: terminals_per_router terminal rows per
+  // router (fat-tree padding rows included), so the router count is
+  // bounded by the rows a reader could allocate, and at most
+  // routers_per_group - 1 local and global_per_router global links leave
+  // each router.
   const std::uint64_t routers =
       static_cast<std::uint64_t>(groups) * routers_per_group;
+  const std::string shape = "groups " + std::to_string(groups) +
+                            " x routers_per_group " +
+                            std::to_string(routers_per_group);
+  if (routers > 0 && terminals_per_router == 0) {
+    throw Error("terminals_per_router = 0 (" + shape + " routers)");
+  }
+  // Division form: routers * terminals_per_router wraps on crafted
+  // headers (2^31 x 2^31 x 4 is 0 mod 2^64), which would admit a run with
+  // no terminal rows that claims 2^62 routers. Once this holds, routers is
+  // at most the terminal row count, so the link products below cannot
+  // wrap.
+  const bool terminals_fit =
+      routers == 0 ? terminals.empty()
+                   : terminals.size() % terminals_per_router == 0 &&
+                         terminals.size() / terminals_per_router == routers;
+  if (!terminals_fit) {
+    throw Error("terminals has " + std::to_string(terminals.size()) +
+                " rows (" + shape + " x terminals_per_router " +
+                std::to_string(terminals_per_router) + " = " +
+                std::to_string(routers * terminals_per_router) + ")");
+  }
+  auto at_most = [&](const char* section, std::size_t rows,
+                     std::uint64_t per_router, const char* per) {
+    if (rows <= routers * per_router) return;
+    throw Error(std::string(section) + " has " + std::to_string(rows) +
+                " rows (more than " + shape + " x " + per + " " +
+                std::to_string(per_router) + ")");
+  };
+  at_most("local_links", local_links.size(), routers_per_group - 1u,
+          "(routers_per_group - 1)");
+  at_most("global_links", global_links.size(), global_per_router,
+          "global_per_router");
+  const std::uint64_t radix = std::uint64_t{terminals_per_router} +
+                              routers_per_group - 1 + global_per_router;
   const schema::Series* framed = nullptr;  // first series with entities
   schema::for_each_records(*this, [&](const char* section, DvrSection s,
                                       const auto& recs) {
     using Rec = schema::record_t<decltype(recs)>;
     schema::for_each(schema::Table<Rec>::kColumns,
                      [&](const auto& c, std::size_t) {
-      if (!c.router_id) return;
+      if (c.bound == schema::Bound::kNone) return;
+      const bool router = c.bound == schema::Bound::kRouter;
+      const std::uint64_t limit = router ? routers : radix;
       for (std::size_t i = 0; i < recs.size(); ++i) {
         const std::uint64_t id = recs[i].*c.member;
-        if (id < routers) continue;
+        if (id < limit) continue;
         throw Error(std::string(section) + "." + c.name + "[" +
                     std::to_string(i) + "] = " + std::to_string(id) +
-                    " (>= " + std::to_string(routers) + " routers)");
+                    " (>= " + std::to_string(limit) +
+                    (router ? " routers)" : "-port radix)"));
       }
     });
     if (!has_time_series()) return;

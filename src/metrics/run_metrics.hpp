@@ -122,24 +122,27 @@ class SampledSeries {
 /// delta P[f1][e] - P[f0][e] instead of an O(f1-f0) scan. The VA layer's
 /// windowed tables and the tests' from-scratch slicing oracle both reduce
 /// through one PrefixSeries per sampled metric, which makes them bit-exact
-/// with each other.
+/// with each other. A series whose bytes are all zero (the saturation
+/// series of most runs) stores no prefix: each of its range sums is +0.0,
+/// what the dense prefix gives bit for bit.
 class PrefixSeries {
  public:
   PrefixSeries() = default;
   explicit PrefixSeries(const SampledSeries& s);
 
   std::size_t entities() const { return entities_; }
-  std::size_t frames() const {
-    return entities_ ? prefix_.size() / entities_ - 1 : 0;
-  }
+  std::size_t frames() const { return frames_; }
   double dt() const { return dt_; }
-  bool empty() const { return prefix_.empty(); }
+  /// True when no prefix is stored: the series has no values, or every
+  /// value is +0.0 (a -0.0 is a value).
+  bool all_zero() const { return prefix_.empty(); }
 
   /// Sum over frames [f0, f1) for one entity, as a prefix delta.
   double range_sum(std::size_t entity, std::size_t f0, std::size_t f1) const;
 
-  /// Frame-major raw prefix storage ((frames()+1) x entities() doubles).
-  /// Hot loops (the query engine's group-slab build) index this directly:
+  /// Frame-major raw prefix storage ((frames()+1) x entities() doubles;
+  /// none when all_zero()). Hot loops (the query engine's group-slab build)
+  /// index this directly:
   /// range_sum(e, f0, f1) == p[f1*entities()+e] - p[f0*entities()+e].
   const double* prefix_data() const { return prefix_.data(); }
 
@@ -150,6 +153,7 @@ class PrefixSeries {
 
  private:
   std::size_t entities_ = 0;
+  std::size_t frames_ = 0;
   double dt_ = 0.0;
   std::vector<double> prefix_;  // (frames+1) x entities, frame-major
 };
@@ -222,8 +226,13 @@ struct RunMetrics {
   std::uint64_t save(const std::string& path) const;
   static RunMetrics load(const std::string& path);
 
-  /// Checks what the views index by: sample_dt is finite and >= 0, every
-  /// router id column of the records is below groups × routers_per_group,
+  /// Checks what the views index by: sample_dt is finite and >= 0; the
+  /// shape, before anything sized by it (terminals_per_router >= 1,
+  /// groups × routers_per_group × terminals_per_router terminal rows, at
+  /// most routers_per_group - 1 local and global_per_router global link
+  /// rows per router); every router id column of the records is below
+  /// groups × routers_per_group and every port column below the radix
+  /// (terminals_per_router + routers_per_group - 1 + global_per_router);
   /// every terminal job is in [-1, job_names.size()), and, on a sampled
   /// run, each series' dt equals sample_dt, its entity count equals its
   /// record count and every series with entities has the same frame

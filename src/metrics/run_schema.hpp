@@ -23,14 +23,19 @@
 
 namespace dv::metrics::schema {
 
-/// One record column: its name, the member it reads, and whether it holds
-/// a router id (validate() checks those against the run's shape).
+/// What a record column's values index, which validate() bounds by the
+/// run's shape: a router id (< groups × routers_per_group) or a port of a
+/// router (< its radix, terminals_per_router + routers_per_group - 1 +
+/// global_per_router).
+enum class Bound { kNone, kRouter, kPort };
+
+/// One record column: its name, the member it reads, and what it indexes.
 template <typename Rec, typename T>
 struct Column {
   using Type = T;
   const char* name;
   T Rec::*member;
-  bool router_id = false;
+  Bound bound = Bound::kNone;
 };
 
 /// A record's columns, in text-row, .dvr column-id, CSV and uid order,
@@ -44,10 +49,10 @@ struct Table<LinkMetrics> {
   using L = LinkMetrics;
   static constexpr std::size_t kLegacyColumns = 6;
   static constexpr std::tuple kColumns{
-      Column{"src_router", &L::src_router, true},
-      Column{"src_port", &L::src_port},
-      Column{"dst_router", &L::dst_router, true},
-      Column{"dst_port", &L::dst_port},
+      Column{"src_router", &L::src_router, Bound::kRouter},
+      Column{"src_port", &L::src_port, Bound::kPort},
+      Column{"dst_router", &L::dst_router, Bound::kRouter},
+      Column{"dst_port", &L::dst_port, Bound::kPort},
       Column{"traffic", &L::traffic},
       Column{"sat_time", &L::sat_time},
       Column{"downtime", &L::downtime},
@@ -60,8 +65,8 @@ struct Table<TerminalMetrics> {
   using T = TerminalMetrics;
   static constexpr std::size_t kLegacyColumns = 8;
   static constexpr std::tuple kColumns{
-      Column{"router", &T::router, true},
-      Column{"port", &T::port},
+      Column{"router", &T::router, Bound::kRouter},
+      Column{"port", &T::port, Bound::kPort},
       Column{"data_size", &T::data_size},
       Column{"sat_time", &T::sat_time},
       Column{"packets_finished", &T::packets_finished},

@@ -5,7 +5,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <future>
@@ -20,6 +19,7 @@
 #include "core/spec.hpp"
 #include "obs/obs.hpp"
 #include "serve/net_io.hpp"
+#include "util/stats.hpp"
 
 namespace dv::serve {
 
@@ -42,15 +42,6 @@ void tune_allocator_for_serving() {
   mallopt(M_TRIM_THRESHOLD, 1 << 20);
   malloc_trim(0);
 #endif
-}
-
-/// Nearest-rank percentile (p in [0, 1]) over a sample copy.
-double percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t rank = static_cast<std::size_t>(
-      std::ceil(p * static_cast<double>(v.size())));
-  return v[rank == 0 ? 0 : rank - 1];
 }
 
 json::Value run_info(const LoadedRun& lr) {
@@ -473,7 +464,7 @@ json::Value Server::stats_json(const Session* session) const {
   server["runs_pending"] = json::Value(catalog_.pending());
 
   // Packed-store reader counters: how much of the mapped .dvr bytes
-  // queries actually touched, and how many chunks zone maps pruned.
+  // queries actually touched (dvr_chunks_pruned always reads 0).
   const metrics::DvrStats ds = metrics::dvr_stats();
   json::Object store;
   store["dvr_opens"] = json::Value(ds.opens);
@@ -501,8 +492,9 @@ json::Value Server::stats_json(const Session* session) const {
     for (const auto& [verb, ring] : latency_) {
       json::Object v;
       v["count"] = json::Value(ring.count);
-      v["p50_ms"] = json::Value(percentile(ring.samples, 0.50) * 1e3);
-      v["p99_ms"] = json::Value(percentile(ring.samples, 0.99) * 1e3);
+      // A ring exists once its verb has one sample.
+      v["p50_ms"] = json::Value(dv::percentile(ring.samples, 0.50) * 1e3);
+      v["p99_ms"] = json::Value(dv::percentile(ring.samples, 0.99) * 1e3);
       latency[verb] = json::Value(std::move(v));
     }
   }

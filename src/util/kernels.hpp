@@ -7,14 +7,16 @@
 // order of the scalar code they replace and win through pointer hoisting,
 // `restrict`, and bounds-check elimination instead of lane reordering.
 // Kernels whose lanes are independent (the prefix-slab build, filter
-// predicate masks, min/max zone maps) additionally carry explicit SSE2
-// paths — SSE2 is baseline on x86-64, and per-lane results are unaffected
-// by evaluation order, so the SIMD and scalar paths agree bit for bit.
+// predicate masks, min/max zone maps, .dvr presence bits) additionally
+// carry explicit SSE2 paths — SSE2 is baseline on x86-64, and per-lane
+// results are unaffected by evaluation order, so the SIMD and scalar
+// paths agree bit for bit.
 // tests/test_dvr.cpp pins each kernel against its naive scalar twin.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -86,39 +88,47 @@ inline void filter_range_mask(const double* DV_RESTRICT col, std::size_t n,
   }
 }
 
-/// Min/max over a span (the zone-map builder). min/max are commutative and
-/// associative (no NaNs in metric columns), so lane order is free.
-inline void minmax_f32(const float* DV_RESTRICT p, std::size_t n,
-                       float& out_min, float& out_max) {
-  float lo = n ? p[0] : 0.0f;
-  float hi = lo;
+/// Presence bits of up to 64 floats: bit i is set when p[i] has any
+/// nonzero byte, so -0.0 counts as present. The .dvr series encoder's
+/// bitmap word. Per-lane work, so the SSE2 path is bit-identical.
+inline std::uint64_t nonzero_bits(const float* DV_RESTRICT p, std::size_t n) {
+  std::uint64_t bits = 0;
   std::size_t i = 0;
 #if DV_KERNELS_SSE2
-  if (n >= 4) {
-    __m128 vlo = _mm_loadu_ps(p);
-    __m128 vhi = vlo;
-    for (i = 4; i + 4 <= n; i += 4) {
-      const __m128 v = _mm_loadu_ps(p + i);
-      vlo = _mm_min_ps(vlo, v);
-      vhi = _mm_max_ps(vhi, v);
-    }
-    alignas(16) float tmp[4];
-    _mm_store_ps(tmp, vlo);
-    lo = tmp[0];
-    for (int k = 1; k < 4; ++k) lo = tmp[k] < lo ? tmp[k] : lo;
-    _mm_store_ps(tmp, vhi);
-    hi = tmp[0];
-    for (int k = 1; k < 4; ++k) hi = tmp[k] > hi ? tmp[k] : hi;
+  const __m128i zero = _mm_setzero_si128();
+  for (; i + 4 <= n; i += 4) {
+    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
+    const int is_zero =
+        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, zero)));
+    bits |= static_cast<std::uint64_t>(~is_zero & 0xF) << i;
   }
 #endif
   for (; i < n; ++i) {
-    lo = p[i] < lo ? p[i] : lo;
-    hi = p[i] > hi ? p[i] : hi;
+    std::uint32_t b;
+    std::memcpy(&b, p + i, sizeof(b));
+    bits |= static_cast<std::uint64_t>(b != 0) << i;
   }
-  out_min = lo;
-  out_max = hi;
+  return bits;
 }
 
+/// True when every byte of the span is zero (a -0.0 float is not).
+inline bool all_zero_bytes(const void* p, std::size_t n) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, b + i, sizeof(w));
+    if (w != 0) return false;
+  }
+  for (; i < n; ++i) {
+    if (b[i] != 0) return false;
+  }
+  return true;
+}
+
+/// Min/max over a span (the DataTable's whole-column zone map). min/max
+/// are commutative and associative (no NaNs in metric columns), so lane
+/// order is free.
 inline void minmax_f64(const double* DV_RESTRICT p, std::size_t n,
                        double& out_min, double& out_max) {
   double lo = n ? p[0] : 0.0;

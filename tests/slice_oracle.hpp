@@ -5,11 +5,13 @@
 // instead; the windowed-vs-sliced tests compare against this bit for bit,
 // and bench_gates / bench_perf_core time it as the cold baseline. Also
 // the plain strided loop over a SampledSeries that PrefixSeries' deltas
-// from frame 0 reproduce. Header-only and free of gtest so the benches can
-// include it.
+// from frame 0 reproduce, and the dense-prefix group sums that the query
+// engine's group slabs reproduce. Header-only and free of gtest so the
+// benches can include it.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,6 +32,34 @@ inline double series_range_sum(const metrics::SampledSeries& s,
     acc += static_cast<double>(s.at(f, entity));
   }
   return acc;
+}
+
+/// The group sums over frames [f0, f1) of `s` that QueryEngine's group
+/// slab gives, from a dense prefix built for every series, all-zero or
+/// not: P[f][e] accumulated frame by frame, a group's slab entry at f the
+/// sum over its rows of P[f][row] - P[0][row], and the window sum the
+/// difference of the entries at f1 and f0.
+inline std::vector<double> dense_group_window_sums(
+    const metrics::SampledSeries& s,
+    const std::vector<std::vector<std::uint32_t>>& groups, std::size_t f0,
+    std::size_t f1) {
+  const std::size_t n = s.entities();
+  std::vector<double> p((s.frames() + 1) * n, 0.0);
+  for (std::size_t f = 0; f < s.frames(); ++f) {
+    for (std::size_t e = 0; e < n; ++e) {
+      p[(f + 1) * n + e] = p[f * n + e] + static_cast<double>(s.at(f, e));
+    }
+  }
+  auto slab = [&](const std::vector<std::uint32_t>& rows, std::size_t f) {
+    double acc = 0.0;
+    for (const std::uint32_t row : rows) acc += p[f * n + row] - p[row];
+    return acc;
+  };
+  std::vector<double> out;
+  for (const auto& rows : groups) {
+    out.push_back(slab(rows, f1) - slab(rows, f0));
+  }
+  return out;
 }
 
 inline core::DataSet slice_time(const core::DataSet& data, double t0,

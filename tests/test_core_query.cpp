@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <fstream>
 #include <future>
@@ -232,6 +233,48 @@ TEST(QueryReduce, SlabPathMatchesSliceThenAggregate) {
   for (std::size_t g = 0; g < want.size(); ++g) {
     EXPECT_NEAR((*fast)[g], want[g], 1e-6 + scale * 1e-9) << "group " << g;
   }
+}
+
+TEST(QueryReduce, GroupSlabsMatchTheDenseOracleForZeroAndNonzeroSeries) {
+  // An all-zero series keeps no prefix and its slab is never summed; its
+  // window sums must still equal, bit for bit, what a dense prefix gives,
+  // as must those of a series with values.
+  metrics::RunMetrics run = mini().run;
+  const auto& sat = run.local_sat_ts;
+  run.local_sat_ts = metrics::SampledSeries::adopt(
+      sat.entities(), sat.dt(),
+      std::vector<float>(sat.frames() * sat.entities(), 0.0f));
+  const DataSet data(run);
+  ASSERT_FALSE(data.slabs()[0].all_zero());  // local_traffic_ts
+  ASSERT_TRUE(data.slabs()[1].all_zero());   // local_sat_ts
+  QueryEngine eng(data);
+  AggregationSpec plain;
+  plain.keys = {"router_rank"};
+  const core::Aggregation agg(data.table(Entity::kLocalLink), plain);
+  std::vector<std::vector<std::uint32_t>> groups;
+  for (const auto& g : agg.groups()) groups.push_back(g.rows);
+  const double end = run.end_time;
+  for (const auto& [attr, series] :
+       {std::pair{"traffic", &run.local_traffic_ts},
+        std::pair{"sat_time", &run.local_sat_ts}}) {
+    for (const auto& [t0, t1] : {std::pair{0.0, end * 0.5},
+                                 std::pair{end * 0.3, end * 0.9}}) {
+      AggregationSpec spec = plain;
+      spec.window = TimeWindow{t0, t1};
+      const auto got =
+          eng.reduce(Entity::kLocalLink, spec, attr, Reducer::kSum);
+      const auto [f0, f1] = data.frame_range(Entity::kLocalLink, t0, t1);
+      const auto want =
+          dv::testing::dense_group_window_sums(*series, groups, f0, f1);
+      ASSERT_EQ(got->size(), want.size());
+      for (std::size_t g = 0; g < want.size(); ++g) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>((*got)[g]),
+                  std::bit_cast<std::uint64_t>(want[g]))
+            << attr << " group " << g;
+      }
+    }
+  }
+  EXPECT_GE(eng.stats().slab_builds, 2u);
 }
 
 TEST(QueryReduce, WindowedNonSlabPathIsBitExactWithSliceThenAggregate) {

@@ -254,14 +254,14 @@ TEST(DocPin, StoredRunFiles) {
   ASSERT_GT(term_down, 0.0);
   ASSERT_GT(rerouted, 0u);
   ASSERT_GT(dropped, 0u);
-  expect_pinned({"faulted.dvr", 6814601426039910713ull},
+  expect_pinned({"faulted.dvr", 17757607078078903426ull},
                 saved_bytes(faulted, "faulted.dvr"));
   expect_pinned({"faulted.json", 4587240848652674102ull},
                 saved_bytes(faulted, "faulted.json"));
 
   const auto fat_tree = fat_tree_run();
   ASSERT_TRUE(fat_tree.has_time_series());
-  expect_pinned({"fat_tree.dvr", 1114725199898674425ull},
+  expect_pinned({"fat_tree.dvr", 17403358184329813544ull},
                 saved_bytes(fat_tree, "fat_tree.dvr"));
 }
 

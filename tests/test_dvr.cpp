@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
@@ -25,6 +26,7 @@
 #include "util/kernels.hpp"
 #include "util/rng.hpp"
 #include "helpers.hpp"
+#include "uid_oracle.hpp"
 
 namespace dv {
 namespace {
@@ -267,13 +269,13 @@ TEST(DvrFormat, RejectsMalformedChunkDirectory) {
     std::memcpy(b.data() + at, &v, sizeof(v));
   };
   // Fixed header layout (docs/RUN_FORMAT.md): chunk count at byte 72,
-  // directory offset at 76; 56-byte directory entries of
+  // directory offset at 76; 40-byte directory entries of
   // section/column/dtype/reserved u16s then offset/bytes/rows/row0 u64s.
   const auto n_chunks = rd(orig, 72, std::uint32_t{});
   const auto dir = rd(orig, 76, std::uint64_t{});
   std::size_t series_at = 0, f64_at = 0;
   for (std::uint32_t i = 0; i < n_chunks; ++i) {
-    const std::size_t at = dir + i * 56;
+    const std::size_t at = dir + i * 40;
     const auto section = rd(orig, at, std::uint16_t{});
     const auto dtype = rd(orig, at + 4, std::uint16_t{});
     const auto rows = rd(orig, at + 24, std::uint64_t{});
@@ -334,6 +336,190 @@ TEST(DvrFormat, RejectsMalformedChunkDirectory) {
   EXPECT_EQ(metrics::run_content_uid(metrics::load_dvr(path)),
             metrics::run_content_uid(run));
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------- sparse series, uid
+
+/// `run` with `series` replaced by floats holding `bytes` (same shape).
+metrics::RunMetrics with_series_bytes(
+    metrics::RunMetrics run,
+    metrics::SampledSeries metrics::RunMetrics::*series,
+    const std::vector<unsigned char>& bytes) {
+  const metrics::SampledSeries& s = run.*series;
+  std::vector<float> data(s.frames() * s.entities());
+  EXPECT_EQ(bytes.size(), data.size() * sizeof(float));
+  std::memcpy(data.data(), bytes.data(), bytes.size());
+  run.*series = metrics::SampledSeries::adopt(s.entities(), s.dt(),
+                                              std::move(data));
+  return run;
+}
+
+TEST(DvrUid, ZeroSkippingMatchesTheByteWiseOracle) {
+  const auto run = dvr_sample_run(true);
+  const auto member = &metrics::RunMetrics::local_traffic_ts;
+  const std::size_t n = (run.*member).frames() * (run.*member).entities() *
+                        sizeof(float);
+  ASSERT_GE(n, 256u);
+  EXPECT_EQ(metrics::run_content_uid(run),
+            dv::testing::byte_wise_content_uid(run));
+  // One zero run of every length 0..17 at every offset mod 8, in nonzero
+  // filler, near the start and flush against the end.
+  for (std::size_t len = 0; len <= 17; ++len) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      for (const std::size_t base : {std::size_t{64}, n - 24}) {
+        std::vector<unsigned char> bytes(n, 0x5A);
+        std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(base + off),
+                    len, 0);
+        const auto r = with_series_bytes(run, member, bytes);
+        ASSERT_EQ(metrics::run_content_uid(r),
+                  dv::testing::byte_wise_content_uid(r))
+            << "len " << len << " off " << off << " base " << base;
+      }
+    }
+  }
+  // Zeros split by single nonzero bytes into runs of every length 0..17,
+  // starting at every offset mod 8, then zeros to the end.
+  for (std::size_t off = 0; off < 8; ++off) {
+    std::vector<unsigned char> bytes(n, 0);
+    std::size_t at = off;
+    for (std::size_t len = 0; len <= 17; ++len) {
+      at += len;
+      bytes[at++] = static_cast<unsigned char>(len + 1);
+    }
+    const auto r = with_series_bytes(run, member, bytes);
+    ASSERT_EQ(metrics::run_content_uid(r),
+              dv::testing::byte_wise_content_uid(r))
+        << "off " << off;
+  }
+}
+
+TEST(DvrFormat, SeriesChunksStoreABitmapAndTheNonzeroValues) {
+  const auto run = dvr_sample_run(true);
+  const auto path = temp_path("dv_dvr_sparse.dvr");
+  metrics::save_dvr(run, path);
+  const metrics::DvrFile f(path);
+  std::size_t series_chunks = 0;
+  for (const auto& c : f.chunks()) {
+    if (c.section < 16) {
+      EXPECT_EQ(c.nonzeros, 0u);
+      continue;
+    }
+    ++series_chunks;
+    const auto& s = run.*metrics::schema::kSeries[c.section - 16].member;
+    std::uint64_t want = 0;
+    for (std::uint64_t i = 0; i < c.rows; ++i) {
+      const float v = s.data()[c.row0 * s.entities() + i];
+      want += std::bit_cast<std::uint32_t>(v) != 0;
+    }
+    EXPECT_EQ(c.nonzeros, want);
+    EXPECT_EQ(c.bytes, (c.rows + 63) / 64 * 8 + 4 * c.nonzeros);
+  }
+  EXPECT_EQ(series_chunks, metrics::schema::kSeries.size());
+}
+
+TEST(DvrFormat, NegativeZeroIsStoredAndHashedAsAValue) {
+  const auto run = dvr_sample_run(true);
+  const auto member = &metrics::RunMetrics::local_sat_ts;
+  const std::size_t n = (run.*member).frames() * (run.*member).entities();
+  std::vector<float> neg(n, -0.0f);
+  std::vector<unsigned char> bytes(n * sizeof(float));
+  std::memcpy(bytes.data(), neg.data(), bytes.size());
+  const auto negative = with_series_bytes(run, member, bytes);
+  const auto positive = with_series_bytes(
+      run, member, std::vector<unsigned char>(bytes.size(), 0));
+  EXPECT_NE(metrics::run_content_uid(negative),
+            metrics::run_content_uid(positive));
+  EXPECT_EQ(metrics::run_content_uid(negative),
+            dv::testing::byte_wise_content_uid(negative));
+  const auto path = temp_path("dv_dvr_negzero.dvr");
+  metrics::save_dvr(negative, path);
+  const auto back = metrics::load_dvr(path);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>((back.*member).data()[i]),
+              std::bit_cast<std::uint32_t>(-0.0f))
+        << i;
+  }
+  EXPECT_FALSE(metrics::PrefixSeries(back.*member).all_zero());
+  EXPECT_TRUE(metrics::PrefixSeries(positive.*member).all_zero());
+}
+
+TEST(DvrFormat, RejectsCorruptSeriesBitmaps) {
+  const auto run = dvr_sample_run(true);
+  const auto path = temp_path("dv_dvr_bitmap.dvr");
+  metrics::save_dvr(run, path);
+  std::string orig;
+  {
+    std::ifstream is(path, std::ios::binary);
+    orig.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  auto rd = [](const std::string& b, std::size_t at, auto v) {
+    std::memcpy(&v, b.data() + at, sizeof(v));
+    return v;
+  };
+  auto wr = [](std::string& b, std::size_t at, auto v) {
+    std::memcpy(b.data() + at, &v, sizeof(v));
+  };
+  // A series chunk with stored values whose last bitmap word has unused
+  // bits; 40-byte directory entries (docs/RUN_FORMAT.md).
+  const auto n_chunks = rd(orig, 72, std::uint32_t{});
+  const auto dir = rd(orig, 76, std::uint64_t{});
+  std::size_t entry = 0;
+  for (std::uint32_t i = 0; i < n_chunks && entry == 0; ++i) {
+    const std::size_t at = dir + i * 40;
+    const auto rows = rd(orig, at + 24, std::uint64_t{});
+    if (rd(orig, at, std::uint16_t{}) >= 16 && rows % 64 != 0 &&
+        rd(orig, at + 16, std::uint64_t{}) > (rows + 63) / 64 * 8) {
+      entry = at;
+    }
+  }
+  ASSERT_NE(entry, 0u);
+  const auto offset = rd(orig, entry + 8, std::uint64_t{});
+  const auto rows = rd(orig, entry + 24, std::uint64_t{});
+  const std::size_t words = (rows + 63) / 64;
+  // The first set and the first clear bit (below rows) of the bitmap.
+  std::size_t set_bit = rows, clear_bit = rows;
+  for (std::size_t i = rows; i-- > 0;) {
+    const auto word = rd(orig, offset + i / 64 * 8, std::uint64_t{});
+    ((word >> (i % 64) & 1) ? set_bit : clear_bit) = i;
+  }
+  ASSERT_LT(set_bit, rows);
+  ASSERT_LT(clear_bit, rows);
+  auto flip = [&](std::string& b, std::size_t bit) {
+    const std::size_t at = offset + bit / 64 * 8;
+    wr(b, at, rd(b, at, std::uint64_t{}) ^ (std::uint64_t{1} << (bit % 64)));
+  };
+
+  auto expect_rejected = [&](const std::string& what, auto mutate) {
+    std::string bytes = orig;
+    mutate(bytes);
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    try {
+      metrics::RunMetrics::load(path);
+      ADD_FAILURE() << what << ": loaded";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_TRUE(msg.starts_with(path + ": ")) << msg;
+      EXPECT_NE(msg.find(what), std::string::npos) << msg;
+    }
+  };
+  expect_rejected("bitmap sets more bits than the chunk's",
+                  [&](auto& b) { flip(b, clear_bit); });
+  expect_rejected("stored values", [&](auto& b) { flip(b, set_bit); });
+  expect_rejected("bitmap bit set past the chunk's",
+                  [&](auto& b) { flip(b, words * 64 - 1); });
+  expect_rejected("series chunk bitmap truncated", [&](auto& b) {
+    wr(b, entry + 16, std::uint64_t{words * 8 - 4});
+  });
+  // A version 1 file (dense series chunks, zone maps) is not read.
+  expect_rejected("unsupported .dvr version 1 (reader supports 2)",
+                  [&](auto& b) { wr(b, 4, std::uint32_t{1}); });
+
+  // The pristine bytes still load.
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(orig.data(), static_cast<std::streamsize>(orig.size()));
+  EXPECT_EQ(metrics::run_content_uid(metrics::load_dvr(path)),
+            metrics::run_content_uid(run));
 }
 
 TEST(DvrFormat, SampledSeriesAdoptValidates) {
@@ -497,26 +683,40 @@ TEST(KernelEquivalence, FilterRangeMaskIncludingNan) {
 TEST(KernelEquivalence, MinMax) {
   Rng rng(10);
   for (const std::size_t n : {0u, 1u, 2u, 3u, 5u, 128u, 1001u}) {
-    std::vector<float> f(n);
     std::vector<double> d(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      f[i] = static_cast<float>(rng.next_double() * 2e3 - 1e3);
-      d[i] = rng.next_double() * 2e3 - 1e3;
-    }
-    float flo = 1.0f, fhi = -1.0f;
-    kernels::minmax_f32(f.data(), n, flo, fhi);
+    for (auto& v : d) v = rng.next_double() * 2e3 - 1e3;
     double dlo = 1.0, dhi = -1.0;
     kernels::minmax_f64(d.data(), n, dlo, dhi);
     if (n == 0) {
-      EXPECT_EQ(flo, 0.0f);
       EXPECT_EQ(dhi, 0.0);
       continue;
     }
-    EXPECT_EQ(flo, *std::min_element(f.begin(), f.end()));
-    EXPECT_EQ(fhi, *std::max_element(f.begin(), f.end()));
     EXPECT_EQ(dlo, *std::min_element(d.begin(), d.end()));
     EXPECT_EQ(dhi, *std::max_element(d.begin(), d.end()));
   }
+}
+
+TEST(KernelEquivalence, NonzeroBitsAndAllZeroBytes) {
+  Rng rng(12);
+  std::vector<float> v(64);
+  for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 31u, 63u, 64u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      for (auto& x : v) {
+        const double u = rng.next_double();
+        x = u < 0.5 ? 0.0f : u < 0.6 ? -0.0f : static_cast<float>(u);
+      }
+      std::uint64_t want = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        want |= std::uint64_t{std::bit_cast<std::uint32_t>(v[i]) != 0} << i;
+      }
+      ASSERT_EQ(kernels::nonzero_bits(v.data(), n), want) << "n=" << n;
+      EXPECT_EQ(kernels::all_zero_bytes(v.data(), n * sizeof(float)),
+                want == 0);
+    }
+  }
+  const float neg_zero = -0.0f;
+  EXPECT_EQ(kernels::nonzero_bits(&neg_zero, 1), 1u);
+  EXPECT_FALSE(kernels::all_zero_bytes(&neg_zero, sizeof(neg_zero)));
 }
 
 TEST(KernelEquivalence, GatherSum) {

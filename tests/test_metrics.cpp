@@ -1,6 +1,7 @@
 // RunMetrics schema tests: derivation, serialization, time series, CSV.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -121,6 +122,36 @@ TEST(Metrics, SampledSeriesRangeOps) {
   EXPECT_DOUBLE_EQ(p.range_sum(2, 1, 2), 6.0);
   EXPECT_THROW(s.push_frame({1.0f}), Error);
   EXPECT_THROW(p.range_sum(0, 2, 1), Error);
+}
+
+TEST(Metrics, AllZeroSeriesKeepsNoPrefixAndSumsToPositiveZero) {
+  const auto s = SampledSeries::adopt(3, 10.0, std::vector<float>(12, 0.0f));
+  const PrefixSeries p(s);
+  EXPECT_TRUE(p.all_zero());
+  EXPECT_EQ(p.frames(), 4u);
+  EXPECT_EQ(p.entities(), 3u);
+  for (std::size_t e = 0; e < 3; ++e) {
+    for (std::size_t f0 = 0; f0 <= 4; ++f0) {
+      for (std::size_t f1 = f0; f1 <= 4; ++f1) {
+        const double v = p.range_sum(e, f0, f1);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(v), 0u);  // +0.0, sign clear
+      }
+    }
+  }
+  EXPECT_THROW(p.range_sum(3, 0, 1), Error);
+  EXPECT_THROW(p.range_sum(0, 0, 5), Error);
+}
+
+TEST(Metrics, NegativeZeroSeriesIsNotZero) {
+  // -0.0 has a set sign bit: it is a stored value, not a zero, in the
+  // prefix test as in the .dvr bitmap and the uid.
+  std::vector<float> data(12, 0.0f);
+  data[7] = -0.0f;
+  const auto s = SampledSeries::adopt(3, 10.0, data);
+  const PrefixSeries p(s);
+  EXPECT_FALSE(p.all_zero());
+  // The dense sum still starts from +0.0, so it reads +0.0.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(p.range_sum(1, 0, 4)), 0u);
 }
 
 TEST(Metrics, CsvExportShapes) {

@@ -169,6 +169,97 @@ TEST(RunSchema, BothReadersRejectBadJobsAndSampleSteps) {
   }
 }
 
+TEST(RunSchema, BothReadersRejectRowsThatDisagreeWithTheShape) {
+  const RunMetrics good = dv::testing::make_mini_run().run;  // DF(2)
+  ASSERT_EQ(good.terminals.size(), 72u);
+  ASSERT_EQ(good.global_links.size(), 72u);
+  // DF(2): 2 terminal + 3 local + 2 global ports per router.
+  for (const char* name : {"run.json", "run.dvr"}) {
+    SCOPED_TRACE(name);
+    const std::string path = path_in_temp(name);
+
+    RunMetrics bad = good;
+    bad.groups = 10;
+    expect_load_fails(bad, path,
+                      "terminals has 72 rows (groups 10 x routers_per_group 4 "
+                      "x terminals_per_router 2 = 80)");
+
+    // 2^31 x 2^31 routers x 4 terminals is 0 mod 2^64: no terminal rows
+    // must not pass for 2^62 routers.
+    bad = good;
+    bad.groups = bad.routers_per_group = 1u << 31;
+    bad.terminals_per_router = 4;
+    bad.terminals.clear();
+    bad.sample_dt = 0.0;
+    expect_load_fails(bad, path,
+                      "terminals has 0 rows (groups 2147483648 x "
+                      "routers_per_group 2147483648 x terminals_per_router "
+                      "4 = 0)");
+
+    bad = good;
+    bad.terminals_per_router = 0;
+    expect_load_fails(bad, path,
+                      "terminals_per_router = 0 (groups 9 x "
+                      "routers_per_group 4 routers)");
+
+    bad = good;
+    bad.local_links[4].dst_port = 7;
+    expect_load_fails(bad, path,
+                      "local_links.dst_port[4] = 7 (>= 7-port radix)");
+
+    bad = good;
+    bad.terminals[3].port = 100;
+    expect_load_fails(bad, path,
+                      "terminals.port[3] = 100 (>= 7-port radix)");
+
+    // One global link more than the routers have global ports. Unsampled,
+    // so no series disagrees with the row count first.
+    bad = good;
+    bad.sample_dt = 0.0;
+    bad.global_links.push_back(bad.global_links.back());
+    expect_load_fails(bad, path,
+                      "global_links has 73 rows (more than groups 9 x "
+                      "routers_per_group 4 x global_per_router 2)");
+  }
+}
+
+TEST(RunSchema, FlippedShapeBytesFailBeforeAnythingIsSized) {
+  // The third bytes of the packed header's groups (offset 18) and
+  // routers_per_group (offset 22): XOR 0xFF makes a DF(3) run claim about
+  // 10^8 routers, which a reader sizing router arrays by the header would
+  // try to allocate.
+  const auto topo = topo::Dragonfly::canonical(3);
+  netsim::Network net(topo, routing::Algo::kMinimal, netsim::Params{}, 5);
+  for (std::uint32_t t = 0; t < 40; ++t) {
+    net.add_message({t, (t * 7 + 11) % topo.num_terminals(), 4096,
+                     100.0 * t, -1});
+  }
+  net.enable_sampling(1000.0);
+  const RunMetrics run = net.run();
+  const std::string path = path_in_temp("df3.dvr");
+  run.save(path);
+  std::string orig;
+  {
+    std::ifstream is(path, std::ios::binary);
+    orig.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  for (const std::size_t offset : {18u, 22u}) {
+    SCOPED_TRACE(offset);
+    std::string bytes = orig;
+    bytes[offset] = static_cast<char>(bytes[offset] ^ 0xFF);
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    try {
+      RunMetrics::load(path);
+      ADD_FAILURE() << "loaded";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_TRUE(msg.starts_with(path + ": terminals has 342 rows"))
+          << msg;
+    }
+  }
+}
+
 TEST(RunSchema, PackedReaderChecksEveryColumnsDtypeAndRowCount) {
   const RunMetrics run = dv::testing::make_mini_run().run;
   const std::string path = path_in_temp("run.dvr");
@@ -179,7 +270,7 @@ TEST(RunSchema, PackedReaderChecksEveryColumnsDtypeAndRowCount) {
     orig.assign(std::istreambuf_iterator<char>(is), {});
   }
   // docs/RUN_FORMAT.md: chunk count at byte 72, directory offset at 76,
-  // 56-byte entries of section, column, dtype (u16) at 0, 2, 4 and
+  // 40-byte entries of section, column, dtype (u16) at 0, 2, 4 and
   // bytes, rows (u64) at 16, 24.
   auto rd = [](const std::string& b, std::size_t at, auto v) {
     std::memcpy(&v, b.data() + at, sizeof(v));
@@ -191,7 +282,7 @@ TEST(RunSchema, PackedReaderChecksEveryColumnsDtypeAndRowCount) {
   auto entry = [&](std::uint16_t section, std::uint16_t column) {
     const auto dir = rd(orig, 76, std::uint64_t{});
     for (std::uint32_t i = 0; i < rd(orig, 72, std::uint32_t{}); ++i) {
-      const std::size_t at = dir + i * 56;
+      const std::size_t at = dir + i * 40;
       if (rd(orig, at, std::uint16_t{}) == section &&
           rd(orig, at + 2, std::uint16_t{}) == column) {
         return at;
